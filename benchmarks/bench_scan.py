@@ -26,6 +26,8 @@ import subprocess
 import sys
 import time
 
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
 
 def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -76,12 +78,18 @@ def _run_backend(force_numpy: bool, args: argparse.Namespace) -> dict:
         env.pop("LINECLUSTER_FORCE_NUMPY", None)
     if args.threads is not None:
         env["LINECLUSTER_THREADS"] = str(args.threads)
+    # Import linecluster from this checkout's src/, installed or not.
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
     cmd = [
         sys.executable, os.path.abspath(__file__), "--worker",
         "--sizes", args.sizes, "--repeats", str(args.repeats),
         "--sigma", str(args.sigma), "--t", str(args.t),
     ]
-    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, check=True)
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        raise SystemExit(f"error: the {'numpy' if force_numpy else 'default'} backend worker "
+                         f"exited with code {proc.returncode}")
     return json.loads(proc.stdout)
 
 
@@ -93,10 +101,11 @@ def main(argv: list[str] | None = None) -> int:
 
     fast = _run_backend(force_numpy=False, args=args)
     slow = _run_backend(force_numpy=True, args=args)
-    if fast["backend"] == slow["backend"]:
+    compared = fast["backend"] != slow["backend"]
+    if not compared:
         print(
             "warning: compiled kernel unavailable; both runs used the "
-            f"{fast['backend']} backend",
+            f"{fast['backend']} backend, so nothing is compared",
             file=sys.stderr,
         )
 
@@ -104,12 +113,12 @@ def main(argv: list[str] | None = None) -> int:
     print(header)
     print("-" * len(header))
     for a, b in zip(fast["rows"], slow["rows"]):
-        ratio = b["seconds"] / a["seconds"] if a["seconds"] > 0 else math.inf
-        same = "yes" if a["digest"] == b["digest"] else "NO"
-        print(
-            f"{a['n']:>6} {a['triples']:>14,} {a['seconds']:>12.4f} s {b['seconds']:>10.4f} s"
-            f" {ratio:>8.1f}x  {same}"
-        )
+        if compared:
+            ratio = b["seconds"] / a["seconds"] if a["seconds"] > 0 else math.inf
+            verdict = f"{ratio:>8.1f}x  {'yes' if a['digest'] == b['digest'] else 'NO'}"
+        else:
+            verdict = "not compared"
+        print(f"{a['n']:>6} {a['triples']:>14,} {a['seconds']:>12.4f} s {b['seconds']:>10.4f} s {verdict}")
     if any(a["digest"] != b["digest"] for a, b in zip(fast["rows"], slow["rows"])):
         print("error: backends disagree on the similarity matrix", file=sys.stderr)
         return 1

@@ -1,15 +1,17 @@
 """Vectorized fallback for the triple scan (no compiled extension needed).
 
-Evaluates the same canonical score expression as ``linecluster.tls.scatter``
-/ ``sigma_tls_sq`` — identical operation order, so scores agree bit-for-bit
-with both the scalar reference and the compiled kernel. Roughly 20x slower
-than the compiled scan; peak memory is O(n^2) for the pair index arrays of
-the first outer point.
+Scores each block of triples with ``linecluster.tls._triple_scores``, the
+package's one score expression; the compiled kernel repeats it operation
+for operation, so scores agree bit-for-bit across backends. Roughly 20x
+slower than the compiled scan; peak memory is O(n^2) for the pair index
+arrays of the first outer point.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .tls import _triple_scores
 
 _PAIR_CHUNK = 1 << 21
 
@@ -46,26 +48,7 @@ def scan_triples(
         for lo in range(0, jj.size, _PAIR_CHUNK):
             ja = jj[lo : lo + _PAIR_CHUNK] + base
             ka = kk[lo : lo + _PAIR_CHUNK] + base
-            xj = x[ja]
-            yj = y[ja]
-            xk = x[ka]
-            yk = y[ka]
-            cx = (x[i] + xj + xk) / 3.0
-            cy = (y[i] + yj + yk) / 3.0
-            dx0 = x[i] - cx
-            dx1 = xj - cx
-            dx2 = xk - cx
-            dy0 = y[i] - cy
-            dy1 = yj - cy
-            dy2 = yk - cy
-            sxx = dx0 * dx0 + dx1 * dx1 + dx2 * dx2
-            sxy = dx0 * dy0 + dx1 * dy1 + dx2 * dy2
-            syy = dy0 * dy0 + dy1 * dy1 + dy2 * dy2
-            mean = 0.5 * (sxx + syy)
-            diff = 0.5 * (sxx - syy)
-            root = np.sqrt(diff * diff + sxy * sxy)
-            lam = mean - root
-            lam = np.where(lam < 0.0, 0.0, lam)
+            lam = _triple_scores(x[i], y[i], x[ja], y[ja], x[ka], y[ka])
             accept = lam < t2
             hits = int(np.count_nonzero(accept))
             if hits == 0:

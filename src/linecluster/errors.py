@@ -29,7 +29,11 @@ class SizeTooSmallError(LineClusterError):
 
 
 class NoConvergenceError(LineClusterError):
-    """Iterative eigensolver failed to reach tolerance within its cap."""
+    """An iterative solver failed to reach tolerance within its cap.
+
+    Kept as public API; no current code path raises it (``top2_eigen`` uses
+    a dense eigendecomposition).
+    """
 
 
 class EmptySampleError(LineClusterError):

@@ -55,13 +55,16 @@ def active_backend() -> str:
 
 
 def thread_count() -> int:
-    """Scan threads: LINECLUSTER_THREADS if set, else all cores (compiled only)."""
+    """Scan threads: LINECLUSTER_THREADS if set, else the CPUs this process
+    may run on (compiled only)."""
     env = os.environ.get("LINECLUSTER_THREADS", "").strip()
     if env:
         try:
             return max(1, int(env))
         except ValueError as exc:
             raise LineClusterError(f"LINECLUSTER_THREADS must be an integer, got {env!r}") from exc
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
     return os.cpu_count() or 1
 
 

@@ -162,11 +162,10 @@ def read_labels_csv(path) -> np.ndarray:
 
 def write_similarity_csv(path, counts) -> None:
     mat = np.asarray(counts)
-    lines = ["i,j,count"]
     ii, jj = np.nonzero(np.triu(mat, 1))
-    for i, j in zip(ii, jj):
-        lines.append(f"{i},{j},{int(mat[i, j])}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    vals = mat[ii, jj].astype(np.int64)
+    body = "".join(f"{i},{j},{c}\n" for i, j, c in zip(ii.tolist(), jj.tolist(), vals.tolist()))
+    Path(path).write_text("i,j,count\n" + body)
 
 
 def write_bounds_csv(path, rows: list[dict]) -> None:

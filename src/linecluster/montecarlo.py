@@ -17,6 +17,7 @@ from ._rng import DOMAIN_MC, generator
 from .errors import LineClusterError
 from .mle import mle_recover
 from .model import ModelParams, sample_glmm, standard_cross
+from .tls import _triple_scores
 
 
 @dataclass(frozen=True)
@@ -40,17 +41,7 @@ def triple_scores(triples: np.ndarray) -> np.ndarray:
         raise LineClusterError(f"expected shape (m, 3, 2), got {tri.shape}")
     x = tri[:, :, 0]
     y = tri[:, :, 1]
-    cx = (x[:, 0] + x[:, 1] + x[:, 2]) / 3.0
-    cy = (y[:, 0] + y[:, 1] + y[:, 2]) / 3.0
-    dx = x - cx[:, None]
-    dy = y - cy[:, None]
-    sxx = (dx * dx).sum(axis=1)
-    sxy = (dx * dy).sum(axis=1)
-    syy = (dy * dy).sum(axis=1)
-    mean = 0.5 * (sxx + syy)
-    diff = 0.5 * (sxx - syy)
-    root = np.sqrt(diff * diff + sxy * sxy)
-    return np.maximum(mean - root, 0.0)
+    return _triple_scores(x[:, 0], y[:, 0], x[:, 1], y[:, 1], x[:, 2], y[:, 2])
 
 
 def mc_within_miss(t: float, sigma: float, ell: float, n_triples: int, seed: int) -> MCResult:

@@ -22,7 +22,7 @@ import numpy as np
 from ._validate import as_labels, as_points
 from .errors import ClusterTooSmallError
 from .model import Segment
-from .tls import FittedLine
+from .tls import FittedLine, _top_eigen
 
 _RANK_GAP_TOL = 1e-12
 
@@ -44,24 +44,9 @@ def _fit_cluster(points: np.ndarray) -> LineEstimate:
     mean = points.mean(axis=0)
     centered = points - mean
     cov = (centered.T @ centered) / n_k
-    sxx, sxy, syy = float(cov[0, 0]), float(cov[0, 1]), float(cov[1, 1])
-    half_tr = 0.5 * (sxx + syy)
-    half_diff = 0.5 * (sxx - syy)
-    root = math.sqrt(half_diff * half_diff + sxy * sxy)
-    lam_top = half_tr + root
-    lam_bot = half_tr - root
+    lam_top, lam_bot, direction = _top_eigen(float(cov[0, 0]), float(cov[0, 1]), float(cov[1, 1]))
     if lam_bot < 0.0:
         lam_bot = 0.0
-    if root == 0.0:
-        direction = (1.0, 0.0)
-    else:
-        v1 = (sxy, lam_top - sxx)
-        v2 = (lam_top - syy, sxy)
-        v = v1 if (v1[0] * v1[0] + v1[1] * v1[1]) >= (v2[0] * v2[0] + v2[1] * v2[1]) else v2
-        norm = math.hypot(v[0], v[1])
-        direction = (v[0] / norm, v[1] / norm)
-    if direction[0] < 0.0 or (direction[0] == 0.0 and direction[1] < 0.0):
-        direction = (-direction[0], -direction[1])
     return LineEstimate(
         center=(float(mean[0]), float(mean[1])),
         direction=direction,

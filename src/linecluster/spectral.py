@@ -2,11 +2,8 @@
 
 The embedding is the pair of eigenvectors of W for the two *largest
 algebraic* eigenvalues; points are clustered by k-means (K = 2) on the rows
-of the n x 2 embedding. For n <= 512 the eigenpairs come from a full dense
-symmetric eigendecomposition; above that a deterministic shifted block
-subspace iteration (block 4, fixed internal start block, Rayleigh-Ritz
-extraction) is used, with residual tolerance 1e-10 relative to
-max(1, |eigenvalue|) and an iteration cap of 10^4.
+of the n x 2 embedding. The eigenpairs come from a full dense symmetric
+eigendecomposition (``numpy.linalg.eigh``) at every n.
 
 Conventions, fixed so every backend and rerun agrees:
   * each eigenvector's entry of largest absolute value is made positive;
@@ -26,15 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import DOMAIN_EIG, DOMAIN_KMEANS, generator
+from ._rng import DOMAIN_KMEANS, generator
 from ._validate import as_points
-from .errors import LineClusterError, NoConvergenceError, SizeTooSmallError
+from .errors import LineClusterError, SizeTooSmallError
 from .hypergraph import SimilarityMatrix, build_similarity
 
-_DENSE_MAX_N = 512
-_BLOCK = 4
-_EIG_TOL = 1e-10
-_EIG_MAX_ITER = 10_000
 _KMEANS_RESTARTS = 10
 _KMEANS_MAX_ITER = 100
 _KMEANS_TOL = 1e-9
@@ -84,47 +77,6 @@ def _fix_signs(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def _top2_dense(mat: np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:
-    vals, vecs = np.linalg.eigh(mat)  # ascending
-    u = np.column_stack([vecs[:, -1], vecs[:, -2]])
-    return u, (float(vals[-1]), float(vals[-2]))
-
-
-def _top2_iterative(mat: np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:
-    n = mat.shape[0]
-    shift = float(np.abs(mat).sum(axis=1).max()) + 1.0  # mat + shift*I is PD
-    block = min(_BLOCK, n)
-    rng = generator(0, DOMAIN_EIG)
-    q, _ = np.linalg.qr(rng.standard_normal((n, block)))
-    for _ in range(_EIG_MAX_ITER):
-        az = mat @ q + shift * q
-        q_new, _ = np.linalg.qr(az)
-        # Rayleigh-Ritz on the current subspace.
-        aq = mat @ q_new + shift * q_new
-        t_small = q_new.T @ aq
-        theta, s = np.linalg.eigh(t_small)
-        ritz = q_new @ s
-        # The shifted residual equals the unshifted one:
-        # (A + cI) r - theta r = A r - (theta - c) r.
-        resid = aq @ s - ritz * theta
-        top = slice(block - 2, block)
-        ok = True
-        for idx in range(block - 2, block):
-            lam = theta[idx] - shift
-            r = float(np.linalg.norm(resid[:, idx]))
-            if r > _EIG_TOL * max(1.0, abs(lam)):
-                ok = False
-                break
-        if ok:
-            u = ritz[:, top][:, ::-1].copy()
-            vals = theta[top][::-1] - shift
-            return u, (float(vals[0]), float(vals[1]))
-        q = q_new
-    raise NoConvergenceError(
-        f"subspace iteration did not reach tolerance {_EIG_TOL} within {_EIG_MAX_ITER} iterations"
-    )
-
-
 def top2_eigen(w) -> SpectralEmbedding:
     """Embedding from the two algebraically largest eigenpairs of ``w``.
 
@@ -139,11 +91,9 @@ def top2_eigen(w) -> SpectralEmbedding:
         u[0, 0] = 1.0
         u[1, 1] = 1.0
         return SpectralEmbedding(u=u, eigenvalues=(0.0, 0.0))
-    if n <= _DENSE_MAX_N:
-        u, vals = _top2_dense(mat)
-    else:
-        u, vals = _top2_iterative(mat)
-    return SpectralEmbedding(u=_fix_signs(u), eigenvalues=vals)
+    vals, vecs = np.linalg.eigh(mat)  # ascending
+    u = np.column_stack([vecs[:, -1], vecs[:, -2]])
+    return SpectralEmbedding(u=_fix_signs(u), eigenvalues=(float(vals[-1]), float(vals[-2])))
 
 
 def _kmeans_pp_init(rows: np.ndarray, rng) -> np.ndarray:

@@ -9,7 +9,9 @@ The per-trial pipeline depends on ``algorithm``:
   * ``spectral``: sample, scan at the fixed cell threshold (also collecting
     the within/mixed acceptance rates), embed, k-means;
   * ``autocluster``: sample, pick the threshold from sampled triples, then
-    cluster the untouched points (the t column reports the selected t*);
+    cluster the untouched (rest) points in one labeled scan (the t column
+    reports the selected t*; p_hat and q_hat cover the rest points only,
+    and stay nan when t* = 0);
   * ``oracle``: classify with the exact component densities (t, p_hat and
     q_hat are not applicable and render as nan).
 
@@ -28,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ClusterTooSmallError, LineClusterError
-from .hypergraph import hyperedge_probabilities, scan
+from .hypergraph import scan
 from .metrics import align_swap, report
 from .mle import mle_recover
 from .model import ModelParams, sample_glmm, standard_cross
@@ -161,12 +163,11 @@ def _run_trial(config: SweepConfig, n: int, sig: float, t_cell: float, trial: in
         t_used = t_cell
         p_hat, q_hat = stats.p_hat, stats.q_hat
     elif config.algorithm == "autocluster":
-        res = autocluster(ds.points, config.m, config.theta, run_seed)
+        res = autocluster(ds.points, config.m, config.theta, run_seed, ds.labels)
         labels_hat = res.labels
         t_used = res.choice.t_star
         if t_used > 0.0:
-            stats = hyperedge_probabilities(ds.points, ds.labels, t_used)
-            p_hat, q_hat = stats.p_hat, stats.q_hat
+            p_hat, q_hat = res.stats.p_hat, res.stats.q_hat
     else:  # oracle
         labels_hat = mle_recover(ds).labels
     runtime_ms = (time.perf_counter() - start) * 1000.0

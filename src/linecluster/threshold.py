@@ -27,10 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import DOMAIN_ASSIGN, DOMAIN_TRIPLES, generator
-from ._validate import as_points
+from ._validate import as_labels, as_points
 from .errors import EmptySampleError, LineClusterError, SampleExhaustsNodesError
-from .spectral import ClusterResult, SpectralEmbedding, cluster
-from .tls import sigma_tls_sq
+from .hypergraph import HyperedgeStats, scan
+from .spectral import ClusterResult, cluster_from_similarity
+from .tls import _triple_scores
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,12 +58,15 @@ class AutoClusterResult(ClusterResult):
     """Cluster labels for all n points plus the threshold-selection record.
 
     Points in ``rest_indices`` were clustered at ``choice.t_star``; the
-    ``sample.touched_nodes`` got independent uniform labels.
+    ``sample.touched_nodes`` got independent uniform labels. ``stats`` holds
+    the scan's acceptance tallies over the rest points when true labels
+    were given, else None.
     """
 
     sample: TripleSample = None  # type: ignore[assignment]
     choice: ThresholdChoice = None  # type: ignore[assignment]
     rest_indices: np.ndarray = None  # type: ignore[assignment]
+    stats: HyperedgeStats | None = None
 
 
 def empirical_cdf(scores, t: float) -> float:
@@ -106,21 +110,26 @@ def select_threshold(points, m: int, theta: float, seed: int) -> tuple[TripleSam
     """Sample M triples and pick t* as the round(theta*M)-th smallest score."""
     pts = as_points(points, min_n=3)
     triples = sample_triples(pts.shape[0], m, seed)
-    scores = np.array([math.sqrt(sigma_tls_sq(pts[row])) for row in triples])
+    x = pts[triples, 0]
+    y = pts[triples, 1]
+    scores = np.sqrt(_triple_scores(x[:, 0], y[:, 0], x[:, 1], y[:, 1], x[:, 2], y[:, 2]))
     touched = np.unique(triples)
     sample = TripleSample(triples=triples, scores=scores, touched_nodes=touched)
     return sample, choose_order_stat(scores, theta)
 
 
-def autocluster(points, m: int, theta: float, seed: int) -> AutoClusterResult:
+def autocluster(points, m: int, theta: float, seed: int, labels=None) -> AutoClusterResult:
     """Select a threshold from sampled triples, then cluster the rest.
 
     The sampled (touched) nodes are labeled uniformly at random; the
     remaining points are clustered spectrally at the selected threshold.
-    Raises ``SampleExhaustsNodesError`` when fewer than 3 points remain.
+    With true ``labels``, the same scan also tallies the rest points'
+    within/mixed acceptance (``stats``). Raises ``SampleExhaustsNodesError``
+    when fewer than 3 points remain.
     """
     pts = as_points(points, min_n=3)
     n = pts.shape[0]
+    z = as_labels(labels, n) if labels is not None else None
     sample, choice = select_threshold(pts, m, theta, seed)
     rest = np.setdiff1d(np.arange(n), sample.touched_nodes)
     if rest.size < 3:
@@ -133,16 +142,17 @@ def autocluster(points, m: int, theta: float, seed: int) -> AutoClusterResult:
     # positive double squares to 0 and reproduces that behavior while
     # satisfying the scan's t > 0 contract.
     t_run = choice.t_star if choice.t_star > 0.0 else math.ulp(0.0)
-    sub = cluster(pts[rest], t_run, seed)
+    sim, stats = scan(pts[rest], t_run, z[rest] if z is not None else None)
+    sub = cluster_from_similarity(sim, seed)
 
-    labels = np.empty(n, dtype=np.int8)
-    labels[rest] = sub.labels
+    labels_hat = np.empty(n, dtype=np.int8)
+    labels_hat[rest] = sub.labels
     assign_rng = generator(seed, DOMAIN_ASSIGN)
-    labels[sample.touched_nodes] = assign_rng.integers(1, 3, size=sample.touched_nodes.size).astype(
-        np.int8
-    )
+    labels_hat[sample.touched_nodes] = assign_rng.integers(
+        1, 3, size=sample.touched_nodes.size
+    ).astype(np.int8)
     return AutoClusterResult(
-        labels=labels,
+        labels=labels_hat,
         embedding=sub.embedding,
         kmeans_inertia=sub.kmeans_inertia,
         centers=sub.centers,
@@ -150,4 +160,5 @@ def autocluster(points, m: int, theta: float, seed: int) -> AutoClusterResult:
         sample=sample,
         choice=choice,
         rest_indices=rest,
+        stats=stats,
     )

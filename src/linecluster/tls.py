@@ -10,9 +10,11 @@ smallest eigenvalue of the 2x2 scatter matrix,
 
     sigma_tls_sq = (s_xx + s_yy)/2 - sqrt( ((s_xx - s_yy)/2)^2 + s_xy^2 ),
 
-which is 0 exactly when the triple is collinear. The arithmetic below is the
-canonical evaluation order: the compiled and vectorized scan kernels repeat
-it operation-for-operation so all backends score identically, bit for bit.
+which is 0 exactly when the triple is collinear. ``_triple_scores`` below is
+the canonical evaluation order and the only Python copy of it: the numpy
+scan, threshold selection and the Monte-Carlo validators call it, and the
+compiled kernel repeats it operation for operation, so every path scores
+identically, bit for bit.
 
 ``common_tangents`` solves the side geometry used when reasoning about
 mixed triples: the four common tangent lines of two exterior discs centered
@@ -75,13 +77,8 @@ def _as_triple(triple) -> np.ndarray:
     return arr
 
 
-def scatter(triple) -> ScatterSummary:
-    """Centered scatter sums of a triple of planar points."""
-    arr = _as_triple(triple)
-    x0, y0 = float(arr[0, 0]), float(arr[0, 1])
-    x1, y1 = float(arr[1, 0]), float(arr[1, 1])
-    x2, y2 = float(arr[2, 0]), float(arr[2, 1])
-    # Canonical order (mirrored by the scan kernels): left-to-right sums.
+def _centered_sums(x0, y0, x1, y1, x2, y2):
+    # Canonical order (mirrored by the compiled kernel): left-to-right sums.
     cx = (x0 + x1 + x2) / 3.0
     cy = (y0 + y1 + y2) / 3.0
     dx0 = x0 - cx
@@ -93,15 +90,53 @@ def scatter(triple) -> ScatterSummary:
     s_xx = dx0 * dx0 + dx1 * dx1 + dx2 * dx2
     s_xy = dx0 * dy0 + dx1 * dy1 + dx2 * dy2
     s_yy = dy0 * dy0 + dy1 * dy1 + dy2 * dy2
-    return ScatterSummary(s_xx=s_xx, s_xy=s_xy, s_yy=s_yy)
+    return s_xx, s_xy, s_yy
 
 
-def _lambda_min(s_xx: float, s_xy: float, s_yy: float) -> float:
+def _triple_scores(x0, y0, x1, y1, x2, y2):
+    """Elementwise squared TLS residual (smallest scatter eigenvalue, >= 0).
+
+    Takes the coordinates of the first, second and third point of each
+    triple as scalars or equally shaped arrays. This is the one score
+    expression of the package: ``sigma_tls_sq``, threshold selection, the
+    Monte-Carlo validators and the numpy scan all call it.
+    """
+    s_xx, s_xy, s_yy = _centered_sums(x0, y0, x1, y1, x2, y2)
+    mean = 0.5 * (s_xx + s_yy)
+    diff = 0.5 * (s_xx - s_yy)
+    root = np.sqrt(diff * diff + s_xy * s_xy)
+    return np.maximum(mean - root, 0.0)
+
+
+def _top_eigen(s_xx: float, s_xy: float, s_yy: float) -> tuple[float, float, tuple[float, float]]:
+    """``(lam_max, lam_min, direction)`` of the 2x2 matrix [[s_xx, s_xy], [s_xy, s_yy]].
+
+    ``direction`` is the unit top eigenvector with its first nonzero
+    coordinate positive; a tied spectrum resolves to the x-axis.
+    ``lam_min`` is not clamped.
+    """
     mean = 0.5 * (s_xx + s_yy)
     diff = 0.5 * (s_xx - s_yy)
     root = math.sqrt(diff * diff + s_xy * s_xy)
-    lam = mean - root
-    return 0.0 if lam < 0.0 else lam
+    lam_max = mean + root
+    if root == 0.0:
+        direction = (1.0, 0.0)
+    else:
+        # Pick the better-conditioned of the two analytic eigenvector forms.
+        v1 = (s_xy, lam_max - s_xx)
+        v2 = (lam_max - s_yy, s_xy)
+        v = v1 if (v1[0] * v1[0] + v1[1] * v1[1]) >= (v2[0] * v2[0] + v2[1] * v2[1]) else v2
+        norm = math.hypot(v[0], v[1])
+        direction = (v[0] / norm, v[1] / norm)
+    if direction[0] < 0.0 or (direction[0] == 0.0 and direction[1] < 0.0):
+        direction = (-direction[0], -direction[1])
+    return lam_max, mean - root, direction
+
+
+def scatter(triple) -> ScatterSummary:
+    """Centered scatter sums of a triple of planar points."""
+    s_xx, s_xy, s_yy = _centered_sums(*_as_triple(triple).ravel().tolist())
+    return ScatterSummary(s_xx=s_xx, s_xy=s_xy, s_yy=s_yy)
 
 
 def sigma_tls_sq(triple) -> float:
@@ -110,8 +145,7 @@ def sigma_tls_sq(triple) -> float:
     Non-negative; zero iff the three points are collinear; at most half the
     scatter trace.
     """
-    s = scatter(triple)
-    return _lambda_min(s.s_xx, s.s_xy, s.s_yy)
+    return float(_triple_scores(*_as_triple(triple).ravel().tolist()))
 
 
 def best_fit_line(triple) -> FittedLine:
@@ -127,22 +161,7 @@ def best_fit_line(triple) -> FittedLine:
     s = scatter(arr)
     if s.trace == 0.0:
         raise DegenerateTripleError("all three points coincide; the fitted line is undefined")
-    mean = 0.5 * (s.s_xx + s.s_yy)
-    diff = 0.5 * (s.s_xx - s.s_yy)
-    root = math.sqrt(diff * diff + s.s_xy * s.s_xy)
-    if root == 0.0:
-        direction = (1.0, 0.0)
-    else:
-        lam_max = mean + root
-        # Eigenvector of [[s_xx, s_xy], [s_xy, s_yy]] for lam_max: pick the
-        # better-conditioned of the two analytic forms.
-        v1 = (s.s_xy, lam_max - s.s_xx)
-        v2 = (lam_max - s.s_yy, s.s_xy)
-        v = v1 if (v1[0] * v1[0] + v1[1] * v1[1]) >= (v2[0] * v2[0] + v2[1] * v2[1]) else v2
-        norm = math.hypot(v[0], v[1])
-        direction = (v[0] / norm, v[1] / norm)
-    if direction[0] < 0.0 or (direction[0] == 0.0 and direction[1] < 0.0):
-        direction = (-direction[0], -direction[1])
+    direction = _top_eigen(s.s_xx, s.s_xy, s.s_yy)[2]
     cx = (float(arr[0, 0]) + float(arr[1, 0]) + float(arr[2, 0])) / 3.0
     cy = (float(arr[0, 1]) + float(arr[1, 1]) + float(arr[2, 1])) / 3.0
     return FittedLine(point=(cx, cy), direction=direction)

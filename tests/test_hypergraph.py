@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -89,6 +90,15 @@ def test_scan_is_independent_of_the_thread_count(make_dataset, monkeypatch):
     sim7, stats7 = lc.scan(ds.points, 0.07, ds.labels)
     assert np.array_equal(sim1.counts, sim7.counts)
     assert stats1 == stats7
+
+
+def test_thread_count_defaults_to_the_cpu_affinity_set(monkeypatch):
+    monkeypatch.delenv("LINECLUSTER_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 9}, raising=False)
+    assert thread_count() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert thread_count() == 64
 
 
 def test_acceptance_rates_use_composition_totals(make_dataset):

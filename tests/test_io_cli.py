@@ -113,6 +113,17 @@ def test_similarity_csv_lists_the_upper_triangle(tmp_path):
     assert path.read_text() == "i,j,count\n0,1,2\n1,2,1\n"
 
 
+def test_similarity_csv_bytes_are_pinned(tmp_path):
+    counts = np.array(
+        [[0, 12, 0, 3], [12, 0, 1, 0], [0, 1, 0, 0], [3, 0, 0, 0]], dtype=np.int32
+    )
+    path = tmp_path / "w.csv"
+    io.write_similarity_csv(path, counts)
+    assert path.read_bytes() == b"i,j,count\n0,1,12\n0,3,3\n1,2,1\n"
+    io.write_similarity_csv(path, np.zeros((3, 3), dtype=np.int32))
+    assert path.read_bytes() == b"i,j,count\n"
+
+
 def test_bounds_csv_renders_optional_monte_carlo_columns(tmp_path):
     rows = [
         {"bound_name": "a", "params": "t=0.1", "theory": 0.5,
@@ -331,6 +342,34 @@ def test_cli_bounds_writes_rows_and_all_checks_pass(capsys, tmp_path):
     assert len(lines) == 8
     flags = [line.split(",")[-1] for line in lines[1:]]
     assert all(flag in ("", "1") for flag in flags)  # no failed checks
+
+
+@pytest.mark.parametrize("t, sigma", [("0.05", "0.01"), ("0.1", "0.02")])
+def test_cli_bounds_readme_examples_pass(capsys, t, sigma):
+    # Every Rayleigh draw lands below t, so the estimate is exactly 1.0 with
+    # se 0; the check must still accept it against the exact CDF.
+    code, payload, _ = _run(capsys, ["bounds", "--t", t, "--sigma", sigma])
+    assert code == 0
+    ray = next(row for row in payload["rows"] if row["bound_name"] == "cdf_rayleigh")
+    assert ray["mc_estimate"] == 1.0 and ray["pass"] is True
+
+
+def test_cli_bounds_fails_a_rayleigh_theory_ten_se_off(capsys, monkeypatch):
+    n = 20_000
+    exact = lc.bounds.cdf_rayleigh
+
+    def off(t, scale):
+        p = exact(t, scale)
+        return p - 10.0 * math.sqrt(p * (1.0 - p) / n)
+
+    monkeypatch.setattr(lc.bounds, "cdf_rayleigh", off)
+    code, payload, _ = _run(
+        capsys,
+        ["bounds", "--t", "0.05", "--sigma", "0.02", "--mc-samples", str(n), "--seed", "1"],
+    )
+    assert code == 1
+    failed = [row["bound_name"] for row in payload["rows"] if row.get("pass") is False]
+    assert failed == ["cdf_rayleigh"]
 
 
 def test_cli_bounds_skips_out_of_domain_rows(capsys, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 import linecluster as lc
 from linecluster.errors import LineClusterError, SizeTooSmallError
-from linecluster.spectral import _DENSE_MAX_N, kmeans2_rows
+from linecluster.spectral import kmeans2_rows
 
 from _oracles import brute_force_kmeans2
 
@@ -58,8 +58,8 @@ def test_sign_convention_makes_largest_component_positive(rng):
         assert col[int(np.argmax(np.abs(col)))] > 0.0
 
 
-def test_large_matrices_use_the_iterative_path_and_match_dense(rng):
-    n = _DENSE_MAX_N + 23
+def test_large_matrices_match_the_full_dense_decomposition(rng):
+    n = 535
     # A structured counts-like matrix with a clear top-2 gap.
     z = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     base = 5.0 * np.ones((n, n)) + 3.0 * np.outer(z, z)

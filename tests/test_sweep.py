@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -72,6 +73,48 @@ def test_autocluster_rows_report_the_selected_threshold():
         assert row.error == ""
         assert row.t > 0.0  # the chosen order statistic, not a grid value
         assert np.isfinite(row.p_hat) and np.isfinite(row.q_hat)
+
+
+def test_autocluster_trials_scan_once_and_report_the_rest_set_rates(monkeypatch, cross):
+    real_scan = lc.hypergraph.scan
+    calls = []
+
+    def counting_scan(*args, **kwargs):
+        calls.append(args[0].shape[0])
+        return real_scan(*args, **kwargs)
+
+    # Rebind every module-level alias, so a scan made through any path counts.
+    for mod in [m for name, m in sys.modules.items() if name.startswith("linecluster")]:
+        if getattr(mod, "scan", None) is real_scan:
+            monkeypatch.setattr(mod, "scan", counting_scan)
+    config = lc.SweepConfig(
+        n_points=[120], sigma=[0.01], t="auto", trials=1, seed=5, algorithm="autocluster"
+    )
+    row = lc.run_sweep(config)[0]
+    assert row.error == ""
+    assert len(calls) == 1
+
+    seg1, seg2 = cross
+    ds = lc.sample_glmm(
+        lc.ModelParams(seg1=seg1, seg2=seg2, sigma=0.01, n_points=120, seed=row.seed)
+    )
+    res = lc.autocluster(ds.points, config.m, config.theta, row.seed, ds.labels)
+    rest = res.rest_indices
+    assert calls[0] == rest.size
+    assert res.choice.t_star == row.t
+    assert res.stats == lc.hyperedge_probabilities(ds.points[rest], ds.labels[rest], row.t)
+    assert (row.p_hat, row.q_hat) == (res.stats.p_hat, res.stats.q_hat)
+
+
+def test_autocluster_rows_leave_rates_blank_when_the_threshold_is_zero():
+    # noiseless lines: the low order statistic is a collinear triple's score, 0
+    config = lc.SweepConfig(
+        n_points=[60], sigma=[0.0], t="auto", trials=1, seed=1, algorithm="autocluster",
+        theta=0.05,
+    )
+    row = lc.run_sweep(config)[0]
+    assert row.error == "" and row.t == 0.0
+    assert math.isnan(row.p_hat) and math.isnan(row.q_hat)
 
 
 def test_oracle_rows_leave_threshold_and_rates_blank():

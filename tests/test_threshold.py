@@ -35,7 +35,8 @@ def test_empirical_cdf_counts_ties_as_included():
 def test_empirical_cdf_is_a_right_continuous_step_function(scores, t):
     value = lc.empirical_cdf(scores, t)
     assert 0.0 <= value <= 1.0
-    assert value * scores.size == round(value * scores.size)  # multiple of 1/M
+    k = round(value * scores.size)
+    assert value == k / scores.size  # multiple of 1/M
     assert lc.empirical_cdf(scores, float(np.max(scores))) == 1.0
     # monotone: a larger argument never lowers the CDF
     assert lc.empirical_cdf(scores, t + 1.0) >= value
@@ -236,3 +237,16 @@ def test_autocluster_is_deterministic_and_labels_touched_nodes_in_one_two(make_d
     # rest indices and touched nodes partition the point set
     merged = np.sort(np.concatenate([touched, first.rest_indices]))
     assert np.array_equal(merged, np.arange(data.n))
+
+
+def test_autocluster_with_labels_tallies_the_rest_set_without_changing_the_result(make_dataset):
+    data = make_dataset(150, 0.02, seed=4)
+    plain = lc.autocluster(data.points, m=20, theta=0.25, seed=6)
+    labeled = lc.autocluster(data.points, m=20, theta=0.25, seed=6, labels=data.labels)
+    assert plain.stats is None
+    assert np.array_equal(plain.labels, labeled.labels)
+    assert plain.choice == labeled.choice
+    assert labeled.stats.total_triples == math.comb(labeled.rest_indices.size, 3)
+    with pytest.raises(lc.LineClusterError):
+        lc.autocluster(data.points, m=20, theta=0.25, seed=6, labels=data.labels[:-1])
+
