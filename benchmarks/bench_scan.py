@@ -1,10 +1,13 @@
-"""Timing comparison of the two triple-scan backends.
+"""Timing comparison of the two triple-scan kernels.
 
-The backend (compiled kernel vs numpy fallback) is chosen when
-``linecluster`` is imported, from ``LINECLUSTER_FORCE_NUMPY``. This script
-therefore runs each backend in its own interpreter, times the full
-O(n^3) scan over a range of problem sizes, checks that both backends
-produce byte-identical similarity matrices, and prints a table.
+The kernel is fixed per interpreter: ``LINECLUSTER_FORCE_NUMPY`` is read
+when ``linecluster`` is imported, and otherwise every scan of 150 or more
+points runs the C kernel, compiled on first use into
+``$XDG_CACHE_HOME/linecluster/`` (a first build adds about 0.1 s to the
+first size's first repeat; the minimum over repeats hides it). This script
+therefore runs each kernel in its own interpreter, times the full O(n^3)
+scan over a range of problem sizes, checks that both kernels produce
+byte-identical similarity matrices (digests of W), and prints a table.
 
 Usage::
 

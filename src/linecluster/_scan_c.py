@@ -1,0 +1,139 @@
+"""Compiled triple-scan kernel: ``_scan.c`` built on first use, loaded through ctypes.
+
+The C source ships with the package. ``CompiledKernel.ready(build_missing=True)``
+compiles it once per machine with ``cc -O3 -ffp-contract=off -fPIC -shared``
+into ``$XDG_CACHE_HOME/linecluster/`` (default ``~/.cache/linecluster/``).
+The file name carries a hash of the source, the flags and the platform, so
+an edited source or another machine never loads a stale library. The build
+writes a temp file in the cache directory and ``os.replace``s it into place,
+so processes building at the same time need no lock: each rename installs a
+complete library.
+
+FP contraction stays off and no ``-ffast-math`` or ``-march`` is used, so
+the kernel's scores are bit-identical to the numpy fallback's. The kernel
+runs without the GIL (ctypes releases it), so disjoint outer-index ranges
+can run on several threads with one buffer each.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import os
+import shutil
+import subprocess
+import sysconfig
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+_SOURCE = Path(__file__).with_name("_scan.c")
+_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+
+FALLBACK_WARNING = "compiled scan kernel not available; falling back to the slower numpy backend"
+
+_PTR = ctypes.c_void_p
+_ARGTYPES = [_PTR, _PTR, _PTR, ctypes.c_int64, ctypes.c_double, ctypes.c_int64, ctypes.c_int64,
+             _PTR, _PTR]
+
+
+def cache_dir() -> Path:
+    """``$XDG_CACHE_HOME/linecluster``, or ``~/.cache/linecluster``."""
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    return Path(base) / "linecluster"
+
+
+@functools.cache
+def library_name() -> str:
+    """File name of the built kernel: a hash of the source, the flags and the platform."""
+    tag = hashlib.sha256(_SOURCE.read_bytes())
+    tag.update(" ".join(_FLAGS).encode())
+    tag.update(sysconfig.get_platform().encode())
+    return f"_scan-{tag.hexdigest()[:16]}.so"
+
+
+def build(target: Path) -> None:
+    """Compile ``_scan.c`` to ``target`` through a temp file and an atomic rename.
+
+    Raises ``OSError`` when there is no ``cc`` or the directory is not
+    writable, and ``subprocess.CalledProcessError`` when the compiler fails.
+    """
+    cc = shutil.which("cc")
+    if cc is None:
+        raise FileNotFoundError("no C compiler ('cc') on PATH")
+    target.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=target.name + ".", suffix=".tmp", dir=target.parent)
+    os.close(fd)
+    try:
+        subprocess.run([cc, *_FLAGS, "-o", tmp, str(_SOURCE)], check=True, capture_output=True)
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+class CompiledKernel:
+    """The C kernel of one cache directory, built at most once and loaded at most once.
+
+    ``directory`` defaults to ``cache_dir()`` as it reads when the kernel is
+    first needed. A failed build or load warns once and is not retried.
+    """
+
+    def __init__(self, directory: Path | None = None) -> None:
+        self._directory = directory
+        self._fn = None
+        self._failed = False
+
+    @property
+    def path(self) -> Path:
+        return (self._directory or cache_dir()) / library_name()
+
+    def ready(self, build_missing: bool) -> bool:
+        """Whether the kernel is loaded, loading it from the cache, or building
+        it first when ``build_missing`` and it is not cached."""
+        if self._fn is not None or self._failed:
+            return self._fn is not None
+        path = self.path
+        if not (build_missing or path.exists()):
+            return False
+        try:
+            if not path.exists():
+                build(path)
+            fn = ctypes.CDLL(str(path)).scan_triples
+        except (OSError, subprocess.SubprocessError):
+            self._failed = True
+            # stacklevel 4: the caller of hypergraph.scan or active_backend.
+            warnings.warn(FALLBACK_WARNING, RuntimeWarning, stacklevel=4)
+            return False
+        fn.argtypes = _ARGTYPES
+        fn.restype = None
+        self._fn = fn
+        return True
+
+    def scan_triples(
+        self,
+        x: np.ndarray,
+        y: np.ndarray,
+        z: np.ndarray | None,
+        t2: float,
+        i_lo: int,
+        i_hi: int,
+        w: np.ndarray,
+        counts: np.ndarray,
+    ) -> None:
+        """Same contract as ``linecluster._scan_numpy.scan_triples``; needs ``ready``."""
+        if self._fn is None:
+            raise RuntimeError("the compiled scan kernel is not loaded")
+        n = x.shape[0]
+        for arr, dtype, size in ((x, np.float64, n), (y, np.float64, n), (z, np.int8, n),
+                                 (w, np.int32, n * n), (counts, np.int64, 2)):
+            if arr is not None and (arr.dtype != dtype or arr.shape != (size,)
+                                    or not arr.flags.c_contiguous):
+                raise ValueError(f"expected a contiguous {np.dtype(dtype)} array of length {size}")
+        if not (0 <= i_lo <= i_hi <= n) or not (w.flags.writeable and counts.flags.writeable):
+            raise ValueError("bad outer-index range or read-only output buffer")
+        self._fn(x.ctypes.data, y.ctypes.data, None if z is None else z.ctypes.data, n, t2,
+                 i_lo, i_hi, w.ctypes.data, counts.ctypes.data)

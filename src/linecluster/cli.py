@@ -16,10 +16,11 @@ import os
 import sys
 
 import numpy as np
+from scipy.special import bdtr, bdtrc
 
 from . import __version__, bounds, io, metrics, montecarlo
 from .errors import LineClusterError, OutOfValidityError
-from .hypergraph import active_backend, scan
+from .hypergraph import scan
 from .mle import mle_recover, perr_exact
 from .model import LabeledDataset, ModelParams, sample_glmm, standard_cross
 from .recovery import angle_error, center_error, recover_lines
@@ -117,7 +118,7 @@ def _cmd_cluster(args) -> int:
         "n": sim.n,
         "t": args.t,
         "seed": args.seed,
-        "backend": active_backend(),
+        "backend": sim.backend,
         "eigenvalues": list(res.embedding.eigenvalues) if res.embedding else None,
         "kmeans_inertia": res.kmeans_inertia,
         "degenerate": res.degenerate,
@@ -248,6 +249,10 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+# Two-sided level of the exact Rayleigh CDF test: that of a 3-SE normal test.
+_RAYLEIGH_LEVEL = math.erfc(3.0 / math.sqrt(2.0))
+
+
 def _bounds_rows(args) -> tuple[list[dict], list[str]]:
     rows: list[dict] = []
     skipped: list[str] = []
@@ -317,14 +322,17 @@ def _bounds_rows(args) -> tuple[list[dict], list[str]]:
     row = {"bound_name": "cdf_rayleigh", "params": ray_params, "theory": theory}
     if mc:
         est = montecarlo.mc_rayleigh_cdf(t, sig, n_mc, args.seed)
-        # The theory value is the exact CDF: test that point hypothesis with
-        # the standard error it implies (the estimate's own se is 0 whenever
-        # every draw lands on one side of t).
-        se_theory = math.sqrt(theory * (1.0 - theory) / est.n)
+        # The theory value is the exact CDF, so the count of draws <= t is
+        # Binomial(n, theory) under it: an exact two-sided tail test at the
+        # level of a 3-SE normal test. (A normal test fails falsely when
+        # n * (1 - theory) is about 1: one draw beyond t is then many SE out.)
+        hits = round(est.estimate * est.n)
+        below = bdtr(hits, est.n, theory)  # P(X <= hits)
+        above = bdtrc(hits - 1, est.n, theory) if hits > 0 else 1.0  # P(X >= hits)
         row.update(
             mc_estimate=est.estimate,
             mc_se=est.se,
-            **{"pass": abs(est.estimate - theory) <= 3.0 * se_theory},
+            **{"pass": bool(min(below, above) > _RAYLEIGH_LEVEL / 2.0)},
         )
     rows.append(row)
 

@@ -7,12 +7,16 @@ below ``t**2``. Projecting to pairs gives the similarity matrix
 
 a symmetric integer matrix with zero diagonal and entries at most n - 2.
 
-Two interchangeable scan backends evaluate the identical score expression:
-a compiled kernel (``linecluster._scan``, used when built, parallelizable
-via ``LINECLUSTER_THREADS``) and a vectorized numpy fallback. Setting
-``LINECLUSTER_FORCE_NUMPY=1`` before import forces the fallback. Counts are
+Two interchangeable scan kernels evaluate the identical score expression: a
+plain-C kernel (``linecluster._scan_c``), compiled on first use into a
+per-user cache and run on ``thread_count()`` threads, and a vectorized
+numpy fallback. A scan builds the C kernel only when ``n >= BUILD_MIN_N``;
+smaller scans use it when it is already cached and numpy otherwise. Without
+a compiler or a writable cache the scan warns once and uses numpy; setting
+``LINECLUSTER_FORCE_NUMPY=1`` before import always uses numpy. Counts are
 integers accumulated per disjoint outer-index range, so the result is
-independent of backend and thread count.
+independent of kernel and thread count; ``SimilarityMatrix.backend`` names
+the kernel that ran.
 
 The scan is O(n^3); n is capped at 5000 (about 2.1e10 triples) to keep a
 single call within practical time and memory.
@@ -22,36 +26,40 @@ from __future__ import annotations
 
 import math
 import os
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _scan_numpy
+from ._scan_c import CompiledKernel
 from ._validate import as_labels, as_points
 from .errors import LineClusterError
 
 _FORCE_NUMPY = os.environ.get("LINECLUSTER_FORCE_NUMPY", "") not in ("", "0")
-if _FORCE_NUMPY:
-    from . import _scan_numpy as _kernel
-else:
-    try:
-        from . import _scan as _kernel  # type: ignore[no-redef]
-    except ImportError:
-        from . import _scan_numpy as _kernel  # type: ignore[no-redef]
-
-        warnings.warn(
-            "compiled scan kernel not available; falling back to the slower numpy backend",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+_compiled = CompiledKernel()
 
 MAX_POINTS = 5000
 
+# Smallest scan that compiles the C kernel when it is not cached yet. Below
+# it the numpy scan finishes before the compiler does: on a 2-vCPU Xeon VM
+# the build took about 0.09 s, the numpy scan 0.04 s at n=150 and 0.08 s at
+# n=200. So a fresh process doing a tiny scan never starts a compiler.
+BUILD_MIN_N = 150
+
+
+def _use_compiled(n: int) -> bool:
+    """Whether an n-point scan runs the C kernel, building it if that pays."""
+    return not _FORCE_NUMPY and _compiled.ready(build_missing=n >= BUILD_MIN_N)
+
 
 def active_backend() -> str:
-    """Name of the scan backend selected at import: 'compiled' or 'numpy'."""
-    return "compiled" if _kernel.compiled else "numpy"
+    """Kernel a scan of ``BUILD_MIN_N`` or more points uses: 'compiled' or 'numpy'.
+
+    Builds the C kernel if it is not cached yet; see ``SimilarityMatrix.backend``
+    for the kernel a given scan ran.
+    """
+    return "compiled" if _use_compiled(BUILD_MIN_N) else "numpy"
 
 
 def thread_count() -> int:
@@ -74,6 +82,7 @@ class SimilarityMatrix:
 
     n: int
     counts: np.ndarray  # (n, n) int32, symmetric, zero diagonal
+    backend: str | None = None  # kernel that ran the scan: 'compiled' or 'numpy'
 
 
 @dataclass(frozen=True)
@@ -127,39 +136,39 @@ def scan(points, t: float, labels=None) -> tuple[SimilarityMatrix, HyperedgeStat
         )
     if not (t > 0.0) or not math.isfinite(t):
         raise LineClusterError(f"threshold t must be positive and finite, got {t}")
-    z = as_labels(labels, n) if labels is not None else None
+    z = np.ascontiguousarray(as_labels(labels, n)) if labels is not None else None
     x = np.ascontiguousarray(pts[:, 0])
     y = np.ascontiguousarray(pts[:, 1])
     t2 = t * t
 
-    threads = thread_count() if _kernel.compiled else 1
-    ranges = _partition(n, min(threads, n) * 2 if threads > 1 else 1)
-
-    if len(ranges) == 1 or threads == 1:
-        w_flat = np.zeros(n * n, dtype=np.int32)
-        counts = np.zeros(2, dtype=np.int64)
-        for lo, hi in ranges:
-            _kernel.scan_triples(x, y, z, t2, lo, hi, w_flat, counts)
+    if _use_compiled(n):
+        kernel, backend, threads = _compiled.scan_triples, "compiled", thread_count()
     else:
-        buffers = []
+        kernel, backend, threads = _scan_numpy.scan_triples, "numpy", 1
+    ranges = _partition(n, min(threads, n) * 2 if threads > 1 else 1)
+    workers = min(threads, len(ranges))
 
-        def run(bounds: tuple[int, int]) -> None:
-            w_part = np.zeros(n * n, dtype=np.int32)
-            c_part = np.zeros(2, dtype=np.int64)
-            _kernel.scan_triples(x, y, z, t2, bounds[0], bounds[1], w_part, c_part)
-            buffers.append((w_part, c_part))
+    def run(worker: int) -> tuple[np.ndarray, np.ndarray]:
+        # One buffer per worker, for every range it runs.
+        w_part = np.zeros(n * n, dtype=np.int32)
+        c_part = np.zeros(2, dtype=np.int64)
+        for lo, hi in ranges[worker::workers]:
+            kernel(x, y, z, t2, lo, hi, w_part, c_part)
+        return w_part, c_part
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, ranges))
-        w_flat = np.zeros(n * n, dtype=np.int32)
-        counts = np.zeros(2, dtype=np.int64)
-        for w_part, c_part in buffers:
+    if workers == 1:
+        w_flat, counts = run(0)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(run, range(workers)))
+        w_flat, counts = parts[0]
+        for w_part, c_part in parts[1:]:
             w_flat += w_part
             counts += c_part
 
     upper = w_flat.reshape(n, n)
     w = upper + upper.T
-    sim = SimilarityMatrix(n=n, counts=w)
+    sim = SimilarityMatrix(n=n, counts=w, backend=backend)
 
     stats: HyperedgeStats | None = None
     if z is not None:

@@ -54,9 +54,10 @@ class ClusterResult:
 
 def _as_matrix(w) -> np.ndarray:
     if isinstance(w, SimilarityMatrix):
-        mat = np.asarray(w.counts, dtype=np.float64)
-    else:
-        mat = np.asarray(w, dtype=np.float64)
+        # The scan's own output: integer counts built as upper + upper.T, so
+        # square, finite and exactly symmetric; the checks below are for raw arrays.
+        return np.asarray(w.counts, dtype=np.float64)
+    mat = np.asarray(w, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise LineClusterError(f"similarity matrix must be square, got shape {mat.shape}")
     if mat.shape[0] < 2:

@@ -15,6 +15,15 @@ settings.register_profile(
 settings.load_profile("suite")
 
 
+@pytest.fixture(scope="session", autouse=True)
+def _private_kernel_cache(tmp_path_factory):
+    """Build the compiled scan kernel into a session temp dir, not under $HOME."""
+    patch = pytest.MonkeyPatch()
+    patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+    yield
+    patch.undo()
+
+
 @pytest.fixture(scope="session")
 def cross():
     """The default perpendicular cross: two unit-half-length segments."""

@@ -1,20 +1,41 @@
 import math
 import os
+import shutil
+import subprocess
+import threading
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 import linecluster as lc
-from linecluster import _scan_numpy
+from linecluster import _scan_c, _scan_numpy, hypergraph
 from linecluster.errors import LineClusterError, SizeTooSmallError
-from linecluster.hypergraph import active_backend, thread_count
+from linecluster.hypergraph import BUILD_MIN_N, active_backend, thread_count
 
 from _oracles import brute_force_scan
 
-try:
-    from linecluster import _scan as _scan_compiled
-except ImportError:  # pragma: no cover - environment without the extension
-    _scan_compiled = None
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+
+
+@pytest.fixture()
+def compiled(monkeypatch):
+    """The package's compiled kernel, built into the session cache if needed,
+    and used by scans even under LINECLUSTER_FORCE_NUMPY."""
+    monkeypatch.setattr(hypergraph, "_FORCE_NUMPY", False)
+    assert hypergraph._compiled.ready(build_missing=True)
+    return hypergraph._compiled
+
+
+def _kernel_result(kernel, ds, t):
+    n = ds.n
+    w = np.zeros(n * n, dtype=np.int32)
+    counts = np.zeros(2, dtype=np.int64)
+    x = np.ascontiguousarray(ds.points[:, 0])
+    y = np.ascontiguousarray(ds.points[:, 1])
+    kernel(x, y, np.ascontiguousarray(ds.labels), t * t, 0, n, w, counts)
+    return w, counts
 
 
 def test_counts_match_the_cubic_reference_scan(make_dataset):
@@ -62,22 +83,115 @@ def test_acceptance_threshold_is_strict():
     assert sim.counts.sum() == 0
 
 
-@pytest.mark.skipif(_scan_compiled is None, reason="compiled kernel not built")
-def test_compiled_and_fallback_kernels_agree_bitwise(make_dataset):
-    ds = make_dataset(60, 0.03, 17)
-    x = np.ascontiguousarray(ds.points[:, 0])
-    y = np.ascontiguousarray(ds.points[:, 1])
-    z = np.ascontiguousarray(ds.labels)
-    n = ds.n
-    t2 = 0.05 * 0.05
+@needs_cc
+@pytest.mark.parametrize("n", [61, 200])
+def test_compiled_and_fallback_kernels_agree_bitwise(make_dataset, monkeypatch, compiled, n):
+    ds = make_dataset(n, 0.03, 17)
+    w_np, counts_np = _kernel_result(_scan_numpy.scan_triples, ds, 0.05)
+    w_c, counts_c = _kernel_result(compiled.scan_triples, ds, 0.05)
+    assert np.array_equal(w_np, w_c)
+    assert np.array_equal(counts_np, counts_c)
     results = []
-    for kernel in (_scan_numpy, _scan_compiled):
-        w = np.zeros(n * n, dtype=np.int32)
-        counts = np.zeros(2, dtype=np.int64)
-        kernel.scan_triples(x, y, z, t2, 0, n - 2, w, counts)
-        results.append((w, counts))
-    assert np.array_equal(results[0][0], results[1][0])
-    assert np.array_equal(results[0][1], results[1][1])
+    for threads in ("1", "2"):
+        monkeypatch.setenv("LINECLUSTER_THREADS", threads)
+        sim, stats = lc.scan(ds.points, 0.05, ds.labels)
+        assert sim.backend == "compiled"
+        results.append((sim.counts, stats))
+    upper = w_np.reshape(n, n)
+    assert np.array_equal(results[0][0], upper + upper.T)
+    assert np.array_equal(results[1][0], results[0][0])
+    assert results[0][1] == results[1][1]
+    assert (results[0][1].accepted_triples, results[0][1].accepted_within) == tuple(counts_np)
+
+
+@needs_cc
+def test_small_scan_with_an_empty_cache_starts_no_compiler(make_dataset, monkeypatch, tmp_path):
+    ds = make_dataset(BUILD_MIN_N - 1, 0.02, 3)
+    expected = _kernel_result(_scan_numpy.scan_triples, ds, 0.05)[0].reshape(ds.n, ds.n)
+
+    def no_process(*args, **kwargs):
+        raise AssertionError("a small scan started a process")
+
+    monkeypatch.setattr(hypergraph, "_FORCE_NUMPY", False)
+    monkeypatch.setattr(hypergraph, "_compiled", _scan_c.CompiledKernel(tmp_path))
+    monkeypatch.setattr(subprocess, "run", no_process)
+    monkeypatch.setattr(subprocess, "Popen", no_process)
+    sim, _ = lc.scan(ds.points, 0.05)
+    assert sim.backend == "numpy"
+    assert np.array_equal(sim.counts, expected + expected.T)
+    assert list(tmp_path.iterdir()) == []
+
+
+@needs_cc
+def test_racing_builds_leave_one_valid_library(make_dataset, tmp_path):
+    target = tmp_path / _scan_c.library_name()
+    barrier = threading.Barrier(2)
+    errors = []
+
+    def build():
+        barrier.wait(timeout=30)
+        try:
+            _scan_c.build(target)
+        except Exception as exc:  # noqa: BLE001 - reported by the assertion below
+            errors.append(exc)
+
+    builders = [threading.Thread(target=build) for _ in range(2)]
+    for thread in builders:
+        thread.start()
+    for thread in builders:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in builders) and errors == []
+    assert list(tmp_path.iterdir()) == [target]
+    kernel = _scan_c.CompiledKernel(tmp_path)
+    assert kernel.ready(build_missing=False)
+    ds = make_dataset(40, 0.03, 9)
+    w, counts = _kernel_result(kernel.scan_triples, ds, 0.05)
+    w_np, counts_np = _kernel_result(_scan_numpy.scan_triples, ds, 0.05)
+    assert np.array_equal(w, w_np) and np.array_equal(counts, counts_np)
+
+
+@pytest.mark.parametrize("broken", ["no compiler", "cache dir not writable"])
+def test_scan_without_a_usable_build_warns_once_and_matches_numpy(
+    make_dataset, monkeypatch, tmp_path, broken
+):
+    ds = make_dataset(BUILD_MIN_N, 0.02, 4)
+    expected = _kernel_result(_scan_numpy.scan_triples, ds, 0.05)[0].reshape(ds.n, ds.n)
+    if broken == "no compiler":
+        monkeypatch.setenv("PATH", "")
+        cache = tmp_path
+    else:
+        cache = tmp_path / "a-file"
+        cache.write_text("")
+    monkeypatch.setattr(hypergraph, "_FORCE_NUMPY", False)
+    monkeypatch.setattr(hypergraph, "_compiled", _scan_c.CompiledKernel(cache))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        first, _ = lc.scan(ds.points, 0.05)
+        second, _ = lc.scan(ds.points, 0.05)
+        assert active_backend() == "numpy"
+    messages = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert messages == [_scan_c.FALLBACK_WARNING]
+    for sim in (first, second):
+        assert sim.backend == "numpy"
+        assert np.array_equal(sim.counts, expected + expected.T)
+
+
+@needs_cc
+@pytest.mark.parametrize("threads", [1, 4])
+def test_scan_peak_memory_is_one_buffer_per_worker(make_dataset, monkeypatch, compiled, threads):
+    n = 400
+    ds = make_dataset(n, 0.01, 3)
+    monkeypatch.setenv("LINECLUSTER_THREADS", str(threads))
+    tracemalloc.start()
+    try:
+        sim, _ = lc.scan(ds.points, 0.05, ds.labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sim.backend == "compiled"
+    # One n*n int32 buffer per worker plus the symmetric result, and slack
+    # for the small arrays around them.
+    assert peak < (threads + 2) * n * n * 4 + (1 << 16)
 
 
 def test_scan_is_independent_of_the_thread_count(make_dataset, monkeypatch):
@@ -137,10 +251,13 @@ def test_scan_validates_inputs(make_dataset):
         lc.scan(big, 0.1)
 
 
-def test_backend_name_is_reported():
+def test_backend_name_is_reported(make_dataset):
     assert active_backend() in ("compiled", "numpy")
-    if _scan_compiled is not None:
+    if shutil.which("cc") is not None and not hypergraph._FORCE_NUMPY:
         assert active_backend() == "compiled"
+    # Once the kernel is loaded, small scans run it too, and say so.
+    sim, _ = lc.scan(make_dataset(12, 0.01, 1).points, 0.05)
+    assert sim.backend == active_backend()
 
 
 def test_hyperedge_probabilities_match_a_labeled_scan(make_dataset):

@@ -3,6 +3,7 @@
 import io as std_io
 import json
 import math
+import shutil
 import sys
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import linecluster as lc
-from linecluster import io
+from linecluster import _scan_c, io
 from linecluster.cli import cli_dispatch
 
 # ---------------------------------------------------------------------------
@@ -276,6 +277,21 @@ def test_cli_cluster_on_unlabeled_data_omits_the_truth_metrics(capsys, tmp_path)
     assert "p_hat" not in payload
 
 
+def test_cli_cluster_reports_the_kernel_its_scan_ran(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "plain.csv"
+    io.write_points_csv(path, np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [0.5, -0.5]]))
+    kernel = _scan_c.CompiledKernel(tmp_path / "empty-cache")
+    monkeypatch.setattr(lc.hypergraph, "_FORCE_NUMPY", False)
+    monkeypatch.setattr(lc.hypergraph, "_compiled", kernel)
+    # Too small to build the kernel, and nothing cached: the scan runs numpy.
+    _, payload, _ = _run(capsys, ["cluster", "--in", str(path), "--t", "0.05"])
+    assert payload["backend"] == "numpy"
+    if shutil.which("cc") is not None:
+        assert kernel.ready(build_missing=True)
+        _, payload, _ = _run(capsys, ["cluster", "--in", str(path), "--t", "0.05"])
+        assert payload["backend"] == "compiled"
+
+
 def test_cli_autocluster_reports_full_and_rest_only_blocks(capsys, tmp_path):
     d, _ = _gen(capsys, tmp_path, n=150, sigma=0.01, seed=3)
     out = tmp_path / "auto"
@@ -352,6 +368,17 @@ def test_cli_bounds_readme_examples_pass(capsys, t, sigma):
     assert code == 0
     ray = next(row for row in payload["rows"] if row["bound_name"] == "cdf_rayleigh")
     assert ray["mc_estimate"] == 1.0 and ray["pass"] is True
+
+
+def test_cli_bounds_accepts_one_rayleigh_draw_beyond_t(capsys):
+    # Theory expects 0.07 of 20 000 draws beyond t; one such draw is 3.4
+    # theory-SE out, but under Binomial(20 000, theory) it has probability
+    # about 0.07, so the exact test accepts it.
+    argv = ["bounds", "--t", "0.05", "--sigma", "0.01", "--mc-samples", "20000", "--seed", "1"]
+    code, payload, _ = _run(capsys, argv)
+    assert code == 0
+    ray = next(row for row in payload["rows"] if row["bound_name"] == "cdf_rayleigh")
+    assert ray["mc_estimate"] == 1.0 - 1.0 / 20_000 and ray["pass"] is True
 
 
 def test_cli_bounds_fails_a_rayleigh_theory_ten_se_off(capsys, monkeypatch):
