@@ -3,7 +3,7 @@
 The kernel is fixed per interpreter: ``LINECLUSTER_FORCE_NUMPY`` is read
 when ``linecluster`` is imported, and otherwise every scan of 150 or more
 points runs the C kernel, compiled on first use into
-``$XDG_CACHE_HOME/linecluster/`` (a first build adds about 0.1 s to the
+``$XDG_CACHE_HOME/linecluster/`` (a first build adds about 0.4 s to the
 first size's first repeat; the minimum over repeats hides it). This script
 therefore runs each kernel in its own interpreter, times the full O(n^3)
 scan over a range of problem sizes, checks that both kernels produce

@@ -1,7 +1,8 @@
 """Compiled triple-scan kernel: ``_scan.c`` built on first use, loaded through ctypes.
 
 The C source ships with the package. ``CompiledKernel.ready(build_missing=True)``
-compiles it once per machine with ``cc -O3 -ffp-contract=off -fPIC -shared``
+compiles it once per machine with
+``cc -O3 -ffp-contract=off -fno-math-errno -fPIC -shared``
 into ``$XDG_CACHE_HOME/linecluster/`` (default ``~/.cache/linecluster/``).
 The file name carries a hash of the source, the flags and the platform, so
 an edited source or another machine never loads a stale library. The build
@@ -9,8 +10,17 @@ writes a temp file in the cache directory and ``os.replace``s it into place,
 so processes building at the same time need no lock: each rename installs a
 complete library.
 
-FP contraction stays off and no ``-ffast-math`` or ``-march`` is used, so
-the kernel's scores are bit-identical to the numpy fallback's. The kernel
+The kernel's inner loop has no branches, so gcc vectorizes it, and its
+scores stay bit-identical to the numpy fallback's: every SIMD lane does the
+same correctly rounded IEEE operations on its own triple, FP contraction
+stays off and no ``-ffast-math`` is used; only the integer tallies are
+summed in another order, which is exact. ``-fno-math-errno`` only drops
+``sqrt``'s errno branch, whose argument, a sum of squares, is never
+negative. On x86-64 glibc the source marks the kernel
+``target_clones("avx2", "default")``: one library holds an AVX2 body and a
+baseline one, and the dynamic loader picks one by cpuid. ``-march=native``
+is not used because the library's name does not depend on the CPU, so a
+cache shared between hosts could hand a CPU instructions it lacks. The kernel
 runs without the GIL (ctypes releases it), so disjoint outer-index ranges
 can run on several threads with one buffer each.
 """
@@ -31,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 _SOURCE = Path(__file__).with_name("_scan.c")
-_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+_FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared")
 
 FALLBACK_WARNING = "compiled scan kernel not available; falling back to the slower numpy backend"
 

@@ -41,10 +41,12 @@ _compiled = CompiledKernel()
 
 MAX_POINTS = 5000
 
-# Smallest scan that compiles the C kernel when it is not cached yet. Below
-# it the numpy scan finishes before the compiler does: on a 2-vCPU Xeon VM
-# the build took about 0.09 s, the numpy scan 0.04 s at n=150 and 0.08 s at
-# n=200. So a fresh process doing a tiny scan never starts a compiler.
+# Smallest scan that compiles the C kernel when it is not cached yet, so a
+# fresh process doing a tiny scan never starts a compiler. On a 2-vCPU Xeon
+# VM the numpy scan took 0.04 s at n=150 and 0.08 s at n=200, and the build
+# 0.31-0.43 s (two inlined copies of the vectorized loop, each cloned for
+# AVX2). A scan just above the cut pays that once per machine; every later
+# one loads the cached library.
 BUILD_MIN_N = 150
 
 

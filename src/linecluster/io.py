@@ -160,12 +160,36 @@ def read_labels_csv(path) -> np.ndarray:
     return labels
 
 
+_PAD = 0  # a byte no CSV field contains; dropped from the assembled rows
+
+
+def _ascii_column(values: np.ndarray) -> np.ndarray:
+    """(m, 1 + width) uint8 text of the integer ``values``: a sign byte, then the
+    digits right-aligned; without its ``_PAD`` bytes a row is ``str(int(value))``."""
+    mag = np.abs(values)
+    top = int(mag.max()) if mag.size else 0
+    width = len(str(top))
+    # Dividing by a scalar is several times faster in 32 bits than in 64.
+    rest = mag.astype(np.uint32 if top < 2**32 else np.uint64)
+    text = np.empty((mag.size, 1 + width), dtype=np.uint8)
+    text[:, 0] = (values < 0) * ord("-")
+    for col in range(width, 0, -1):
+        # Times 0 (= _PAD) for a leading zero; the last digit is always kept.
+        text[:, col] = (rest % 10 + ord("0")) * ((rest > 0) | (col == width))
+        rest //= 10
+    return text
+
+
 def write_similarity_csv(path, counts) -> None:
     mat = np.asarray(counts)
     ii, jj = np.nonzero(np.triu(mat, 1))
     vals = mat[ii, jj].astype(np.int64)
-    body = "".join(f"{i},{j},{c}\n" for i, j, c in zip(ii.tolist(), jj.tolist(), vals.tolist()))
-    Path(path).write_text("i,j,count\n" + body)
+    # One byte table, a row per pair: i, comma, j, comma, count, newline.
+    comma = np.full((ii.size, 1), ord(","), dtype=np.uint8)
+    newline = np.full((ii.size, 1), ord("\n"), dtype=np.uint8)
+    table = np.hstack([_ascii_column(ii), comma, _ascii_column(jj), comma,
+                       _ascii_column(vals), newline]).ravel()
+    Path(path).write_bytes(b"i,j,count\n" + table[table != _PAD].tobytes())
 
 
 def write_bounds_csv(path, rows: list[dict]) -> None:

@@ -1,10 +1,13 @@
+import itertools
 import math
 import os
+import re
 import shutil
 import subprocess
 import threading
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ import linecluster as lc
 from linecluster import _scan_c, _scan_numpy, hypergraph
 from linecluster.errors import LineClusterError, SizeTooSmallError
 from linecluster.hypergraph import BUILD_MIN_N, active_backend, thread_count
+from linecluster.tls import _centered_sums, _top_eigen, _triple_scores
 
 from _oracles import brute_force_scan
 
@@ -28,14 +32,23 @@ def compiled(monkeypatch):
     return hypergraph._compiled
 
 
-def _kernel_result(kernel, ds, t):
+def _kernel_result(kernel, ds, t, labeled=True):
     n = ds.n
     w = np.zeros(n * n, dtype=np.int32)
     counts = np.zeros(2, dtype=np.int64)
     x = np.ascontiguousarray(ds.points[:, 0])
     y = np.ascontiguousarray(ds.points[:, 1])
-    kernel(x, y, np.ascontiguousarray(ds.labels), t * t, 0, n, w, counts)
+    z = np.ascontiguousarray(ds.labels) if labeled else None
+    kernel(x, y, z, t * t, 0, n, w, counts)
     return w, counts
+
+
+def _dyadic_grid():
+    """40 points on a 1/8 grid, duplicates included: many triples tie on one
+    score, and collinear ones can score below 0 before the clamp."""
+    rng = np.random.default_rng(0)
+    points = rng.integers(0, 9, size=(40, 2)) / 8.0
+    return SimpleNamespace(n=40, points=points, labels=rng.integers(1, 3, size=40).astype(np.int8))
 
 
 def test_counts_match_the_cubic_reference_scan(make_dataset):
@@ -84,17 +97,25 @@ def test_acceptance_threshold_is_strict():
 
 
 @needs_cc
-@pytest.mark.parametrize("n", [61, 200])
-def test_compiled_and_fallback_kernels_agree_bitwise(make_dataset, monkeypatch, compiled, n):
-    ds = make_dataset(n, 0.03, 17)
-    w_np, counts_np = _kernel_result(_scan_numpy.scan_triples, ds, 0.05)
-    w_c, counts_c = _kernel_result(compiled.scan_triples, ds, 0.05)
+@pytest.mark.parametrize("case", ["61", "200", "dyadic-grid"])
+def test_compiled_and_fallback_kernels_agree_bitwise(make_dataset, monkeypatch, compiled, case):
+    if case == "dyadic-grid":
+        ds, t = _dyadic_grid(), 0.125  # t * t == 1/64, the score of many triples
+    else:
+        ds, t = make_dataset(int(case), 0.03, 17), 0.05
+    n = ds.n
+    w_np, counts_np = _kernel_result(_scan_numpy.scan_triples, ds, t)
+    w_c, counts_c = _kernel_result(compiled.scan_triples, ds, t)
     assert np.array_equal(w_np, w_c)
     assert np.array_equal(counts_np, counts_c)
+    for kernel in (_scan_numpy.scan_triples, compiled.scan_triples):
+        w, counts = _kernel_result(kernel, ds, t, labeled=False)
+        assert np.array_equal(w, w_np)
+        assert (counts[0], counts[1]) == (counts_np[0], 0)
     results = []
     for threads in ("1", "2"):
         monkeypatch.setenv("LINECLUSTER_THREADS", threads)
-        sim, stats = lc.scan(ds.points, 0.05, ds.labels)
+        sim, stats = lc.scan(ds.points, t, ds.labels)
         assert sim.backend == "compiled"
         results.append((sim.counts, stats))
     upper = w_np.reshape(n, n)
@@ -102,6 +123,44 @@ def test_compiled_and_fallback_kernels_agree_bitwise(make_dataset, monkeypatch, 
     assert np.array_equal(results[1][0], results[0][0])
     assert results[0][1] == results[1][1]
     assert (results[0][1].accepted_triples, results[0][1].accepted_within) == tuple(counts_np)
+
+
+@needs_cc
+def test_both_kernels_reject_ties_and_clamp_negative_scores(compiled):
+    ds = _dyadic_grid()
+    i, j, k = np.array(list(itertools.combinations(range(ds.n), 3))).T
+    x, y = ds.points[:, 0], ds.points[:, 1]
+    triples = (x[i], y[i], x[j], y[j], x[k], y[k])
+    scores = _triple_scores(*triples)
+    t = 0.125
+    assert t * t == 1 / 64 and np.count_nonzero(scores == t * t) >= 10
+    # Before the clamp, rounding puts some collinear triples below 0.
+    raw = [_top_eigen(*_centered_sums(*triple))[1] for triple in zip(*triples)]
+    assert min(raw) < 0.0
+    for kernel in (_scan_numpy.scan_triples, compiled.scan_triples):
+        # Strict: a score equal to t * t is rejected.
+        assert _kernel_result(kernel, ds, t)[1][0] == np.count_nonzero(scores < t * t)
+        # Clamped: at t = 0 nothing is accepted, negative raw scores included.
+        w, counts = _kernel_result(kernel, ds, 0.0)
+        assert not w.any() and not counts.any()
+
+
+@needs_cc
+def test_gcc_vectorizes_the_kernel_k_loop(tmp_path):
+    # A branch brought back into the k loop stops vectorization and costs
+    # about 2x; gcc reports each loop it vectorizes with -fopt-info.
+    macros = subprocess.run(["cc", "-dM", "-E", "-x", "c", os.devnull],
+                            capture_output=True, text=True, check=True).stdout
+    defined = {line.split()[1] for line in macros.splitlines() if line.startswith("#define ")}
+    if "__clang__" in defined or not {"__GNUC__", "__x86_64__"} <= defined:
+        pytest.skip("the vectorization report is checked for gcc on x86-64")
+    source = _scan_c._SOURCE
+    k_line = next(number for number, line in enumerate(source.read_text().splitlines(), 1)
+                  if "for (int64_t k" in line)
+    report = subprocess.run(["cc", *_scan_c._FLAGS, "-c", "-fopt-info-vec-optimized",
+                             "-o", str(tmp_path / "scan.o"), str(source)],
+                            capture_output=True, text=True, check=True).stderr
+    assert re.search(rf"_scan\.c:{k_line}:\d+: (optimized|note): loop vectorized", report), report
 
 
 @needs_cc

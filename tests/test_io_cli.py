@@ -125,6 +125,22 @@ def test_similarity_csv_bytes_are_pinned(tmp_path):
     assert path.read_bytes() == b"i,j,count\n"
 
 
+def test_similarity_csv_bytes_are_pinned_for_fields_of_mixed_width(tmp_path):
+    counts = np.zeros((120, 120), dtype=np.int32)
+    for i, j, c in ((0, 101, 12), (7, 110, 345), (9, 10, 1), (100, 119, 1000)):
+        counts[i, j] = counts[j, i] = c
+    path = tmp_path / "w.csv"
+    io.write_similarity_csv(path, counts)
+    assert path.read_bytes() == b"i,j,count\n0,101,12\n7,110,345\n9,10,1\n100,119,1000\n"
+    # A random matrix against the plain per-pair rendering.
+    rng = np.random.default_rng(3)
+    upper = np.triu(rng.integers(0, 3, size=(150, 150)) * rng.integers(0, 20000, size=(150, 150)), 1)
+    io.write_similarity_csv(path, upper + upper.T)
+    ii, jj = np.nonzero(upper)
+    expected = "i,j,count\n" + "".join(f"{i},{j},{upper[i, j]}\n" for i, j in zip(ii, jj))
+    assert path.read_bytes() == expected.encode()
+
+
 def test_bounds_csv_renders_optional_monte_carlo_columns(tmp_path):
     rows = [
         {"bound_name": "a", "params": "t=0.1", "theory": 0.5,
