@@ -1,129 +1,84 @@
-"""Timing comparison of the two triple-scan kernels.
+"""Timing comparison of the two triple-scan kernels, in one interpreter.
 
-The kernel is fixed per interpreter: ``LINECLUSTER_FORCE_NUMPY`` is read
-when ``linecluster`` is imported, and otherwise every scan of 150 or more
-points runs the C kernel, compiled on first use into
-``$XDG_CACHE_HOME/linecluster/`` (a first build adds about 0.4 s to the
-first size's first repeat; the minimum over repeats hides it). This script
-therefore runs each kernel in its own interpreter, times the full O(n^3)
-scan over a range of problem sizes, checks that both kernels produce
-byte-identical similarity matrices (digests of W), and prints a table.
+For each size the script samples a perpendicular cross and times the full
+O(n^3) scan twice: the C kernel through ``linecluster.scan`` (on
+LINECLUSTER_THREADS threads), and the numpy fallback through the very call
+``scan`` makes for it, ``_scan_numpy.scan_triples`` over all outer indices
+on one thread. It checks that both give the same similarity matrix. The C
+kernel is built (about 0.4 s) before the first timing if it is not cached;
+without a compiler both columns run numpy and the table says "not compared".
 
 Usage::
 
     python benchmarks/bench_scan.py [--sizes 200,400,800] [--repeats 3]
                                     [--threads K] [--sigma 0.01] [--t 0.05]
-
-``--threads`` pins LINECLUSTER_THREADS for the compiled run (the numpy
-fallback is always single-threaded).
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import math
 import os
-import subprocess
 import sys
 import time
 
-_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+import numpy as np
+
+# Import linecluster from this checkout's src/, installed or not.
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+
+import linecluster as lc  # noqa: E402
+from linecluster import _scan_numpy  # noqa: E402
 
 
-def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+def _best(repeats: int, run):
+    """Fastest wall time of ``repeats`` calls of ``run``, and its result."""
+    best = math.inf
+    for _ in range(max(1, repeats)):
+        start = time.perf_counter()
+        result = run()
+        best = min(best, time.perf_counter() - start)
+    return best, result
+
+
+def _numpy_scan(x: np.ndarray, y: np.ndarray, t2: float) -> np.ndarray:
+    n = x.shape[0]
+    w = np.zeros(n * n, dtype=np.int32)
+    _scan_numpy.scan_triples(x, y, None, t2, 0, n, w, np.zeros(2, dtype=np.int64))
+    upper = w.reshape(n, n)
+    return upper + upper.T
+
+
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", default="200,400,800", help="comma-separated point counts")
     parser.add_argument("--repeats", type=int, default=3, help="timed runs per size (min is kept)")
     parser.add_argument("--threads", type=int, default=None, help="threads for the compiled run")
     parser.add_argument("--sigma", type=float, default=0.01, help="noise level of the dataset")
     parser.add_argument("--t", type=float, default=0.05, help="scan threshold")
-    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
-    return parser.parse_args(argv)
-
-
-def _worker(args: argparse.Namespace) -> None:
-    """Time the scan in-process and emit one JSON object on stdout."""
-    import linecluster as lc
-
-    rows = []
-    for n in (int(s) for s in args.sizes.split(",")):
-        params = lc.ModelParams(
-            seg1=lc.standard_cross(math.pi / 2.0, 1.0)[0],
-            seg2=lc.standard_cross(math.pi / 2.0, 1.0)[1],
-            sigma=args.sigma,
-            n_points=n,
-            seed=0,
-        )
-        points = lc.sample_glmm(params).points
-        best = math.inf
-        for _ in range(max(1, args.repeats)):
-            start = time.perf_counter()
-            sim, _ = lc.scan(points, args.t)
-            best = min(best, time.perf_counter() - start)
-        rows.append(
-            {
-                "n": n,
-                "seconds": best,
-                "triples": math.comb(n, 3),
-                "digest": hashlib.sha256(sim.counts.tobytes()).hexdigest()[:16],
-            }
-        )
-    json.dump({"backend": lc.active_backend(), "rows": rows}, sys.stdout)
-
-
-def _run_backend(force_numpy: bool, args: argparse.Namespace) -> dict:
-    env = os.environ.copy()
-    if force_numpy:
-        env["LINECLUSTER_FORCE_NUMPY"] = "1"
-    else:
-        env.pop("LINECLUSTER_FORCE_NUMPY", None)
+    args = parser.parse_args(argv)
     if args.threads is not None:
-        env["LINECLUSTER_THREADS"] = str(args.threads)
-    # Import linecluster from this checkout's src/, installed or not.
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
-    cmd = [
-        sys.executable, os.path.abspath(__file__), "--worker",
-        "--sizes", args.sizes, "--repeats", str(args.repeats),
-        "--sigma", str(args.sigma), "--t", str(args.t),
-    ]
-    proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
-    if proc.returncode != 0:
-        sys.stderr.write(proc.stderr)
-        raise SystemExit(f"error: the {'numpy' if force_numpy else 'default'} backend worker "
-                         f"exited with code {proc.returncode}")
-    return json.loads(proc.stdout)
-
-
-def main(argv: list[str] | None = None) -> int:
-    args = _parse_args(argv)
-    if args.worker:
-        _worker(args)
-        return 0
-
-    fast = _run_backend(force_numpy=False, args=args)
-    slow = _run_backend(force_numpy=True, args=args)
-    compared = fast["backend"] != slow["backend"]
+        os.environ["LINECLUSTER_THREADS"] = str(args.threads)
+    compared = lc.active_backend() == "compiled"
     if not compared:
-        print(
-            "warning: compiled kernel unavailable; both runs used the "
-            f"{fast['backend']} backend, so nothing is compared",
-            file=sys.stderr,
-        )
+        print("warning: compiled kernel unavailable; both columns ran numpy, so nothing is compared",
+              file=sys.stderr)
 
-    header = f"{'n':>6} {'triples':>14} {fast['backend']:>14} {slow['backend']:>12} {'speedup':>9}  identical"
-    print(header)
-    print("-" * len(header))
-    for a, b in zip(fast["rows"], slow["rows"]):
-        if compared:
-            ratio = b["seconds"] / a["seconds"] if a["seconds"] > 0 else math.inf
-            verdict = f"{ratio:>8.1f}x  {'yes' if a['digest'] == b['digest'] else 'NO'}"
-        else:
-            verdict = "not compared"
-        print(f"{a['n']:>6} {a['triples']:>14,} {a['seconds']:>12.4f} s {b['seconds']:>10.4f} s {verdict}")
-    if any(a["digest"] != b["digest"] for a, b in zip(fast["rows"], slow["rows"])):
-        print("error: backends disagree on the similarity matrix", file=sys.stderr)
+    seg1, seg2 = lc.standard_cross(math.pi / 2.0, 1.0)
+    header = f"{'n':>6} {'triples':>14} {'compiled':>14} {'numpy':>12} {'speedup':>9}  identical"
+    print(header, "-" * len(header), sep="\n")
+    agree = True
+    for n in (int(s) for s in args.sizes.split(",")):
+        points = lc.sample_glmm(lc.ModelParams(seg1, seg2, args.sigma, n, seed=0)).points
+        x, y = np.ascontiguousarray(points[:, 0]), np.ascontiguousarray(points[:, 1])
+        fast, sim = _best(args.repeats, lambda: lc.scan(points, args.t)[0])
+        slow, w = _best(args.repeats, lambda: _numpy_scan(x, y, args.t * args.t))
+        same = np.array_equal(sim.counts, w)
+        agree &= same
+        verdict = f"{slow / fast:>8.1f}x  {'yes' if same else 'NO'}" if compared else "not compared"
+        print(f"{n:>6} {math.comb(n, 3):>14,} {fast:>12.4f} s {slow:>10.4f} s {verdict}")
+    if not agree:
+        print("error: the kernels disagree on the similarity matrix", file=sys.stderr)
         return 1
     return 0
 

@@ -35,7 +35,6 @@ from .errors import (
     InvalidAngleError,
     LengthMismatchError,
     LineClusterError,
-    NoConvergenceError,
     OutOfValidityError,
     SampleExhaustsNodesError,
     SizeTooSmallError,
@@ -45,7 +44,6 @@ from .hypergraph import (
     HyperedgeStats,
     SimilarityMatrix,
     active_backend,
-    build_similarity,
     hyperedge_probabilities,
     scan,
 )

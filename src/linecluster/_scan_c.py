@@ -8,7 +8,9 @@ The file name carries a hash of the source, the flags and the platform, so
 an edited source or another machine never loads a stale library. The build
 writes a temp file in the cache directory and ``os.replace``s it into place,
 so processes building at the same time need no lock: each rename installs a
-complete library.
+complete library. ``hypergraph.scan`` alone decides, per scan and from n,
+whether to build or run this kernel or the numpy fallback; no option or
+environment variable picks a kernel.
 
 The kernel's inner loop has no branches, so gcc vectorizes it, and its
 scores stay bit-identical to the numpy fallback's: every SIMD lane does the

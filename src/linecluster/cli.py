@@ -10,6 +10,7 @@ success, 1 on runtime errors (bad files, invalid values), 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -85,7 +86,10 @@ def _read_triple_stdin() -> np.ndarray:
         if not line or line.lower().replace(" ", "") in ("x,y", "x,y,z"):
             continue
         parts = line.split(",")
-        rows.append((float(parts[0]), float(parts[1])))
+        try:
+            rows.append((float(parts[0]), float(parts[1])))
+        except (ValueError, IndexError) as exc:
+            raise LineClusterError(f"stdin: malformed row {line!r}") from exc
     arr = np.asarray(rows, dtype=np.float64)
     if arr.shape != (3, 2):
         raise LineClusterError(f"stdin must supply exactly three x,y rows, got {arr.shape[0]}")
@@ -253,96 +257,65 @@ def _cmd_oracle(args) -> int:
 _RAYLEIGH_LEVEL = math.erfc(3.0 / math.sqrt(2.0))
 
 
+def _at_most(est, theory: float) -> bool:
+    return est.estimate <= theory + 3.0 * est.se
+
+
+def _at_least(est, theory: float) -> bool:
+    return est.estimate >= theory - 3.0 * est.se
+
+
+def _rayleigh_agrees(est, theory: float) -> bool:
+    # The theory value is the exact CDF, so the count of draws <= t is
+    # Binomial(n, theory) under it: an exact two-sided tail test at the
+    # level of a 3-SE normal test. (A normal test fails falsely when
+    # n * (1 - theory) is about 1: one draw beyond t is then many SE out.)
+    hits = round(est.estimate * est.n)
+    below = bdtr(hits, est.n, theory)  # P(X <= hits)
+    above = bdtrc(hits - 1, est.n, theory) if hits > 0 else 1.0  # P(X >= hits)
+    return bool(min(below, above) > _RAYLEIGH_LEVEL / 2.0)
+
+
 def _bounds_rows(args) -> tuple[list[dict], list[str]]:
+    """One row per bound, in a fixed order. A bound outside its domain goes to
+    ``skipped`` and its validator does not run; each validator seeds its own
+    generator, so that changes no other estimate. ``bounds`` and
+    ``montecarlo`` functions are looked up when called, so rebinding one works."""
+    t, sig, ell, n_mc, seed = args.t, args.sigma, args.ell, args.mc_samples, args.seed
+    k, theta, mu, delta = args.chi2_k, args.chi2_theta, args.binom_mu, args.binom_delta
+    geo = f"t={t:g};sigma={sig:g};ell={ell:g}"
+    # Both between-acceptance rows check the same mixed-triple rate.
+    mixed = functools.cache(
+        lambda: montecarlo.mc_hyperedge_rates(t, sig, args.alpha, ell, n_mc, seed)[1])
+    table = (
+        ("within_miss_upper", geo, lambda: bounds.within_miss_upper(t, sig),
+         lambda: montecarlo.mc_within_miss(t, sig, ell, n_mc, seed), _at_most),
+        ("between_accept_lower", geo, lambda: bounds.between_accept_lower(t, sig, ell),
+         mixed, _at_least),
+        ("between_accept_upper", geo, lambda: bounds.between_accept_upper(t, sig, ell),
+         mixed, lambda est, theory: est.estimate <= 2.0 * theory),
+        ("disc_intersect_upper", geo, lambda: bounds.disc_intersect_upper(t, sig, ell),
+         None, None),
+        ("tail_chi2", f"k={k};theta={theta:g}", lambda: bounds.tail_chi2(k, theta),
+         lambda: montecarlo.mc_chi2_tail(k, theta, n_mc, seed), _at_most),
+        ("cdf_rayleigh", f"t={t:g};scale={sig:g}", lambda: bounds.cdf_rayleigh(t, sig),
+         lambda: montecarlo.mc_rayleigh_cdf(t, sig, n_mc, seed), _rayleigh_agrees),
+        ("tail_binomial", f"mu={mu:g};delta={delta:g}", lambda: bounds.tail_binomial(mu, delta),
+         lambda: montecarlo.mc_binomial_tail(mu, delta, 1000, n_mc, seed), _at_most),
+    )
     rows: list[dict] = []
     skipped: list[str] = []
-    t, sig, ell = args.t, args.sigma, args.ell
-    geo_params = f"t={t:g};sigma={sig:g};ell={ell:g}"
-    mc = args.mc
-    n_mc = args.mc_samples
-
-    within_mc = montecarlo.mc_within_miss(t, sig, ell, n_mc, args.seed) if mc else None
-    try:
-        theory = bounds.within_miss_upper(t, sig)
-        row = {"bound_name": "within_miss_upper", "params": geo_params, "theory": theory}
-        if within_mc is not None:
-            row.update(
-                mc_estimate=within_mc.estimate,
-                mc_se=within_mc.se,
-                **{"pass": within_mc.estimate <= theory + 3.0 * within_mc.se},
-            )
+    for name, params, theory_of, validate, passes in table:
+        try:
+            theory = theory_of()
+        except OutOfValidityError as exc:
+            skipped.append(f"{name}: {exc}")
+            continue
+        row = {"bound_name": name, "params": params, "theory": theory}
+        if args.mc and validate is not None:
+            est = validate()
+            row.update(mc_estimate=est.estimate, mc_se=est.se, **{"pass": passes(est, theory)})
         rows.append(row)
-    except OutOfValidityError as exc:
-        skipped.append(f"within_miss_upper: {exc}")
-
-    rates = (
-        montecarlo.mc_hyperedge_rates(t, sig, args.alpha, ell, n_mc, args.seed) if mc else None
-    )
-    try:
-        theory = bounds.between_accept_lower(t, sig, ell)
-        row = {"bound_name": "between_accept_lower", "params": geo_params, "theory": theory}
-        if rates is not None:
-            q = rates[1]
-            row.update(
-                mc_estimate=q.estimate,
-                mc_se=q.se,
-                **{"pass": q.estimate >= theory - 3.0 * q.se},
-            )
-        rows.append(row)
-    except OutOfValidityError as exc:
-        skipped.append(f"between_accept_lower: {exc}")
-    try:
-        theory = bounds.between_accept_upper(t, sig, ell)
-        row = {"bound_name": "between_accept_upper", "params": geo_params, "theory": theory}
-        if rates is not None:
-            q = rates[1]
-            row.update(mc_estimate=q.estimate, mc_se=q.se, **{"pass": q.estimate <= 2.0 * theory})
-        rows.append(row)
-    except OutOfValidityError as exc:
-        skipped.append(f"between_accept_upper: {exc}")
-
-    rows.append(
-        {
-            "bound_name": "disc_intersect_upper",
-            "params": geo_params,
-            "theory": bounds.disc_intersect_upper(t, sig, ell),
-        }
-    )
-
-    chi_params = f"k={args.chi2_k};theta={args.chi2_theta:g}"
-    theory = bounds.tail_chi2(args.chi2_k, args.chi2_theta)
-    row = {"bound_name": "tail_chi2", "params": chi_params, "theory": theory}
-    if mc:
-        est = montecarlo.mc_chi2_tail(args.chi2_k, args.chi2_theta, n_mc, args.seed)
-        row.update(mc_estimate=est.estimate, mc_se=est.se, **{"pass": est.estimate <= theory + 3.0 * est.se})
-    rows.append(row)
-
-    ray_params = f"t={t:g};scale={sig:g}"
-    theory = bounds.cdf_rayleigh(t, sig)
-    row = {"bound_name": "cdf_rayleigh", "params": ray_params, "theory": theory}
-    if mc:
-        est = montecarlo.mc_rayleigh_cdf(t, sig, n_mc, args.seed)
-        # The theory value is the exact CDF, so the count of draws <= t is
-        # Binomial(n, theory) under it: an exact two-sided tail test at the
-        # level of a 3-SE normal test. (A normal test fails falsely when
-        # n * (1 - theory) is about 1: one draw beyond t is then many SE out.)
-        hits = round(est.estimate * est.n)
-        below = bdtr(hits, est.n, theory)  # P(X <= hits)
-        above = bdtrc(hits - 1, est.n, theory) if hits > 0 else 1.0  # P(X >= hits)
-        row.update(
-            mc_estimate=est.estimate,
-            mc_se=est.se,
-            **{"pass": bool(min(below, above) > _RAYLEIGH_LEVEL / 2.0)},
-        )
-    rows.append(row)
-
-    bin_params = f"mu={args.binom_mu:g};delta={args.binom_delta:g}"
-    theory = bounds.tail_binomial(args.binom_mu, args.binom_delta)
-    row = {"bound_name": "tail_binomial", "params": bin_params, "theory": theory}
-    if mc:
-        est = montecarlo.mc_binomial_tail(args.binom_mu, args.binom_delta, 1000, n_mc, args.seed)
-        row.update(mc_estimate=est.estimate, mc_se=est.se, **{"pass": est.estimate <= theory + 3.0 * est.se})
-    rows.append(row)
     return rows, skipped
 
 

@@ -28,14 +28,6 @@ class SizeTooSmallError(LineClusterError):
     """Fewer points than the operation needs (e.g. n < 3 for triple scans)."""
 
 
-class NoConvergenceError(LineClusterError):
-    """An iterative solver failed to reach tolerance within its cap.
-
-    Kept as public API; no current code path raises it (``top2_eigen`` uses
-    a dense eigendecomposition).
-    """
-
-
 class EmptySampleError(LineClusterError):
     """An empirical CDF or threshold rule was given zero scores."""
 

@@ -12,11 +12,10 @@ plain-C kernel (``linecluster._scan_c``), compiled on first use into a
 per-user cache and run on ``thread_count()`` threads, and a vectorized
 numpy fallback. A scan builds the C kernel only when ``n >= BUILD_MIN_N``;
 smaller scans use it when it is already cached and numpy otherwise. Without
-a compiler or a writable cache the scan warns once and uses numpy; setting
-``LINECLUSTER_FORCE_NUMPY=1`` before import always uses numpy. Counts are
-integers accumulated per disjoint outer-index range, so the result is
-independent of kernel and thread count; ``SimilarityMatrix.backend`` names
-the kernel that ran.
+a compiler or a writable cache the scan warns once and uses numpy. No option
+picks the kernel: counts are integers accumulated per disjoint outer-index
+range, so the result is independent of kernel and thread count, and
+``SimilarityMatrix.backend`` names the kernel that ran.
 
 The scan is O(n^3); n is capped at 5000 (about 2.1e10 triples) to keep a
 single call within practical time and memory.
@@ -36,7 +35,6 @@ from ._scan_c import CompiledKernel
 from ._validate import as_labels, as_points
 from .errors import LineClusterError
 
-_FORCE_NUMPY = os.environ.get("LINECLUSTER_FORCE_NUMPY", "") not in ("", "0")
 _compiled = CompiledKernel()
 
 MAX_POINTS = 5000
@@ -46,13 +44,16 @@ MAX_POINTS = 5000
 # VM the numpy scan took 0.04 s at n=150 and 0.08 s at n=200, and the build
 # 0.31-0.43 s (two inlined copies of the vectorized loop, each cloned for
 # AVX2). A scan just above the cut pays that once per machine; every later
-# one loads the cached library.
+# one loads the cached library. The cut is decided per scan, so it stays
+# low: at about n=350, where one numpy scan costs one build, a process doing
+# many mid-size scans (an autocluster sweep's rest sets of about 220 points)
+# would run numpy for good while the cache is cold.
 BUILD_MIN_N = 150
 
 
 def _use_compiled(n: int) -> bool:
     """Whether an n-point scan runs the C kernel, building it if that pays."""
-    return not _FORCE_NUMPY and _compiled.ready(build_missing=n >= BUILD_MIN_N)
+    return _compiled.ready(build_missing=n >= BUILD_MIN_N)
 
 
 def active_backend() -> str:
@@ -188,11 +189,6 @@ def scan(points, t: float, labels=None) -> tuple[SimilarityMatrix, HyperedgeStat
             total_between=total - total_within,
         )
     return sim, stats
-
-
-def build_similarity(points, t: float) -> SimilarityMatrix:
-    """Similarity matrix of pair co-incidence counts at threshold ``t``."""
-    return scan(points, t)[0]
 
 
 def hyperedge_probabilities(points, labels, t: float) -> HyperedgeStats:

@@ -96,7 +96,10 @@ def read_points_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
             except (ValueError, IndexError) as exc:
                 raise LineClusterError(f"{path}: malformed row {row!r}") from exc
     points = np.column_stack([xs, ys]) if xs else np.empty((0, 2))
-    labels = np.asarray(zs, dtype=np.int8) if has_z else None
+    try:
+        labels = np.asarray(zs, dtype=np.int8) if has_z else None
+    except OverflowError as exc:
+        raise LineClusterError(f"{path}: label out of range ({exc})") from exc
     return points, labels
 
 
@@ -117,17 +120,17 @@ def read_params_json(path) -> ModelParams:
         payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise LineClusterError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise LineClusterError(f"{path}: params JSON must be an object, got {type(payload).__name__}")
     try:
-        seg1, seg2 = standard_cross(float(payload["alpha"]), float(payload["half_length"]))
-        return ModelParams(
-            seg1=seg1,
-            seg2=seg2,
-            sigma=float(payload["sigma"]),
-            n_points=int(payload["n_points"]),
-            seed=int(payload["seed"]),
-        )
+        alpha, half_length, sigma = (float(payload[k]) for k in ("alpha", "half_length", "sigma"))
+        n_points, seed = int(payload["n_points"]), int(payload["seed"])
     except KeyError as exc:
         raise LineClusterError(f"{path}: missing key {exc} in params JSON") from exc
+    except (TypeError, ValueError) as exc:
+        raise LineClusterError(f"{path}: bad value in params JSON ({exc})") from exc
+    seg1, seg2 = standard_cross(alpha, half_length)
+    return ModelParams(seg1=seg1, seg2=seg2, sigma=sigma, n_points=n_points, seed=seed)
 
 
 def dataset_from_files(points_path, params_path) -> LabeledDataset:
@@ -139,10 +142,8 @@ def dataset_from_files(points_path, params_path) -> LabeledDataset:
 
 
 def write_labels_csv(path, labels) -> None:
-    lines = ["index,z_hat"]
-    for i, z in enumerate(np.asarray(labels)):
-        lines.append(f"{i},{int(z)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    z = np.asarray(labels).astype(np.int64)
+    Path(path).write_bytes(_integer_csv("index,z_hat", np.arange(z.size), z))
 
 
 def read_labels_csv(path) -> np.ndarray:
@@ -151,11 +152,23 @@ def read_labels_csv(path) -> np.ndarray:
         header = next(reader, None)
         if header is None or [c.strip().lower() for c in header] != ["index", "z_hat"]:
             raise LineClusterError(f"{path}: expected header 'index,z_hat'")
-        pairs = [(int(row[0]), int(row[1])) for row in reader if row]
+        pairs = []
+        for row in reader:
+            if not row:
+                continue
+            try:
+                idx, z = int(row[0]), int(row[1])
+            except (ValueError, IndexError) as exc:
+                raise LineClusterError(f"{path}: malformed row {row!r}") from exc
+            if z not in (1, 2):
+                raise LineClusterError(f"{path}: z_hat must be 1 or 2, got {z}")
+            pairs.append((idx, z))
     labels = np.zeros(len(pairs), dtype=np.int8)
     for idx, z in pairs:
         if not 0 <= idx < len(pairs):
             raise LineClusterError(f"{path}: index {idx} out of range")
+        if labels[idx]:
+            raise LineClusterError(f"{path}: index {idx} appears twice")
         labels[idx] = z
     return labels
 
@@ -180,16 +193,23 @@ def _ascii_column(values: np.ndarray) -> np.ndarray:
     return text
 
 
+def _integer_csv(header: str, *columns: np.ndarray) -> bytes:
+    """``header``, then one line per row of the integer ``columns``, fields
+    comma-separated as ``str(int(value))``: one byte table, pads dropped."""
+    rows = columns[0].size
+    comma = np.full((rows, 1), ord(","), dtype=np.uint8)
+    newline = np.full((rows, 1), ord("\n"), dtype=np.uint8)
+    # Only the argument list holds the column texts, so they are freed before
+    # the copies below.
+    table = np.hstack([a for col in columns for a in (comma, _ascii_column(col))][1:]
+                      + [newline]).ravel()
+    return header.encode() + b"\n" + table[table != _PAD].tobytes()
+
+
 def write_similarity_csv(path, counts) -> None:
     mat = np.asarray(counts)
     ii, jj = np.nonzero(np.triu(mat, 1))
-    vals = mat[ii, jj].astype(np.int64)
-    # One byte table, a row per pair: i, comma, j, comma, count, newline.
-    comma = np.full((ii.size, 1), ord(","), dtype=np.uint8)
-    newline = np.full((ii.size, 1), ord("\n"), dtype=np.uint8)
-    table = np.hstack([_ascii_column(ii), comma, _ascii_column(jj), comma,
-                       _ascii_column(vals), newline]).ravel()
-    Path(path).write_bytes(b"i,j,count\n" + table[table != _PAD].tobytes())
+    Path(path).write_bytes(_integer_csv("i,j,count", ii, jj, mat[ii, jj].astype(np.int64)))
 
 
 def write_bounds_csv(path, rows: list[dict]) -> None:

@@ -26,7 +26,7 @@ import numpy as np
 from ._rng import DOMAIN_KMEANS, generator
 from ._validate import as_points
 from .errors import LineClusterError, SizeTooSmallError
-from .hypergraph import SimilarityMatrix, build_similarity
+from .hypergraph import SimilarityMatrix, scan
 
 _KMEANS_RESTARTS = 10
 _KMEANS_MAX_ITER = 100
@@ -182,4 +182,4 @@ def cluster_from_similarity(w: SimilarityMatrix, seed: int) -> ClusterResult:
 
 def cluster(points, t: float, seed: int) -> ClusterResult:
     """Full pipeline: similarity matrix at threshold ``t``, embedding, k-means."""
-    return cluster_from_similarity(build_similarity(points, t), seed)
+    return cluster_from_similarity(scan(points, t)[0], seed)

@@ -97,19 +97,27 @@ class SweepConfig:
             "n_points", "sigma", "t", "alpha", "ell", "trials", "seed",
             "algorithm", "m", "theta",
         }
+        if not isinstance(payload, dict):
+            raise LineClusterError(f"{path}: config must be a JSON object")
         unknown = set(payload) - known
         if unknown:
             raise LineClusterError(f"{path}: unknown config keys {sorted(unknown)}")
         kwargs = dict(payload)
-        for key in ("n_points", "sigma"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        if "t" in kwargs and not isinstance(kwargs["t"], str):
-            kwargs["t"] = tuple(kwargs["t"])
         missing = {"n_points", "sigma", "t"} - set(kwargs)
         if missing:
             raise LineClusterError(f"{path}: missing config keys {sorted(missing)}")
-        return cls(**kwargs)
+        for key in ("n_points", "sigma", "t"):
+            value = kwargs[key]
+            if isinstance(value, list):
+                kwargs[key] = tuple(value)
+            elif not (key == "t" and isinstance(value, str)):
+                raise LineClusterError(f"{path}: {key} must be a list, got {value!r}")
+        try:
+            return cls(**kwargs)
+        except LineClusterError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise LineClusterError(f"{path}: bad config value ({exc})") from exc
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import importlib.util
 import itertools
 import math
 import os
@@ -7,6 +8,7 @@ import subprocess
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,10 +26,8 @@ needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler 
 
 
 @pytest.fixture()
-def compiled(monkeypatch):
-    """The package's compiled kernel, built into the session cache if needed,
-    and used by scans even under LINECLUSTER_FORCE_NUMPY."""
-    monkeypatch.setattr(hypergraph, "_FORCE_NUMPY", False)
+def compiled():
+    """The package's compiled kernel, built into the session cache if needed."""
     assert hypergraph._compiled.ready(build_missing=True)
     return hypergraph._compiled
 
@@ -171,7 +171,6 @@ def test_small_scan_with_an_empty_cache_starts_no_compiler(make_dataset, monkeyp
     def no_process(*args, **kwargs):
         raise AssertionError("a small scan started a process")
 
-    monkeypatch.setattr(hypergraph, "_FORCE_NUMPY", False)
     monkeypatch.setattr(hypergraph, "_compiled", _scan_c.CompiledKernel(tmp_path))
     monkeypatch.setattr(subprocess, "run", no_process)
     monkeypatch.setattr(subprocess, "Popen", no_process)
@@ -221,7 +220,6 @@ def test_scan_without_a_usable_build_warns_once_and_matches_numpy(
     else:
         cache = tmp_path / "a-file"
         cache.write_text("")
-    monkeypatch.setattr(hypergraph, "_FORCE_NUMPY", False)
     monkeypatch.setattr(hypergraph, "_compiled", _scan_c.CompiledKernel(cache))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -312,7 +310,7 @@ def test_scan_validates_inputs(make_dataset):
 
 def test_backend_name_is_reported(make_dataset):
     assert active_backend() in ("compiled", "numpy")
-    if shutil.which("cc") is not None and not hypergraph._FORCE_NUMPY:
+    if shutil.which("cc") is not None:
         assert active_backend() == "compiled"
     # Once the kernel is loaded, small scans run it too, and say so.
     sim, _ = lc.scan(make_dataset(12, 0.01, 1).points, 0.05)
@@ -324,3 +322,15 @@ def test_hyperedge_probabilities_match_a_labeled_scan(make_dataset):
     stats = lc.hyperedge_probabilities(ds.points, ds.labels, 0.06)
     _, stats2 = lc.scan(ds.points, 0.06, ds.labels)
     assert stats == stats2
+
+
+def test_bench_scan_compares_both_kernels_in_process(capsys):
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_scan.py"
+    spec = importlib.util.spec_from_file_location("bench_scan", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    assert bench.main(["--sizes", "40,60", "--repeats", "1"]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    verdict = "yes" if shutil.which("cc") is not None else "not compared"
+    assert [row.split()[0] for row in rows] == ["40", "60"]
+    assert all(row.endswith(verdict) for row in rows)

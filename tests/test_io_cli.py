@@ -141,6 +141,19 @@ def test_similarity_csv_bytes_are_pinned_for_fields_of_mixed_width(tmp_path):
     assert path.read_bytes() == expected.encode()
 
 
+def test_labels_csv_bytes_are_pinned(tmp_path):
+    path = tmp_path / "labels.csv"
+    io.write_labels_csv(path, np.array([], dtype=np.int8))
+    assert path.read_bytes() == b"index,z_hat\n"
+    io.write_labels_csv(path, np.array([2, 1, 1, 2], dtype=np.int8))
+    assert path.read_bytes() == b"index,z_hat\n0,2\n1,1\n2,1\n3,2\n"
+    # 100k random labels against the plain per-row rendering.
+    labels = np.random.default_rng(5).integers(1, 3, size=100_000).astype(np.int8)
+    io.write_labels_csv(path, labels)
+    expected = "index,z_hat\n" + "".join(f"{i},{int(z)}\n" for i, z in enumerate(labels))
+    assert path.read_bytes() == expected.encode()
+
+
 def test_bounds_csv_renders_optional_monte_carlo_columns(tmp_path):
     rows = [
         {"bound_name": "a", "params": "t=0.1", "theory": 0.5,
@@ -297,7 +310,6 @@ def test_cli_cluster_reports_the_kernel_its_scan_ran(capsys, tmp_path, monkeypat
     path = tmp_path / "plain.csv"
     io.write_points_csv(path, np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [0.5, -0.5]]))
     kernel = _scan_c.CompiledKernel(tmp_path / "empty-cache")
-    monkeypatch.setattr(lc.hypergraph, "_FORCE_NUMPY", False)
     monkeypatch.setattr(lc.hypergraph, "_compiled", kernel)
     # Too small to build the kernel, and nothing cached: the scan runs numpy.
     _, payload, _ = _run(capsys, ["cluster", "--in", str(path), "--t", "0.05"])
@@ -424,6 +436,34 @@ def test_cli_bounds_skips_out_of_domain_rows(capsys, tmp_path):
     assert all(row["bound_name"] != "within_miss_upper" for row in payload["rows"])
 
 
+@pytest.mark.parametrize("flag, value, name", [("--chi2-theta", "0.5", "tail_chi2"),
+                                               ("--binom-delta", "1.5", "tail_binomial")])
+def test_cli_bounds_skips_out_of_domain_tail_bounds(capsys, flag, value, name):
+    code, payload, err = _run(
+        capsys, ["bounds", "--t", "0.05", "--sigma", "0.01", "--no-mc", flag, value]
+    )
+    assert code == 0 and err == ""
+    assert [s.split(":")[0] for s in payload["skipped"]] == [name]
+    assert len(payload["rows"]) == 6
+    assert all(row["bound_name"] != name for row in payload["rows"])
+
+
+def test_cli_bounds_draws_the_mixed_triples_once(capsys, monkeypatch):
+    calls = []
+    draw = lc.montecarlo.mc_hyperedge_rates
+
+    def counted(*args):
+        calls.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(lc.montecarlo, "mc_hyperedge_rates", counted)
+    code, payload, _ = _run(capsys, ["bounds", "--t", "0.1", "--sigma", "0.01",
+                                     "--mc-samples", "2000", "--seed", "1"])
+    assert code == 0 and len(calls) == 1
+    mixed = [row for row in payload["rows"] if row["bound_name"].startswith("between_accept")]
+    assert len(mixed) == 2 and mixed[0]["mc_estimate"] == mixed[1]["mc_estimate"]
+
+
 def test_cli_sweep_runs_a_config_file(capsys, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(
@@ -469,3 +509,36 @@ def test_cli_exit_codes(capsys, tmp_path):
     capsys.readouterr()
     assert cli_dispatch(["--version"]) == 0
     assert lc.__version__ in capsys.readouterr().out
+
+
+_LABELS = "index,z_hat\n" + "".join(f"{i},1\n" for i in range(9))
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        (["recover-lines", "--labels"], _LABELS + "9\n", "malformed row"),
+        (["recover-lines", "--labels"], _LABELS + "9,two\n", "malformed row"),
+        (["recover-lines", "--labels"], _LABELS + "9,300\n", "must be 1 or 2, got 300"),
+        (["recover-lines", "--labels"], _LABELS + "8,2\n", "index 8 appears twice"),
+        (["oracle", "--params"], "[1, 2]", "must be an object"),
+        (["sweep", "--config"], json.dumps({"n_points": 5, "sigma": [0.01], "t": [0.1]}),
+         "n_points must be a list"),
+        (["tls-score"], "0,0\n1,x\n0.5,0.3\n", "malformed row '1,x'"),
+        (["cluster", "--t", "0.1", "--in"], "x,y,z\n0,0,1\n1,1,300\n2,2,2\n", "out of range"),
+    ],
+    ids=["short labels row", "non-integer label", "label past int8", "repeated index",
+         "params list", "n_points not a list", "non-numeric stdin", "dataset label past int8"],
+)
+def test_cli_reports_malformed_input_as_an_error(capsys, tmp_path, monkeypatch, command, text,
+                                                 message):
+    d, _ = _gen(capsys, tmp_path, n=10, sigma=0.05, seed=1)
+    path = tmp_path / "input"
+    path.write_text(text)
+    monkeypatch.setattr(sys, "stdin", std_io.StringIO(text))
+    argv = command + [str(path)] if len(command) > 1 else command
+    if command[0] in ("recover-lines", "oracle"):
+        argv += ["--in", str(d / "points.csv")]
+    code, payload, err = _run(capsys, argv)
+    assert code == 1 and payload is None
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
