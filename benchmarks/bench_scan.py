@@ -5,7 +5,7 @@ O(n^3) scan twice: the C kernel through ``linecluster.scan`` (on
 LINECLUSTER_THREADS threads), and the numpy fallback through the very call
 ``scan`` makes for it, ``_scan_numpy.scan_triples`` over all outer indices
 on one thread. It checks that both give the same similarity matrix. The C
-kernel is built (about 0.4 s) before the first timing if it is not cached;
+kernel is built (about 0.5 s) before the first timing if it is not cached;
 without a compiler both columns run numpy and the table says "not compared".
 
 Usage::

@@ -12,15 +12,20 @@ complete library. ``hypergraph.scan`` alone decides, per scan and from n,
 whether to build or run this kernel or the numpy fallback; no option or
 environment variable picks a kernel.
 
-The kernel's inner loop has no branches, so gcc vectorizes it, and its
-scores stay bit-identical to the numpy fallback's: every SIMD lane does the
-same correctly rounded IEEE operations on its own triple, FP contraction
-stays off and no ``-ffast-math`` is used; only the integer tallies are
-summed in another order, which is exact. ``-fno-math-errno`` only drops
-``sqrt``'s errno branch, whose argument, a sum of squares, is never
-negative. On x86-64 glibc the source marks the kernel
-``target_clones("avx2", "default")``: one library holds an AVX2 body and a
-baseline one, and the dynamic loader picks one by cpuid. ``-march=native``
+The kernel decides most triples with a filter that computes no score: the
+sign of a polynomial in the triple's coordinate differences, with neither a
+divide nor a square root, accepted only where it clears an error band proven
+in ``_scan.c``. The few triples inside the band go to an exact path that
+repeats ``tls._triple_scores`` operation for operation, so the accepted
+triples, and W, stay bit-identical to the numpy fallback's. The filter loop
+has no branches, so gcc vectorizes it; every SIMD lane does the same
+correctly rounded IEEE operations on its own triple, FP contraction stays
+off and no ``-ffast-math`` is used; only the integer tallies are summed in
+another order, which is exact. ``-fno-math-errno`` only drops ``sqrt``'s
+errno branch, whose argument, a sum of squares, is never negative. On
+x86-64 glibc the source marks the kernel ``target_clones("avx2",
+"default")``: one library holds an AVX2 body and a baseline one, both
+vectorized, and the dynamic loader picks one by cpuid. ``-march=native``
 is not used because the library's name does not depend on the CPU, so a
 cache shared between hosts could hand a CPU instructions it lacks. The kernel
 runs without the GIL (ctypes releases it), so disjoint outer-index ranges
@@ -121,7 +126,7 @@ class CompiledKernel:
             warnings.warn(FALLBACK_WARNING, RuntimeWarning, stacklevel=4)
             return False
         fn.argtypes = _ARGTYPES
-        fn.restype = None
+        fn.restype = ctypes.c_int64
         self._fn = fn
         return True
 
@@ -135,8 +140,13 @@ class CompiledKernel:
         i_hi: int,
         w: np.ndarray,
         counts: np.ndarray,
-    ) -> None:
-        """Same contract as ``linecluster._scan_numpy.scan_triples``; needs ``ready``."""
+    ) -> int:
+        """Same contract as ``linecluster._scan_numpy.scan_triples``; needs ``ready``.
+
+        Returns the number of triples the kernel's exact path decided (see
+        ``_scan.c``); ``hypergraph.scan`` ignores it. Raises ``MemoryError``
+        when the kernel cannot allocate its per-call arrays (3n doubles).
+        """
         if self._fn is None:
             raise RuntimeError("the compiled scan kernel is not loaded")
         n = x.shape[0]
@@ -147,5 +157,8 @@ class CompiledKernel:
                 raise ValueError(f"expected a contiguous {np.dtype(dtype)} array of length {size}")
         if not (0 <= i_lo <= i_hi <= n) or not (w.flags.writeable and counts.flags.writeable):
             raise ValueError("bad outer-index range or read-only output buffer")
-        self._fn(x.ctypes.data, y.ctypes.data, None if z is None else z.ctypes.data, n, t2,
-                 i_lo, i_hi, w.ctypes.data, counts.ctypes.data)
+        exact = self._fn(x.ctypes.data, y.ctypes.data, None if z is None else z.ctypes.data, n,
+                         t2, i_lo, i_hi, w.ctypes.data, counts.ctypes.data)
+        if exact < 0:
+            raise MemoryError("the compiled scan kernel could not allocate its per-call arrays")
+        return exact

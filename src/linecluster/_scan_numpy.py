@@ -3,11 +3,13 @@
 For each outer index i, the (j, k) pairs of later points are scored in
 strips of ``_STRIP`` rows j, each against the columns k >= the strip's first
 row, by one call of ``linecluster.tls._triple_scores``, the package's one
-score expression; the compiled kernel repeats it operation for operation,
-so scores agree bit-for-bit across backends. The strip's upper-triangle
-mask is added to W as it stands and its row and column sums to W's row i,
-so no scatter-add is needed. 5-10x slower than the compiled kernel on
-one thread; besides W, memory is O(``_STRIP`` * n).
+score expression. The compiled kernel's exact path repeats it operation for
+operation, and its filter decides the other triples without a score, only
+where the decision provably matches this one's, so both backends accept the
+same triples. The strip's upper-triangle mask is added to W as it stands
+and its row and column sums to W's row i, so no scatter-add is needed.
+20-30x slower than the compiled kernel on one thread; besides W, memory is
+O(``_STRIP`` * n).
 """
 
 from __future__ import annotations

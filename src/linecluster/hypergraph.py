@@ -7,15 +7,18 @@ below ``t**2``. Projecting to pairs gives the similarity matrix
 
 a symmetric integer matrix with zero diagonal and entries at most n - 2.
 
-Two interchangeable scan kernels evaluate the identical score expression: a
-plain-C kernel (``linecluster._scan_c``), compiled on first use into a
-per-user cache and run on ``thread_count()`` threads, and a vectorized
-numpy fallback. A scan builds the C kernel only when ``n >= BUILD_MIN_N``;
-smaller scans use it when it is already cached and numpy otherwise. Without
-a compiler or a writable cache the scan warns once and uses numpy. No option
-picks the kernel: counts are integers accumulated per disjoint outer-index
-range, so the result is independent of kernel and thread count, and
-``SimilarityMatrix.backend`` names the kernel that ran.
+Two interchangeable scan kernels accept the same triples: a vectorized numpy
+fallback, which evaluates the one score expression
+(``linecluster.tls._triple_scores``) on every triple, and a plain-C kernel
+(``linecluster._scan_c``), compiled on first use into a per-user cache and
+run on ``thread_count()`` threads, which decides most triples by a
+divide-free filter and re-checks only near-ties with that expression,
+operation for operation. A scan builds the C kernel only when
+``n >= BUILD_MIN_N``; smaller scans use it when it is already cached and
+numpy otherwise. Without a compiler or a writable cache the scan warns once
+and uses numpy. No option picks the kernel: counts are integers accumulated
+per disjoint outer-index range, so the result is independent of kernel and
+thread count, and ``SimilarityMatrix.backend`` names the kernel that ran.
 
 The scan is O(n^3); n is capped at 5000 (about 2.1e10 triples) to keep a
 single call within practical time and memory.
@@ -42,12 +45,13 @@ MAX_POINTS = 5000
 # Smallest scan that compiles the C kernel when it is not cached yet, so a
 # fresh process doing a tiny scan never starts a compiler. On a 2-vCPU Xeon
 # VM the numpy scan took 0.04 s at n=150 and 0.08 s at n=200, and the build
-# 0.31-0.43 s (two inlined copies of the vectorized loop, each cloned for
-# AVX2). A scan just above the cut pays that once per machine; every later
-# one loads the cached library. The cut is decided per scan, so it stays
-# low: at about n=350, where one numpy scan costs one build, a process doing
-# many mid-size scans (an autocluster sweep's rest sets of about 220 points)
-# would run numpy for good while the cache is cold.
+# 0.46-0.56 s (two inlined copies of the vectorized filter loop and of the
+# exact path, each cloned for AVX2). A scan just above the cut pays that
+# once per machine; every later one loads the cached library. The cut is
+# decided per scan, so it stays low: at about n=400, where one numpy scan
+# costs one build, a process doing many mid-size scans (an autocluster
+# sweep's rest sets of about 220 points) would run numpy for good while the
+# cache is cold.
 BUILD_MIN_N = 150
 
 

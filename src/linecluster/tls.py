@@ -12,9 +12,11 @@ smallest eigenvalue of the 2x2 scatter matrix,
 
 which is 0 exactly when the triple is collinear. ``_triple_scores`` below is
 the canonical evaluation order and the only Python copy of it: the numpy
-scan, threshold selection and the Monte-Carlo validators call it, and the
-compiled kernel repeats it operation for operation, so every path scores
-identically, bit for bit.
+scan, threshold selection and the Monte-Carlo validators call it. The
+compiled scan kernel decides most triples without computing a score, by a
+filter proven to agree with this expression, and scores the rest with an
+exact path that repeats it operation for operation; so every path accepts
+the same triples, bit for bit.
 
 ``common_tangents`` solves the side geometry used when reasoning about
 mixed triples: the four common tangent lines of two exterior discs centered
@@ -78,7 +80,7 @@ def _as_triple(triple) -> np.ndarray:
 
 
 def _centered_sums(x0, y0, x1, y1, x2, y2):
-    # Canonical order (mirrored by the compiled kernel): left-to-right sums.
+    # Canonical order (mirrored by the compiled kernel's exact path): left-to-right sums.
     cx = (x0 + x1 + x2) / 3.0
     cy = (y0 + y1 + y2) / 3.0
     dx0 = x0 - cx

@@ -51,6 +51,19 @@ def _dyadic_grid():
     return SimpleNamespace(n=40, points=points, labels=rng.integers(1, 3, size=40).astype(np.int8))
 
 
+def _quarter_lattice():
+    """200 points on a 1/4 lattice, duplicates included: at t = 0.5 many
+    triples score exactly t * t, so the C kernel's exact path runs in many rows."""
+    rng = np.random.default_rng(1)
+    points = rng.integers(0, 12, size=(200, 2)) / 4.0
+    labels = rng.integers(1, 3, size=200).astype(np.int8)
+    return SimpleNamespace(n=200, points=points, labels=labels)
+
+
+def _shifted(ds, offset):
+    return SimpleNamespace(n=ds.n, points=ds.points + offset, labels=ds.labels)
+
+
 def test_counts_match_the_cubic_reference_scan(make_dataset):
     ds = make_dataset(25, 0.05, 21)
     t = 0.08
@@ -97,10 +110,27 @@ def test_acceptance_threshold_is_strict():
 
 
 @needs_cc
-@pytest.mark.parametrize("case", ["61", "200", "dyadic-grid"])
+@pytest.mark.parametrize("case", [
+    "61", "200", "dyadic-grid", "quarter-lattice", "200-shifted", "near-1e80",
+    pytest.param("near-1e160", marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+])
 def test_compiled_and_fallback_kernels_agree_bitwise(make_dataset, monkeypatch, compiled, case):
     if case == "dyadic-grid":
         ds, t = _dyadic_grid(), 0.125  # t * t == 1/64, the score of many triples
+    elif case == "quarter-lattice":
+        ds, t = _quarter_lattice(), 0.5
+    elif case == "200-shifted":
+        ds, t = _shifted(make_dataset(200, 0.03, 17), 1e3), 0.05
+    elif case.startswith("near-"):
+        # |p|^2 is past the C kernel's filter limit (1e160 and inf), so its
+        # exact path decides every triple. Near 1e80 the scores are ordinary;
+        # near 1e160 the score's own squares overflow as well, and both
+        # kernels must turn the same infs and NaNs into the same counts.
+        big = float(case[len("near-"):])
+        spread = big * 1e-10
+        ds = make_dataset(200, 0.03, 17)
+        ds = SimpleNamespace(n=ds.n, points=big + ds.points * spread, labels=ds.labels)
+        t = 0.05 * spread
     else:
         ds, t = make_dataset(int(case), 0.03, 17), 0.05
     n = ds.n
@@ -148,19 +178,80 @@ def test_both_kernels_reject_ties_and_clamp_negative_scores(compiled):
 @needs_cc
 def test_gcc_vectorizes_the_kernel_k_loop(tmp_path):
     # A branch brought back into the k loop stops vectorization and costs
-    # about 2x; gcc reports each loop it vectorizes with -fopt-info.
+    # about 2x; gcc reports each loop it vectorizes with -fopt-info. The AVX2
+    # clone vectorizes with 32-byte vectors (and its epilogue with 16-byte
+    # ones), so the baseline body is checked on a copy without the clones.
     macros = subprocess.run(["cc", "-dM", "-E", "-x", "c", os.devnull],
                             capture_output=True, text=True, check=True).stdout
     defined = {line.split()[1] for line in macros.splitlines() if line.startswith("#define ")}
     if "__clang__" in defined or not {"__GNUC__", "__x86_64__"} <= defined:
         pytest.skip("the vectorization report is checked for gcc on x86-64")
-    source = _scan_c._SOURCE
-    k_line = next(number for number, line in enumerate(source.read_text().splitlines(), 1)
+    shipped = _scan_c._SOURCE.read_text()
+    k_line = next(number for number, line in enumerate(shipped.splitlines(), 1)
                   if "for (int64_t k" in line)
-    report = subprocess.run(["cc", *_scan_c._FLAGS, "-c", "-fopt-info-vec-optimized",
-                             "-o", str(tmp_path / "scan.o"), str(source)],
-                            capture_output=True, text=True, check=True).stderr
-    assert re.search(rf"_scan\.c:{k_line}:\d+: (optimized|note): loop vectorized", report), report
+    clones = '__attribute__((target_clones("avx2", "default")))'
+    assert shipped.count(clones) == 1
+    for text, width in ((shipped, 32), (shipped.replace(clones, ""), 16)):
+        source = tmp_path / "_scan.c"
+        source.write_text(text)
+        report = subprocess.run(["cc", *_scan_c._FLAGS, "-c", "-fopt-info-vec-optimized",
+                                 "-o", str(tmp_path / "scan.o"), str(source)],
+                                capture_output=True, text=True, check=True).stderr
+        vectorized = rf"_scan\.c:{k_line}:\d+: (optimized|note): loop vectorized using {width} byte"
+        assert re.search(vectorized, report), report
+
+
+@needs_cc
+def test_near_ties_are_decided_like_the_score(compiled):
+    # Triples of every spread and offset, many of them nearly collinear, each
+    # scanned at its own score as t * t and at the two neighbouring doubles:
+    # only the exact path can decide such a tie, so a filter band too narrow
+    # for its rounding errors accepts or rejects some of them wrongly.
+    rng = np.random.default_rng(7)
+    m = 3000
+    spread = 10.0 ** rng.uniform(-6, 3, m)
+    offset = np.where(rng.random(m) < 0.2, 0.0, 10.0 ** rng.uniform(0, 6, m))
+    squash = 10.0 ** rng.uniform(-8, 0, m)
+    pts = rng.standard_normal((m, 3, 2)) * spread[:, None, None]
+    pts[:, :, 1] *= squash[:, None]
+    pts += offset[:, None, None] * rng.choice([-1.0, 1.0], size=(m, 1, 2))
+    scores = _triple_scores(*(pts[:, p, d] for p in range(3) for d in range(2)))
+    w = np.zeros(9, dtype=np.int32)
+    counts = np.zeros(2, dtype=np.int64)
+    wrong = []
+    for triple, score in zip(pts, scores):
+        x, y = np.ascontiguousarray(triple[:, 0]), np.ascontiguousarray(triple[:, 1])
+        for t2 in (np.nextafter(score, -np.inf), score, np.nextafter(score, np.inf)):
+            counts[:] = 0
+            compiled.scan_triples(x, y, None, float(t2), 0, 3, w, counts)
+            if counts[0] != (score < t2):
+                wrong.append((triple.tolist(), float(t2)))
+    assert wrong == []
+
+
+@needs_cc
+def test_c_kernel_exact_path_takes_only_near_ties(make_dataset, compiled):
+    # The filter must decide nearly every triple of noisy data, wherever it
+    # sits; a band wide enough to send everything to the slow exact path
+    # would still give the right counts.
+    def exact_path_triples(ds, t):
+        x, y = np.ascontiguousarray(ds.points[:, 0]), np.ascontiguousarray(ds.points[:, 1])
+        w = np.zeros(ds.n * ds.n, dtype=np.int32)
+        return compiled.scan_triples(x, y, None, t * t, 0, ds.n, w, np.zeros(2, dtype=np.int64))
+
+    ds = make_dataset(200, 0.03, 17)
+    for points in (ds, _shifted(ds, 1e3)):
+        assert exact_path_triples(points, 0.05) <= 1e-6 * math.comb(ds.n, 3)
+    # Exact ties (scores equal to t * t) are left to the exact path.
+    assert exact_path_triples(_dyadic_grid(), 0.125) > 0
+
+
+def test_kernel_allocation_failure_raises_memory_error():
+    kernel = _scan_c.CompiledKernel()
+    kernel._fn = lambda *args: -1  # what the C kernel returns when malloc fails
+    x = np.zeros(3)
+    with pytest.raises(MemoryError):
+        kernel.scan_triples(x, x, None, 1.0, 0, 3, np.zeros(9, np.int32), np.zeros(2, np.int64))
 
 
 @needs_cc
