@@ -37,6 +37,7 @@ from . import _scan_numpy
 from ._scan_c import CompiledKernel
 from ._validate import as_labels, as_points
 from .errors import LineClusterError
+from .tls import _unit_scale
 
 _compiled = CompiledKernel()
 
@@ -144,9 +145,14 @@ def scan(points, t: float, labels=None) -> tuple[SimilarityMatrix, HyperedgeStat
     if not (t > 0.0) or not math.isfinite(t):
         raise LineClusterError(f"threshold t must be positive and finite, got {t}")
     z = np.ascontiguousarray(as_labels(labels, n)) if labels is not None else None
-    x = np.ascontiguousarray(pts[:, 0])
-    y = np.ascontiguousarray(pts[:, 1])
-    t2 = t * t
+    # Scan at unit scale, so that no score overflows or underflows because of
+    # the units of the input alone.
+    scale = _unit_scale(pts)
+    x = np.ldexp(pts[:, 0], scale)
+    y = np.ldexp(pts[:, 1], scale)
+    with np.errstate(over="ignore"):
+        t_unit = float(np.ldexp(t, scale))  # inf when t dwarfs the points: all accepted
+    t2 = t_unit * t_unit
 
     if _use_compiled(n):
         kernel, backend, threads = _compiled.scan_triples, "compiled", thread_count()

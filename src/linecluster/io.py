@@ -24,6 +24,7 @@ import csv
 import dataclasses
 import json
 import math
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +73,54 @@ def write_points_csv(path, points, labels=None) -> None:
 
 
 def read_points_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
-    """Read a dataset CSV; returns (points, labels or None)."""
+    """Read a dataset CSV; returns (points, labels or None).
+
+    A plain file is parsed by ``np.loadtxt``. Any other file (a quote, a
+    header-only or odd header, a row loadtxt cannot convert, a label outside
+    int8) goes through the csv-module row loop, which alone decides what is
+    accepted and which error is raised: the fast path accepts only files the
+    loop accepts, with the same values.
+    """
+    try:
+        return _read_points_table(path)
+    except ValueError:
+        return _read_points_rows(path)
+
+
+def _read_points_table(path) -> tuple[np.ndarray, np.ndarray | None]:
+    """``read_points_csv`` for a plain file; ``ValueError`` on anything else.
+
+    Without quotes, the csv module splits rows at the same line ends as
+    universal newlines and fields at every comma. loadtxt's number parsing
+    accepts a subset of what ``float()`` and ``int()`` accept (not
+    ``1_0`` or non-ASCII digits, for instance) with the same values.
+    """
+    with open(path) as fh:
+        text = fh.read()
+    header, _, body = text.partition("\n")
+    cols = [c.strip().lower() for c in header.split(",")]
+    if '"' in text or cols not in (["x", "y"], ["x", "y", "z"]) or not body.strip("\n"):
+        raise ValueError("not a plain dataset file")
+    # The csv module refuses a field past its size limit; a line is at least
+    # as long as each of its fields (and its UTF-8 bytes at least as many).
+    raw = np.frombuffer(text.encode(), dtype=np.uint8)
+    line_ends = np.flatnonzero(raw == ord("\n"))
+    if np.diff(line_ends, prepend=-1, append=raw.size).max() > csv.field_size_limit():
+        raise ValueError("a line longer than the csv field limit")
+    dtype = [("x", "f8"), ("y", "f8"), ("z", "i8")][: len(cols)]
+    table = np.loadtxt(StringIO(body), delimiter=",", comments=None, dtype=dtype,
+                       usecols=range(len(cols)), ndmin=1)
+    labels = None
+    if len(cols) == 3:
+        z = table["z"]
+        if z.min() < -128 or z.max() > 127:
+            raise ValueError("label outside int8")
+        labels = z.astype(np.int8)
+    return np.column_stack([table["x"], table["y"]]), labels
+
+
+def _read_points_rows(path) -> tuple[np.ndarray, np.ndarray | None]:
+    """``read_points_csv`` row by row through the csv module."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)

@@ -31,7 +31,7 @@ from ._validate import as_labels, as_points
 from .errors import EmptySampleError, LineClusterError, SampleExhaustsNodesError
 from .hypergraph import HyperedgeStats, scan
 from .spectral import ClusterResult, cluster_from_similarity
-from .tls import _triple_scores
+from .tls import _triple_scores, _unit_scale
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,9 +110,12 @@ def select_threshold(points, m: int, theta: float, seed: int) -> tuple[TripleSam
     """Sample M triples and pick t* as the round(theta*M)-th smallest score."""
     pts = as_points(points, min_n=3)
     triples = sample_triples(pts.shape[0], m, seed)
-    x = pts[triples, 0]
-    y = pts[triples, 1]
-    scores = np.sqrt(_triple_scores(x[:, 0], y[:, 0], x[:, 1], y[:, 1], x[:, 2], y[:, 2]))
+    # Scored at unit scale like the scan, then scaled back (see tls._unit_scale).
+    scale = _unit_scale(pts)
+    x = np.ldexp(pts[triples, 0], scale)
+    y = np.ldexp(pts[triples, 1], scale)
+    unit_scores = _triple_scores(x[:, 0], y[:, 0], x[:, 1], y[:, 1], x[:, 2], y[:, 2])
+    scores = np.ldexp(np.sqrt(unit_scores), -scale)
     touched = np.unique(triples)
     sample = TripleSample(triples=triples, scores=scores, touched_nodes=touched)
     return sample, choose_order_stat(scores, theta)
@@ -140,7 +143,9 @@ def autocluster(points, m: int, theta: float, seed: int, labels=None) -> AutoClu
     # t* can be exactly 0 on noiseless data (collinear sampled triples).
     # Acceptance is strict, so a zero threshold accepts nothing; the smallest
     # positive double squares to 0 and reproduces that behavior while
-    # satisfying the scan's t > 0 contract.
+    # satisfying the scan's t > 0 contract. (The scan squares it at unit
+    # scale, so on points whose largest coordinate is below 2**-536 it does
+    # not square to 0, and triples scoring exactly 0 are accepted.)
     t_run = choice.t_star if choice.t_star > 0.0 else math.ulp(0.0)
     sim, stats = scan(pts[rest], t_run, z[rest] if z is not None else None)
     sub = cluster_from_similarity(sim, seed)

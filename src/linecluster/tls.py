@@ -110,6 +110,21 @@ def _triple_scores(x0, y0, x1, y1, x2, y2):
     return np.maximum(mean - root, 0.0)
 
 
+def _unit_scale(points: np.ndarray) -> int:
+    """The k for which ``2**k * max|points|`` lies in [1, 2); 0 for all-zero points.
+
+    Scores are homogeneous of degree 2, and multiplying by a power of two is
+    exact in binary floating point, so a caller that scores ``np.ldexp(points,
+    k)`` against ``ldexp(t, k)`` accepts exactly the triples it accepts on
+    ``points`` wherever those scores neither overflow nor underflow. At unit
+    scale no score overflows, and only a triple whose spread is below about
+    1e-77 of the largest coordinate can underflow (the score squares the
+    scatter sums, so it is of fourth degree in the spread before its root).
+    """
+    top = float(np.max(np.abs(points), initial=0.0))
+    return 1 - math.frexp(top)[1] if top > 0.0 else 0
+
+
 def _top_eigen(s_xx: float, s_xy: float, s_yy: float) -> tuple[float, float, tuple[float, float]]:
     """``(lam_max, lam_min, direction)`` of the 2x2 matrix [[s_xx, s_xy], [s_xy, s_yy]].
 

@@ -18,7 +18,7 @@ import linecluster as lc
 from linecluster import _scan_c, _scan_numpy, hypergraph
 from linecluster.errors import LineClusterError, SizeTooSmallError
 from linecluster.hypergraph import BUILD_MIN_N, active_backend, thread_count
-from linecluster.tls import _centered_sums, _top_eigen, _triple_scores
+from linecluster.tls import _centered_sums, _top_eigen, _triple_scores, _unit_scale
 
 from _oracles import brute_force_scan
 
@@ -142,17 +142,45 @@ def test_compiled_and_fallback_kernels_agree_bitwise(make_dataset, monkeypatch, 
         w, counts = _kernel_result(kernel, ds, t, labeled=False)
         assert np.array_equal(w, w_np)
         assert (counts[0], counts[1]) == (counts_np[0], 0)
+    # scan runs the kernels on the points scaled by a power of two to unit
+    # scale. That changes no count unless the raw scores overflow, as the
+    # squares do near 1e160; there scan counts the true scores' acceptances.
+    scale = _unit_scale(ds.points)
+    unit = SimpleNamespace(n=n, points=np.ldexp(ds.points, scale), labels=ds.labels)
+    w_unit, counts_unit = _kernel_result(_scan_numpy.scan_triples, unit, float(np.ldexp(t, scale)))
+    if case != "near-1e160":
+        assert np.array_equal(w_unit, w_np)
+        assert np.array_equal(counts_unit, counts_np)
     results = []
     for threads in ("1", "2"):
         monkeypatch.setenv("LINECLUSTER_THREADS", threads)
         sim, stats = lc.scan(ds.points, t, ds.labels)
         assert sim.backend == "compiled"
         results.append((sim.counts, stats))
-    upper = w_np.reshape(n, n)
+    upper = w_unit.reshape(n, n)
     assert np.array_equal(results[0][0], upper + upper.T)
     assert np.array_equal(results[1][0], results[0][0])
     assert results[0][1] == results[1][1]
-    assert (results[0][1].accepted_triples, results[0][1].accepted_within) == tuple(counts_np)
+    assert (results[0][1].accepted_triples, results[0][1].accepted_within) == tuple(counts_unit)
+
+
+@pytest.mark.parametrize("backend", ["numpy", pytest.param("compiled", marks=needs_cc)])
+def test_scan_is_exact_under_power_of_two_scaling(make_dataset, monkeypatch, backend):
+    # Scaled by 2**600 the squared deviations overflow, by 2**-600 they
+    # underflow; the scan works at unit scale, so W does not move.
+    if backend == "numpy":
+        monkeypatch.setattr(hypergraph, "_use_compiled", lambda n: False)
+    else:
+        assert hypergraph._compiled.ready(build_missing=True)
+    ds, t = make_dataset(200, 0.03, 17), 0.05
+    for threads in ("1", "2"):
+        monkeypatch.setenv("LINECLUSTER_THREADS", threads)
+        ref, ref_stats = lc.scan(ds.points, t, ds.labels)
+        assert ref.backend == backend
+        for k in (-600, -300, 300, 600):
+            sim, stats = lc.scan(np.ldexp(ds.points, k), math.ldexp(t, k), ds.labels)
+            assert np.array_equal(sim.counts, ref.counts), k
+            assert stats == ref_stats
 
 
 @needs_cc

@@ -1,10 +1,14 @@
 """File formats and the command-line interface."""
 
+import csv
 import io as std_io
 import json
 import math
 import shutil
+import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,6 +67,60 @@ def test_points_csv_rejects_bad_files(tmp_path):
     malformed.write_text("x,y\n1,two\n")
     with pytest.raises(lc.LineClusterError, match="malformed row"):
         io.read_points_csv(malformed)
+
+
+def _read_outcome(read, path):
+    try:
+        points, labels = read(path)
+    except (ValueError, csv.Error) as exc:
+        return type(exc), str(exc)
+    return points.shape, points.tobytes(), None if labels is None else (labels.dtype, labels.tobytes())
+
+
+@pytest.mark.parametrize("text, fast", [
+    ("x,y,z\n0.5,-1e-300,1\n2,3,2\n", True),
+    ("x,y\n1,2\n3,4\n", True),
+    (" X , Y \n 1 ,\t2\n", True),
+    ("x,y,z\n1,2,+1,9,junk\n", True),
+    ("x,y\n1,2\n\n3,4\n\n", True),
+    ("x,y,z\r\n1,2,1\r\n3,4,-0\r\n", True),
+    ("x,y\nnan,-inf\n", True),
+    ("x,y\n1_0,2\n", False),
+    ("x,y,z\n1,2,1_0\n", False),
+    ('x,y\n"1",2\n', False),
+    ('x,y\n1,2,"\n3,4,"\n', False),
+    ("x,y,z\n", False),
+    ("x,y\n\n\n", False),
+    ("x,y\n   \n", False),
+    ("x,y,z\n1,2,128\n", False),
+    ("x,y,z\n1,2,-129\n", False),
+    ("x,y,z\n0,0,1\n1,1,300\n2,2,2\n", False),
+    ("x,y,z\n1,2\n", False),
+    ("x,y,z\n1,2,1.0\n", False),
+    ("x,y\n1,two\n", False),
+    ("", False),
+    ("\nx,y\n1,2\n", False),
+    ("a,b\n1,2\n", False),
+    ("x,y,z,w\n1,2,1,0\n", False),
+    ("x,y,\n1,2\n", False),
+    ("x,y\n1,2," + "a" * (csv.field_size_limit() + 1) + "\n", False),
+    ("x,y\n" + "1,2,é" * 8000 + "\n" * 10 + "3,4," + "a" * (csv.field_size_limit() + 1),
+     False),
+], ids=lambda value: repr(value)[:40] if isinstance(value, str) else None)
+def test_points_csv_fast_path_agrees_with_the_row_loop(tmp_path, text, fast):
+    """The loadtxt path takes only files the row loop accepts, with the same
+    arrays; every other file gets the row loop's result or error."""
+    path = tmp_path / "points.csv"
+    path.write_bytes(text.encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loop = _read_outcome(io._read_points_rows, path)
+        assert _read_outcome(io.read_points_csv, path) == loop
+        table = _read_outcome(io._read_points_table, path)
+    if fast:
+        assert table == loop and not isinstance(loop[0], type)
+    else:
+        assert table[0] is ValueError
 
 
 def test_params_json_round_trip(tmp_path, cross):
@@ -542,3 +600,52 @@ def test_cli_reports_malformed_input_as_an_error(capsys, tmp_path, monkeypatch, 
     code, payload, err = _run(capsys, argv)
     assert code == 1 and payload is None
     assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+
+def loaded():
+    return any(name == "scipy" or name.startswith("scipy.") for name in sys.modules)
+
+import linecluster
+steps = [["import linecluster", 0, loaded()]]
+from linecluster.cli import cli_dispatch
+steps.append(["import linecluster.cli", 0, loaded()])
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli_dispatch(argv)
+    steps.append([" ".join(argv[:3]), code, loaded()])
+print(json.dumps(steps))
+"""
+
+
+def _scipy_steps(argvs):
+    """Run CLI commands in a fresh interpreter: (step, exit code, scipy loaded) after each."""
+    src = str(Path(lc.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, src, json.dumps(argvs)],
+                          capture_output=True, text=True, timeout=120, check=True)
+    return [tuple(step) for step in json.loads(done.stdout)]
+
+
+def test_scipy_loads_only_for_the_oracle_and_the_bounds_check(tmp_path):
+    data = tmp_path / "data"
+    spectral, auto = tmp_path / "spectral.json", tmp_path / "auto.json"
+    spectral.write_text(json.dumps({"n_points": [40], "sigma": [0.01], "t": [0.1]}))
+    auto.write_text(json.dumps({"n_points": [60], "sigma": [0.01], "t": "auto",
+                                "algorithm": "autocluster"}))
+    points = str(data / "points.csv")
+    steps = _scipy_steps([
+        ["gen", "--sigma", "0.02", "--n", "60", "--seed", "1", "--out", str(data)],
+        ["cluster", "--in", points, "--t", "0.05", "--out", str(tmp_path / "c")],
+        ["autocluster", "--in", points],
+        ["sweep", "--config", str(spectral)],
+        ["sweep", "--config", str(auto)],
+        ["bounds", "--t", "0.1", "--sigma", "0.02", "--mc-samples", "2000"],
+    ])
+    assert [code for _, code, _ in steps] == [0] * len(steps)
+    assert [has_scipy for _, _, has_scipy in steps] == [False] * (len(steps) - 1) + [True]
+    oracle = ["oracle", "--in", points, "--params", str(data / "params.json")]
+    assert _scipy_steps([oracle])[1:] == [("import linecluster.cli", 0, False),
+                                          ("oracle --in " + points, 0, True)]

@@ -178,6 +178,18 @@ def test_select_threshold_scores_match_recomputation(make_dataset):
     assert sample.touched_nodes.size <= 75
 
 
+@pytest.mark.parametrize("k", [-600, 600])
+def test_threshold_and_labels_follow_an_exact_power_of_two_rescaling(make_dataset, k):
+    # At 2**600 the squared deviations overflow, at 2**-600 they underflow;
+    # selection and scan both score at unit scale, so nothing changes but t*.
+    data = make_dataset(200, 0.02, seed=4)
+    base = lc.autocluster(data.points, m=30, theta=0.25, seed=3)
+    scaled = lc.autocluster(np.ldexp(data.points, k), m=30, theta=0.25, seed=3)
+    assert np.array_equal(scaled.sample.scores, np.ldexp(base.sample.scores, k))
+    assert scaled.choice.t_star == math.ldexp(base.choice.t_star, k)
+    assert np.array_equal(scaled.labels, base.labels)
+
+
 # ---------------------------------------------------------------------------
 # autocluster
 # ---------------------------------------------------------------------------
