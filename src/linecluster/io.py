@@ -20,17 +20,16 @@ same seed is byte-identical:
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import math
-from io import StringIO
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from .errors import LineClusterError
-from .model import LabeledDataset, ModelParams, standard_cross
+from .model import ModelParams, standard_cross
 
 SCHEMA_VERSION = 1
 
@@ -75,80 +74,48 @@ def write_points_csv(path, points, labels=None) -> None:
 def read_points_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
     """Read a dataset CSV; returns (points, labels or None).
 
-    A plain file is parsed by ``np.loadtxt``. Any other file (a quote, a
-    header-only or odd header, a row loadtxt cannot convert, a label outside
-    int8) goes through the csv-module row loop, which alone decides what is
-    accepted and which error is raised: the fast path accepts only files the
-    loop accepts, with the same values.
-    """
-    try:
-        return _read_points_table(path)
-    except ValueError:
-        return _read_points_rows(path)
-
-
-def _read_points_table(path) -> tuple[np.ndarray, np.ndarray | None]:
-    """``read_points_csv`` for a plain file; ``ValueError`` on anything else.
-
-    Without quotes, the csv module splits rows at the same line ends as
-    universal newlines and fields at every comma. loadtxt's number parsing
-    accepts a subset of what ``float()`` and ``int()`` accept (not
-    ``1_0`` or non-ASCII digits, for instance) with the same values.
+    The header is ``x,y`` or ``x,y,z`` (any case, spaces and quotes around a
+    name allowed). The rows go through one ``np.loadtxt`` call: fields may be
+    quoted and padded with spaces, lines may end in CRLF, blank lines are
+    skipped and columns past the header's are ignored. A missing field, or one
+    loadtxt cannot convert (``two``, a digit separator as in ``1_0``, a label
+    ``1.0``), is a malformed row; a label must fit in int8.
     """
     with open(path) as fh:
-        text = fh.read()
-    header, _, body = text.partition("\n")
-    cols = [c.strip().lower() for c in header.split(",")]
-    if '"' in text or cols not in (["x", "y"], ["x", "y", "z"]) or not body.strip("\n"):
-        raise ValueError("not a plain dataset file")
-    # The csv module refuses a field past its size limit; a line is at least
-    # as long as each of its fields (and its UTF-8 bytes at least as many).
-    raw = np.frombuffer(text.encode(), dtype=np.uint8)
-    line_ends = np.flatnonzero(raw == ord("\n"))
-    if np.diff(line_ends, prepend=-1, append=raw.size).max() > csv.field_size_limit():
-        raise ValueError("a line longer than the csv field limit")
-    dtype = [("x", "f8"), ("y", "f8"), ("z", "i8")][: len(cols)]
-    table = np.loadtxt(StringIO(body), delimiter=",", comments=None, dtype=dtype,
-                       usecols=range(len(cols)), ndmin=1)
+        header = fh.readline()
+        if not header:
+            raise LineClusterError(f"{path}: empty dataset file")
+        cols = _header_names(header)
+        if cols not in (["x", "y"], ["x", "y", "z"]):
+            header = header.rstrip("\n")
+            raise LineClusterError(f"{path}: expected header 'x,y[,z]', got {header}")
+        table = _load_rows(fh, path, [("x", "f8"), ("y", "f8"), ("z", "i8")][: len(cols)])
     labels = None
     if len(cols) == 3:
         z = table["z"]
-        if z.min() < -128 or z.max() > 127:
-            raise ValueError("label outside int8")
+        out = z[(z < -128) | (z > 127)]
+        if out.size:
+            raise LineClusterError(
+                f"{path}: label out of range (Python integer {out[0]} out of bounds for int8)")
         labels = z.astype(np.int8)
     return np.column_stack([table["x"], table["y"]]), labels
 
 
-def _read_points_rows(path) -> tuple[np.ndarray, np.ndarray | None]:
-    """``read_points_csv`` row by row through the csv module."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise LineClusterError(f"{path}: empty dataset file")
-        cols = [c.strip().lower() for c in header]
-        if cols[:2] != ["x", "y"] or len(cols) > 3 or (len(cols) == 3 and cols[2] != "z"):
-            raise LineClusterError(f"{path}: expected header 'x,y[,z]', got {','.join(header)}")
-        has_z = len(cols) == 3
-        xs: list[float] = []
-        ys: list[float] = []
-        zs: list[int] = []
-        for row in reader:
-            if not row:
-                continue
-            try:
-                xs.append(float(row[0]))
-                ys.append(float(row[1]))
-                if has_z:
-                    zs.append(int(row[2]))
-            except (ValueError, IndexError) as exc:
-                raise LineClusterError(f"{path}: malformed row {row!r}") from exc
-    points = np.column_stack([xs, ys]) if xs else np.empty((0, 2))
+def _header_names(line: str) -> list[str]:
+    """A header line's field names, stripped of spaces and quotes, lowercased."""
+    return [c.strip().strip('"').lower() for c in line.rstrip("\n").split(",")]
+
+
+def _load_rows(fh, path, dtype) -> np.ndarray:
+    """The rest of the open file ``fh`` as a structured array with ``dtype``'s
+    fields, read from as many leading columns; later columns are ignored."""
     try:
-        labels = np.asarray(zs, dtype=np.int8) if has_z else None
-    except OverflowError as exc:
-        raise LineClusterError(f"{path}: label out of range ({exc})") from exc
-    return points, labels
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            return np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', dtype=dtype,
+                              usecols=range(len(dtype)), ndmin=1)
+    except (ValueError, OverflowError) as exc:
+        raise LineClusterError(f"{path}: malformed row ({exc})") from exc
 
 
 def write_params_json(path, alpha: float, half_length: float, sigma: float, n_points: int, seed: int) -> None:
@@ -181,43 +148,34 @@ def read_params_json(path) -> ModelParams:
     return ModelParams(seg1=seg1, seg2=seg2, sigma=sigma, n_points=n_points, seed=seed)
 
 
-def dataset_from_files(points_path, params_path) -> LabeledDataset:
-    points, labels = read_points_csv(points_path)
-    params = read_params_json(params_path)
-    if labels is None:
-        raise LineClusterError(f"{points_path}: dataset has no z column")
-    return LabeledDataset(points=points, labels=labels, params=params)
-
-
 def write_labels_csv(path, labels) -> None:
     z = np.asarray(labels).astype(np.int64)
     Path(path).write_bytes(_integer_csv("index,z_hat", np.arange(z.size), z))
 
 
 def read_labels_csv(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip().lower() for c in header] != ["index", "z_hat"]:
+    """Read a labels CSV (header ``index,z_hat``, one row per point, indices a
+    permutation of ``0..n-1``, each ``z_hat`` 1 or 2) into int8 labels by index.
+    Rows are parsed as in ``read_points_csv``."""
+    with open(path) as fh:
+        if _header_names(fh.readline()) != ["index", "z_hat"]:
             raise LineClusterError(f"{path}: expected header 'index,z_hat'")
-        pairs = []
-        for row in reader:
-            if not row:
-                continue
-            try:
-                idx, z = int(row[0]), int(row[1])
-            except (ValueError, IndexError) as exc:
-                raise LineClusterError(f"{path}: malformed row {row!r}") from exc
-            if z not in (1, 2):
-                raise LineClusterError(f"{path}: z_hat must be 1 or 2, got {z}")
-            pairs.append((idx, z))
-    labels = np.zeros(len(pairs), dtype=np.int8)
-    for idx, z in pairs:
-        if not 0 <= idx < len(pairs):
-            raise LineClusterError(f"{path}: index {idx} out of range")
-        if labels[idx]:
-            raise LineClusterError(f"{path}: index {idx} appears twice")
-        labels[idx] = z
+        table = _load_rows(fh, path, [("index", "i8"), ("z_hat", "i8")])
+    idx, z = table["index"], table["z_hat"]
+    bad_z = z[(z != 1) & (z != 2)]
+    if bad_z.size:
+        raise LineClusterError(f"{path}: z_hat must be 1 or 2, got {bad_z[0]}")
+    # The first row whose index is out of range or already seen names the error.
+    out = (idx < 0) | (idx >= idx.size)
+    repeat = np.ones(idx.size, dtype=bool)
+    repeat[np.unique(idx, return_index=True)[1]] = False
+    first = np.flatnonzero(out | repeat)
+    if first.size:
+        row = first[0]
+        problem = "out of range" if out[row] else "appears twice"
+        raise LineClusterError(f"{path}: index {idx[row]} {problem}")
+    labels = np.empty(idx.size, dtype=np.int8)
+    labels[idx] = z
     return labels
 
 

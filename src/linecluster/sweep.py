@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -93,17 +93,13 @@ class SweepConfig:
             payload = json.loads(Path(path).read_text())
         except json.JSONDecodeError as exc:
             raise LineClusterError(f"{path}: invalid JSON ({exc})") from exc
-        known = {
-            "n_points", "sigma", "t", "alpha", "ell", "trials", "seed",
-            "algorithm", "m", "theta",
-        }
         if not isinstance(payload, dict):
             raise LineClusterError(f"{path}: config must be a JSON object")
-        unknown = set(payload) - known
+        unknown = set(payload) - {f.name for f in fields(cls)}
         if unknown:
             raise LineClusterError(f"{path}: unknown config keys {sorted(unknown)}")
         kwargs = dict(payload)
-        missing = {"n_points", "sigma", "t"} - set(kwargs)
+        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(kwargs)
         if missing:
             raise LineClusterError(f"{path}: missing config keys {sorted(missing)}")
         for key in ("n_points", "sigma", "t"):

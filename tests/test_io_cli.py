@@ -1,6 +1,5 @@
 """File formats and the command-line interface."""
 
-import csv
 import io as std_io
 import json
 import math
@@ -69,58 +68,75 @@ def test_points_csv_rejects_bad_files(tmp_path):
         io.read_points_csv(malformed)
 
 
-def _read_outcome(read, path):
-    try:
-        points, labels = read(path)
-    except (ValueError, csv.Error) as exc:
-        return type(exc), str(exc)
-    return points.shape, points.tobytes(), None if labels is None else (labels.dtype, labels.tobytes())
+LONG = "a" * 131_073  # one character past the csv module's default field limit
+
+# (file text, fast, outcome): the outcome is the (points, labels) that
+# read_points_csv returns, or the start of its error message after the path.
+# ``fast`` marks the files an earlier two-reader design parsed on its
+# np.loadtxt path rather than its csv-module row loop; it only keeps each
+# case's test id.
+POINTS_CSV_CASES = [
+    ("x,y,z\n0.5,-1e-300,1\n2,3,2\n", True, ([[0.5, -1e-300], [2, 3]], [1, 2])),
+    ("x,y\n1,2\n3,4\n", True, ([[1, 2], [3, 4]], None)),
+    (" X , Y \n 1 ,\t2\n", True, ([[1, 2]], None)),
+    ("x,y,z\n1,2,+1,9,junk\n", True, ([[1, 2]], [1])),
+    ("x,y\n1,2\n\n3,4\n\n", True, ([[1, 2], [3, 4]], None)),
+    ("x,y,z\r\n1,2,1\r\n3,4,-0\r\n", True, ([[1, 2], [3, 4]], [1, 0])),
+    ("x,y\nnan,-inf\n", True, ([[math.nan, -math.inf]], None)),
+    # Digit separators are not numerals to np.loadtxt, though float() and int() take them.
+    ("x,y\n1_0,2\n", False, "malformed row (could not convert string '1_0'"),
+    ("x,y,z\n1,2,1_0\n", False, "malformed row (could not convert string '1_0'"),
+    ('x,y\n"1",2\n', False, ([[1, 2]], None)),
+    ('x,y\n1,2,"\n3,4,"\n', False, ([[1, 2]], None)),
+    ("x,y,z\n", False, ([], [])),
+    ("x,y\n\n\n", False, ([], None)),
+    ("x,y\n   \n", False, "malformed row (could not convert string '   '"),
+    ("x,y,z\n1,2,128\n", False, "label out of range (Python integer 128 out of bounds for int8)"),
+    ("x,y,z\n1,2,-129\n", False,
+     "label out of range (Python integer -129 out of bounds for int8)"),
+    ("x,y,z\n0,0,1\n1,1,300\n2,2,2\n", False,
+     "label out of range (Python integer 300 out of bounds for int8)"),
+    ("x,y,z\n1,2\n", False, "malformed row (invalid column index 2"),
+    ("x,y,z\n1,2,1.0\n", False, "malformed row (could not convert string '1.0'"),
+    ("x,y\n1,two\n", False, "malformed row (could not convert string 'two'"),
+    ("", False, "empty dataset file"),
+    ("\nx,y\n1,2\n", False, "expected header 'x,y[,z]', got "),
+    ("a,b\n1,2\n", False, "expected header 'x,y[,z]', got a,b"),
+    ("x,y,z,w\n1,2,1,0\n", False, "expected header 'x,y[,z]', got x,y,z,w"),
+    ("x,y,\n1,2\n", False, "expected header 'x,y[,z]', got x,y,"),
+    # A field past the csv module's limit is an ignored extra column like any other.
+    ("x,y\n1,2," + LONG + "\n", False, ([[1, 2]], None)),
+    ("x,y\n" + "1,2,é" * 8000 + "\n" * 10 + "3,4," + LONG, False, ([[1, 2], [3, 4]], None)),
+    ('"x","y","z"\n1,2,1\n', False, ([[1, 2]], [1])),
+    ("x,y,z\n1,2,99999999999999999999\n", False,
+     "malformed row (could not convert string '99999999999999999999'"),
+    ("x,y,z\n1,2," + "1" * 200_000 + "\n", False, "malformed row (could not convert string '111"),
+    ("x,y\n1,2," + "1" * 200_000 + "\n", False, ([[1, 2]], None)),
+]
 
 
-@pytest.mark.parametrize("text, fast", [
-    ("x,y,z\n0.5,-1e-300,1\n2,3,2\n", True),
-    ("x,y\n1,2\n3,4\n", True),
-    (" X , Y \n 1 ,\t2\n", True),
-    ("x,y,z\n1,2,+1,9,junk\n", True),
-    ("x,y\n1,2\n\n3,4\n\n", True),
-    ("x,y,z\r\n1,2,1\r\n3,4,-0\r\n", True),
-    ("x,y\nnan,-inf\n", True),
-    ("x,y\n1_0,2\n", False),
-    ("x,y,z\n1,2,1_0\n", False),
-    ('x,y\n"1",2\n', False),
-    ('x,y\n1,2,"\n3,4,"\n', False),
-    ("x,y,z\n", False),
-    ("x,y\n\n\n", False),
-    ("x,y\n   \n", False),
-    ("x,y,z\n1,2,128\n", False),
-    ("x,y,z\n1,2,-129\n", False),
-    ("x,y,z\n0,0,1\n1,1,300\n2,2,2\n", False),
-    ("x,y,z\n1,2\n", False),
-    ("x,y,z\n1,2,1.0\n", False),
-    ("x,y\n1,two\n", False),
-    ("", False),
-    ("\nx,y\n1,2\n", False),
-    ("a,b\n1,2\n", False),
-    ("x,y,z,w\n1,2,1,0\n", False),
-    ("x,y,\n1,2\n", False),
-    ("x,y\n1,2," + "a" * (csv.field_size_limit() + 1) + "\n", False),
-    ("x,y\n" + "1,2,é" * 8000 + "\n" * 10 + "3,4," + "a" * (csv.field_size_limit() + 1),
-     False),
-], ids=lambda value: repr(value)[:40] if isinstance(value, str) else None)
-def test_points_csv_fast_path_agrees_with_the_row_loop(tmp_path, text, fast):
-    """The loadtxt path takes only files the row loop accepts, with the same
-    arrays; every other file gets the row loop's result or error."""
+@pytest.mark.parametrize("text, outcome", [(text, outcome) for text, _, outcome in POINTS_CSV_CASES],
+                         ids=[f"{text!r:.40}-{fast}" for text, fast, _ in POINTS_CSV_CASES])
+def test_points_csv_fast_path_agrees_with_the_row_loop(tmp_path, text, outcome):
+    """read_points_csv on each file of POINTS_CSV_CASES: bit-exact arrays, or
+    a LineClusterError whose message starts as pinned; never a warning."""
     path = tmp_path / "points.csv"
     path.write_bytes(text.encode())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        loop = _read_outcome(io._read_points_rows, path)
-        assert _read_outcome(io.read_points_csv, path) == loop
-        table = _read_outcome(io._read_points_table, path)
-    if fast:
-        assert table == loop and not isinstance(loop[0], type)
+        if isinstance(outcome, str):
+            with pytest.raises(lc.LineClusterError) as info:
+                io.read_points_csv(path)
+            assert str(info.value).startswith(f"{path}: {outcome}")
+            return
+        points, labels = io.read_points_csv(path)
+    expected_points, expected_labels = outcome
+    assert points.tobytes() == np.array(expected_points, dtype=np.float64).reshape(-1, 2).tobytes()
+    assert points.shape == (len(expected_points), 2)
+    if expected_labels is None:
+        assert labels is None
     else:
-        assert table[0] is ValueError
+        assert labels.dtype == np.int8 and labels.tolist() == expected_labels
 
 
 def test_params_json_round_trip(tmp_path, cross):
@@ -163,6 +179,44 @@ def test_labels_csv_round_trip_and_errors(tmp_path):
     gap.write_text("index,z_hat\n0,1\n5,2\n")
     with pytest.raises(lc.LineClusterError, match="out of range"):
         io.read_labels_csv(gap)
+
+
+def test_labels_csv_reads_100k_labels_back_in_any_row_order(tmp_path):
+    path = tmp_path / "labels.csv"
+    rng = np.random.default_rng(8)
+    labels = rng.integers(1, 3, size=100_000).astype(np.int8)
+    io.write_labels_csv(path, labels)
+    back = io.read_labels_csv(path)
+    assert back.dtype == np.int8 and np.array_equal(back, labels)
+    header, *rows = path.read_text().splitlines()
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_text("\n".join([header] + [rows[i] for i in rng.permutation(len(rows))]) + "\n")
+    assert np.array_equal(io.read_labels_csv(shuffled), labels)
+
+
+_RANGE = "".join(f"{i},1\n" for i in range(100_000))
+
+
+@pytest.mark.parametrize("body, message", [
+    ("0,1\n1,3\n2,0\n", "z_hat must be 1 or 2, got 3"),
+    ("0,2\n1,1\n2,-1\n", "z_hat must be 1 or 2, got -1"),
+    ("0,1\n7,1\n-1,2\n", "index 7 out of range"),
+    ("-1,1\n0,1\n", "index -1 out of range"),
+    ("0,1\n1,2\n1,1\n0,2\n", "index 1 appears twice"),
+    ("0,1\n0,2\n5,1\n", "index 0 appears twice"),
+    ("5,1\n0,2\n0,1\n", "index 5 out of range"),
+    (_RANGE.replace("99999,1", "100000,1"), "index 100000 out of range"),
+    (_RANGE.replace("99998,1", "17,1"), "index 17 appears twice"),
+    (_RANGE + "3,7\n", "z_hat must be 1 or 2, got 7"),
+    ("0,1\n1\n", "malformed row (invalid column index 1"),
+    ("0,1\n1,two\n", "malformed row (could not convert string 'two'"),
+], ids=lambda value: repr(value)[:30])
+def test_labels_csv_reports_the_first_bad_row(tmp_path, body, message):
+    path = tmp_path / "labels.csv"
+    path.write_text("index,z_hat\n" + body)
+    with pytest.raises(lc.LineClusterError) as info:
+        io.read_labels_csv(path)
+    assert str(info.value).startswith(f"{path}: {message}")
 
 
 def test_similarity_csv_lists_the_upper_triangle(tmp_path):
@@ -584,9 +638,11 @@ _LABELS = "index,z_hat\n" + "".join(f"{i},1\n" for i in range(9))
          "n_points must be a list"),
         (["tls-score"], "0,0\n1,x\n0.5,0.3\n", "malformed row '1,x'"),
         (["cluster", "--t", "0.1", "--in"], "x,y,z\n0,0,1\n1,1,300\n2,2,2\n", "out of range"),
+        (["cluster", "--t", "0.1", "--in"], "x,y,z\n0,0," + "1" * 200_000 + "\n", "malformed row"),
     ],
     ids=["short labels row", "non-integer label", "label past int8", "repeated index",
-         "params list", "n_points not a list", "non-numeric stdin", "dataset label past int8"],
+         "params list", "n_points not a list", "non-numeric stdin", "dataset label past int8",
+         "dataset label of 200000 digits"],
 )
 def test_cli_reports_malformed_input_as_an_error(capsys, tmp_path, monkeypatch, command, text,
                                                  message):

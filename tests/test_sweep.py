@@ -1,5 +1,6 @@
 """Sweep grids: seeding, ordering, per-algorithm columns, fault capture."""
 
+import dataclasses
 import json
 import math
 import sys
@@ -213,3 +214,19 @@ def test_config_json_rejects_unknown_missing_and_invalid(tmp_path):
     invalid.write_text("{not json")
     with pytest.raises(lc.LineClusterError, match="invalid JSON"):
         lc.SweepConfig.from_json(invalid)
+
+
+def test_config_json_loads_a_config_naming_every_field(tmp_path):
+    payload = {"n_points": [30, 20], "sigma": [0.02], "t": "auto", "alpha": 1.0, "ell": 1.5,
+               "trials": 2, "seed": 4, "algorithm": "autocluster", "m": 12, "theta": 0.5}
+    assert set(payload) == {f.name for f in dataclasses.fields(lc.SweepConfig)}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload))
+    assert lc.SweepConfig.from_json(path) == lc.SweepConfig(**payload)
+
+    path.write_text(json.dumps({**payload, "mode": "x", "extra": 1}))
+    with pytest.raises(lc.LineClusterError, match=r"unknown config keys \['extra', 'mode'\]$"):
+        lc.SweepConfig.from_json(path)
+    path.write_text(json.dumps({k: v for k, v in payload.items() if k not in ("sigma", "t")}))
+    with pytest.raises(lc.LineClusterError, match=r"missing config keys \['sigma', 't'\]$"):
+        lc.SweepConfig.from_json(path)
