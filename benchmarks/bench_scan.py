@@ -8,6 +8,11 @@ on one thread. It checks that both give the same similarity matrix. The C
 kernel is built (about 0.5 s) before the first timing if it is not cached;
 without a compiler both columns run numpy and the table says "not compared".
 
+On the same W it then times the eigensolver, ``linecluster.top2_eigen``
+(``eigen``), next to a dense ``numpy.linalg.eigh`` of W as float64
+(``eigh``), and checks that their two largest eigenvalues agree to 1e-9
+relative. The script exits 1 if the kernels or the eigenvalues disagree.
+
 Usage::
 
     python benchmarks/bench_scan.py [--sizes 200,400,800] [--repeats 3]
@@ -65,9 +70,11 @@ def main(argv: list[str] | None = None) -> int:
               file=sys.stderr)
 
     seg1, seg2 = lc.standard_cross(math.pi / 2.0, 1.0)
-    header = f"{'n':>6} {'triples':>14} {'compiled':>14} {'numpy':>12} {'speedup':>9}  identical"
+    header = (f"{'n':>6} {'triples':>14} {'compiled':>14} {'numpy':>12} {'speedup':>9}  identical"
+              f" {'eigen':>12} {'eigh':>12}  eigenvalues")
     print(header, "-" * len(header), sep="\n")
     agree = True
+    eigen_agree = True
     for n in (int(s) for s in args.sizes.split(",")):
         points = lc.sample_glmm(lc.ModelParams(seg1, seg2, args.sigma, n, seed=0)).points
         x, y = np.ascontiguousarray(points[:, 0]), np.ascontiguousarray(points[:, 1])
@@ -76,11 +83,18 @@ def main(argv: list[str] | None = None) -> int:
         same = np.array_equal(sim.counts, w)
         agree &= same
         verdict = f"{slow / fast:>8.1f}x  {'yes' if same else 'NO'}" if compared else "not compared"
-        print(f"{n:>6} {math.comb(n, 3):>14,} {fast:>12.4f} s {slow:>10.4f} s {verdict}")
+        eigen, emb = _best(args.repeats, lambda: lc.top2_eigen(sim))
+        dense, vals = _best(args.repeats,
+                            lambda: np.linalg.eigh(np.asarray(sim.counts, dtype=np.float64))[0])
+        close = np.allclose(emb.eigenvalues, vals[[-1, -2]], rtol=1e-9, atol=0.0)
+        eigen_agree &= close
+        print(f"{n:>6} {math.comb(n, 3):>14,} {fast:>12.4f} s {slow:>10.4f} s {verdict:<13}"
+              f" {eigen:>10.4f} s {dense:>10.4f} s  {'agree' if close else 'DIFFER'}")
     if not agree:
         print("error: the kernels disagree on the similarity matrix", file=sys.stderr)
-        return 1
-    return 0
+    if not eigen_agree:
+        print("error: top2_eigen and eigh disagree on the top eigenvalues", file=sys.stderr)
+    return 0 if agree and eigen_agree else 1
 
 
 if __name__ == "__main__":

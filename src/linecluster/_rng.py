@@ -22,6 +22,7 @@ DOMAIN_KMEANS = 0xC2B2AE3D27D4EB4F
 DOMAIN_TRIPLES = 0x165667B19E3779F9
 DOMAIN_ASSIGN = 0x27D4EB2F165667C5
 DOMAIN_MC = 0x85EBCA77C2B2AE63
+DOMAIN_EIG = 0x61C8864680B583EB
 
 WORDS_PER_BLOCK = 4
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -107,15 +108,40 @@ def _header_names(line: str) -> list[str]:
 
 
 def _load_rows(fh, path, dtype) -> np.ndarray:
-    """The rest of the open file ``fh`` as a structured array with ``dtype``'s
-    fields, read from as many leading columns; later columns are ignored."""
+    """The rest of the open file ``fh`` (past its one header line) as a
+    structured array with ``dtype``'s fields, read from as many leading
+    columns; later columns are ignored."""
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             return np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', dtype=dtype,
                               usecols=range(len(dtype)), ndmin=1)
     except (ValueError, OverflowError) as exc:
-        raise LineClusterError(f"{path}: malformed row ({exc})") from exc
+        raise LineClusterError(f"{path}: malformed row ({_name_file_line(fh, str(exc))})") from exc
+
+
+# A loadtxt error numbers rows from the first line loadtxt read, skipping blank
+# lines: the row of a bad value 0-based, any other row 1-based.
+_NUMPY_ROW = re.compile(r" at row (\d+)")
+
+
+def _name_file_line(fh, message: str) -> str:
+    """numpy's loadtxt ``message`` with its row number replaced by the 1-based
+    line of ``fh`` where that row starts, the header being line 1."""
+    found = _NUMPY_ROW.search(message)
+    if found is None:
+        return message
+    row = int(found.group(1)) - (0 if message.startswith("could not convert") else 1)
+    fh.seek(0)
+    fh.readline()
+    quoted = False  # inside a quoted field that runs on past a line end
+    for line_no, line in enumerate(fh, start=2):
+        if not quoted and line != "\n":
+            if row == 0:
+                return f"{message[:found.start()]} at line {line_no}{message[found.end():]}"
+            row -= 1
+        quoted ^= line.count('"') % 2 == 1
+    return message
 
 
 def write_params_json(path, alpha: float, half_length: float, sigma: float, n_points: int, seed: int) -> None:

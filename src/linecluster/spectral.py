@@ -2,8 +2,23 @@
 
 The embedding is the pair of eigenvectors of W for the two *largest
 algebraic* eigenvalues; points are clustered by k-means (K = 2) on the rows
-of the n x 2 embedding. The eigenpairs come from a full dense symmetric
-eigendecomposition (``numpy.linalg.eigh``) at every n.
+of the n x 2 embedding. The eigenpairs come from a block Lanczos solve with
+block size 2 and full reorthogonalization, the one path at every n:
+
+  * the start block is two Gaussian vectors from the ``DOMAIN_EIG`` stream
+    with seed 0, so the solve is a fixed function of W (not the all-ones
+    vector, which spans an invariant subspace of a W with equal row sums);
+  * each new vector is orthogonalized twice against the whole basis; one
+    that is numerically lost (a Krylov space that stopped growing, as for
+    the complete graph) is replaced by a fresh draw from the same stream;
+  * Rayleigh-Ritz runs each time the basis grows by 25 %, and the solve
+    stops when both top Ritz pairs satisfy ||W u - theta u|| <= 1e-10
+    max(1, |theta|), or when the basis spans R^n, where Rayleigh-Ritz is
+    exact. There is no iteration cap and no other solver.
+
+The eigenvalues agree with a dense ``numpy.linalg.eigh`` to rounding (about
+1e-12 relative), not bit for bit. A repeated top eigenvalue is returned
+twice, with two orthonormal vectors of its eigenspace.
 
 Conventions, fixed so every backend and rerun agrees:
   * each eigenvector's entry of largest absolute value is made positive;
@@ -23,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import DOMAIN_KMEANS, generator
+from ._rng import DOMAIN_EIG, DOMAIN_KMEANS, generator
 from ._validate import as_points
 from .errors import LineClusterError, SizeTooSmallError
 from .hypergraph import SimilarityMatrix, scan
@@ -31,6 +46,12 @@ from .hypergraph import SimilarityMatrix, scan
 _KMEANS_RESTARTS = 10
 _KMEANS_MAX_ITER = 100
 _KMEANS_TOL = 1e-9
+
+_EIG_TOL = 1e-10  # residual bound, relative to max(1, |theta|)
+_EIG_GROWTH = 1.25  # Rayleigh-Ritz each time the basis grows by this factor
+# A new basis vector whose norm fell below this fraction of its norm before
+# orthogonalization lies in the span of the basis: it is replaced by a draw.
+_EIG_LOST = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,18 +104,80 @@ def top2_eigen(w) -> SpectralEmbedding:
 
     Accepts a ``SimilarityMatrix`` or any symmetric array. An all-zero
     matrix returns the first two standard basis vectors with eigenvalues
-    (0, 0). Satisfies ||W u - lam u|| <= 1e-6 max(1, |lam|) per column.
+    (0, 0). Otherwise the pairs come from a block Lanczos solve (block size
+    2, start block from the seed-0 ``DOMAIN_EIG`` stream, see the module
+    docstring) that stops when ||W u - lam u|| <= 1e-10 max(1, |lam|) holds
+    for both columns, or when its basis spans R^n and the pairs are exact up
+    to rounding. Two calls on the same matrix return the same bytes.
     """
     mat = _as_matrix(w)
     n = mat.shape[0]
-    if not mat.any():
+    top = max(float(mat.max()), -float(mat.min()))
+    if top == 0.0:
         u = np.zeros((n, 2))
         u[0, 0] = 1.0
         u[1, 1] = 1.0
         return SpectralEmbedding(u=u, eigenvalues=(0.0, 0.0))
-    vals, vecs = np.linalg.eigh(mat)  # ascending
-    u = np.column_stack([vecs[:, -1], vecs[:, -2]])
-    return SpectralEmbedding(u=_fix_signs(u), eigenvalues=(float(vals[-1]), float(vals[-2])))
+    # Below |lam| = 1 the residual bound is absolute, which any vector meets
+    # when all of W is tiny: solve W times the power of two that lifts its
+    # largest entry to [1, 2), so the bound is never looser than 1e-10 ||W||.
+    shift = max(0, 1 - math.frexp(top)[1])
+    theta, u = _block_lanczos_top2(np.ldexp(mat, shift) if shift else mat)
+    theta = np.ldexp(theta, -shift)
+    return SpectralEmbedding(u=_fix_signs(u), eigenvalues=(float(theta[0]), float(theta[1])))
+
+
+def _block_lanczos_top2(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(theta1, theta2) and the (n, 2) Ritz vectors of the symmetric ``mat``.
+
+    The basis is kept as rows of ``q`` next to their images ``wq = q W``, in
+    buffers that double when full, so memory stays O(n m) for a basis of m
+    vectors and each vector is multiplied by W once.
+    """
+    n = mat.shape[0]
+    rng = generator(0, DOMAIN_EIG)
+    q = np.empty((min(n, 32), n))
+    wq = np.empty_like(q)
+    m = 0
+    block = rng.standard_normal((2, n))
+    next_ritz = 4
+    while True:
+        start = m
+        for v in block:
+            if m == n:
+                break
+            v = _orthogonalize(v, q[:m])
+            while v is None:  # breakdown: a fresh direction instead
+                v = _orthogonalize(rng.standard_normal(n), q[:m])
+            if m == q.shape[0]:
+                grown = min(n, 2 * m)
+                q = np.concatenate([q, np.empty((grown - m, n))])
+                wq = np.concatenate([wq, np.empty((grown - m, n))])
+            q[m] = v
+            m += 1
+        wq[start:m] = q[start:m] @ mat  # = (W Q)^T, as W is symmetric
+        if m >= next_ritz or m == n:
+            t = q[:m] @ wq[:m].T
+            vals, vecs = np.linalg.eigh(0.5 * (t + t.T))  # ascending
+            theta, s = vals[[-1, -2]], vecs[:, [-1, -2]]
+            u = q[:m].T @ s
+            resid = np.linalg.norm(wq[:m].T @ s - u * theta, axis=0)
+            if m == n or np.all(resid <= _EIG_TOL * np.maximum(1.0, np.abs(theta))):
+                return theta, u
+            next_ritz = max(m + 2, math.ceil(_EIG_GROWTH * m))
+        block = wq[m - 2:m]
+
+
+def _orthogonalize(v: np.ndarray, basis: np.ndarray) -> np.ndarray | None:
+    """``v`` made orthogonal to the orthonormal rows of ``basis`` by two
+    Gram-Schmidt passes and normalized; None if it lay in their span."""
+    size = float(np.linalg.norm(v))
+    for _ in range(2):
+        v = v - (basis @ v) @ basis
+    rest = float(np.linalg.norm(v))
+    if not rest > _EIG_LOST * size:
+        return None
+    return v / rest
 
 
 def _kmeans_pp_init(rows: np.ndarray, rng) -> np.ndarray:

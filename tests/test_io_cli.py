@@ -96,8 +96,18 @@ POINTS_CSV_CASES = [
      "label out of range (Python integer -129 out of bounds for int8)"),
     ("x,y,z\n0,0,1\n1,1,300\n2,2,2\n", False,
      "label out of range (Python integer 300 out of bounds for int8)"),
-    ("x,y,z\n1,2\n", False, "malformed row (invalid column index 2"),
-    ("x,y,z\n1,2,1.0\n", False, "malformed row (could not convert string '1.0'"),
+    # Row errors name the file line, the header being line 1.
+    ("x,y,z\n1,2\n", False, "malformed row (invalid column index 2 at line 2 with 2 columns)"),
+    ("x,y,z\n1,2,1.0\n", False,
+     "malformed row (could not convert string '1.0' to int64 at line 2, column 3.)"),
+    ("x,y,z\n\n1,2,1.0\n", False,
+     "malformed row (could not convert string '1.0' to int64 at line 3, column 3.)"),
+    ("x,y,z\n1,2,1\n\n\n3,4\n", False,
+     "malformed row (invalid column index 2 at line 5 with 2 columns)"),
+    ("x,y,z\r\n1,2,1\r\n\r\n1,2,x\r\n", False,
+     "malformed row (could not convert string 'x' to int64 at line 4, column 3.)"),
+    ('x,y\n1,2,"a\n\nb"\n\n1,x\n', False,
+     "malformed row (could not convert string 'x' to float64 at line 6, column 2.)"),
     ("x,y\n1,two\n", False, "malformed row (could not convert string 'two'"),
     ("", False, "empty dataset file"),
     ("\nx,y\n1,2\n", False, "expected header 'x,y[,z]', got "),
@@ -639,10 +649,15 @@ _LABELS = "index,z_hat\n" + "".join(f"{i},1\n" for i in range(9))
         (["tls-score"], "0,0\n1,x\n0.5,0.3\n", "malformed row '1,x'"),
         (["cluster", "--t", "0.1", "--in"], "x,y,z\n0,0,1\n1,1,300\n2,2,2\n", "out of range"),
         (["cluster", "--t", "0.1", "--in"], "x,y,z\n0,0," + "1" * 200_000 + "\n", "malformed row"),
+        (["cluster", "--t", "0.1", "--in"], "x,y\n0,0\n\n1,x\n",
+         "malformed row (could not convert string 'x' to float64 at line 4, column 2.)"),
+        (["recover-lines", "--labels"], _LABELS + "\n9\n",
+         "malformed row (invalid column index 1 at line 12 with 1 columns)"),
     ],
     ids=["short labels row", "non-integer label", "label past int8", "repeated index",
          "params list", "n_points not a list", "non-numeric stdin", "dataset label past int8",
-         "dataset label of 200000 digits"],
+         "dataset label of 200000 digits", "dataset row after a blank line",
+         "labels row after a blank line"],
 )
 def test_cli_reports_malformed_input_as_an_error(capsys, tmp_path, monkeypatch, command, text,
                                                  message):

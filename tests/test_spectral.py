@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import linecluster as lc
 from linecluster.errors import LineClusterError, SizeTooSmallError
-from linecluster.spectral import kmeans2_rows
+from linecluster.spectral import _fix_signs, kmeans2_rows
 
 from _oracles import brute_force_kmeans2
 
@@ -36,16 +37,13 @@ def test_eigenvectors_are_orthonormal_and_satisfy_the_residual_contract(rng):
         u = emb.u
         assert u.T @ u == pytest.approx(np.eye(2), abs=1e-10)
         for col, lam in zip(u.T, emb.eigenvalues):
-            assert np.linalg.norm(w @ col - lam * col) <= 1e-6 * max(1.0, abs(lam))
+            assert np.linalg.norm(w @ col - lam * col) <= 1e-10 * max(1.0, abs(lam))
 
 
 def test_two_largest_by_algebraic_value_not_magnitude():
     # Spectrum {3, 1, -5}: the algebraic top-2 are 3 and 1 even though |-5|
     # dominates.
-    q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(3, 3)))
-    w = q @ np.diag([3.0, 1.0, -5.0]) @ q.T
-    w = 0.5 * (w + w.T)
-    emb = lc.top2_eigen(w)
+    emb = lc.top2_eigen(_spectrum_351())
     assert emb.eigenvalues[0] == pytest.approx(3.0, rel=1e-9)
     assert emb.eigenvalues[1] == pytest.approx(1.0, rel=1e-9)
 
@@ -72,6 +70,93 @@ def test_large_matrices_match_the_full_dense_decomposition(rng):
     assert emb.eigenvalues[1] == pytest.approx(vals[-2], rel=1e-9)
     assert abs(float(emb.u[:, 0] @ vecs[:, -1])) == pytest.approx(1.0, abs=1e-8)
     assert abs(float(emb.u[:, 1] @ vecs[:, -2])) == pytest.approx(1.0, abs=1e-8)
+
+
+def _goe(n: int) -> np.ndarray:
+    g = np.random.default_rng(n).normal(size=(n, n))
+    return (g + g.T) / 2.0
+
+
+def _circulant(n: int) -> np.ndarray:
+    c = np.random.default_rng(n + 1).normal(size=n)
+    c = (c + c[-np.arange(n) % n]) / 2.0  # c[k] == c[-k]: symmetric
+    return c[(np.arange(n)[:, None] - np.arange(n)[None, :]) % n]
+
+
+def _block(copies: int) -> np.ndarray:
+    a = np.triu(np.random.default_rng(7).integers(0, 5, size=(40, 40)), 1)
+    return np.kron(np.eye(copies), (a + a.T).astype(np.float64))
+
+
+def _spectrum_351() -> np.ndarray:
+    q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(3, 3)))
+    w = q @ np.diag([3.0, 1.0, -5.0]) @ q.T
+    return 0.5 * (w + w.T)
+
+
+SOLVER_CASES = {
+    # W q for a start block q lies in span(q, 1): the second block loses a
+    # column, which is replaced by a fresh draw.
+    "complete graph n=600 (breakdown)": lambda: np.ones((600, 600)) - np.eye(600),
+    "diag(A, A): lam1 == lam2": lambda: _block(2),
+    "kron(I3, A): lam1 == lam2 == lam3": lambda: _block(3),
+    "GOE n=300 (gapless)": lambda: _goe(300),
+    "circulant n=300 (pairs of equal eigenvalues)": lambda: _circulant(300),
+    "n=2": lambda: _goe(2),
+    "n=3": lambda: _goe(3),
+    "spectrum {3, 1, -5}": _spectrum_351,
+    # Every entry far below 1, where the absolute residual bound alone would
+    # accept any vector.
+    "GOE n=100 times 1e-12": lambda: 1e-12 * _goe(100),
+}
+
+
+@pytest.mark.parametrize("make", SOLVER_CASES.values(), ids=SOLVER_CASES.keys())
+def test_solver_matches_the_dense_decomposition_on_edge_cases(make):
+    w = make()
+    emb = lc.top2_eigen(w)
+    vals, vecs = np.linalg.eigh(w)
+    scale = float(np.abs(vals).max())
+    assert np.abs(np.array(emb.eigenvalues) - vals[[-1, -2]]).max() <= 1e-12 * scale
+    u = emb.u
+    assert u.T @ u == pytest.approx(np.eye(2), abs=1e-10)
+    for col, lam in zip(u.T, emb.eigenvalues):
+        assert np.linalg.norm(w @ col - lam * col) <= 1e-10 * max(1.0, abs(lam))
+        # The column lies in the eigenspace of eigh's values equal to lam.
+        near = vecs[:, np.abs(vals - lam) <= 1e-9 * scale]
+        assert np.linalg.norm(near.T @ col) == pytest.approx(1.0, abs=1e-9)
+    again = lc.top2_eigen(w)
+    assert again.u.tobytes() == emb.u.tobytes() and again.eigenvalues == emb.eigenvalues
+
+
+def test_solver_keeps_no_n_by_n_basis(make_dataset):
+    n = 600
+    sim = lc.scan(make_dataset(n, 0.02, 5).points, 0.1)[0]
+    tracemalloc.start()
+    try:
+        lc.top2_eigen(sim)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The float64 copy of the counts, plus a basis of a few dozen vectors.
+    assert peak < 1.25 * n * n * 8
+
+
+HELD_OUT_CELLS = [(500, 0.02, 0.1), (300, 0.01, 0.05), (500, 0.03, 0.15), (800, 0.02, 0.08),
+                  (200, 1e-5, 2e-4)]
+
+
+@pytest.mark.parametrize("n, sigma, t", HELD_OUT_CELLS)
+def test_labels_match_the_dense_eigh_pipeline_on_held_out_seeds(make_dataset, n, sigma, t):
+    for seed in (1000, 1001):
+        w = lc.scan(make_dataset(n, sigma, seed).points, t)[0]
+        res = lc.cluster_from_similarity(w, seed)
+        vals, vecs = np.linalg.eigh(np.asarray(w.counts, dtype=np.float64))
+        dense_u = _fix_signs(np.column_stack([vecs[:, -1], vecs[:, -2]]))
+        labels, inertia, _, _ = kmeans2_rows(dense_u, seed)
+        assert np.array_equal(res.labels, labels)
+        assert res.embedding.eigenvalues == pytest.approx(vals[[-1, -2]], rel=1e-12)
+        assert res.kmeans_inertia == pytest.approx(inertia, rel=1e-9)
 
 
 def test_asymmetric_matrix_is_rejected():
