@@ -8,10 +8,14 @@ on one thread. It checks that both give the same similarity matrix. The C
 kernel is built (about 0.5 s) before the first timing if it is not cached;
 without a compiler both columns run numpy and the table says "not compared".
 
-On the same W it then times the eigensolver, ``linecluster.top2_eigen``
-(``eigen``), next to a dense ``numpy.linalg.eigh`` of W as float64
-(``eigh``), and checks that their two largest eigenvalues agree to 1e-9
-relative. The script exits 1 if the kernels or the eigenvalues disagree.
+On the same W it times ``linecluster.io.write_similarity_csv`` twice: on
+the scan's int32 W, which the compiled encoder writes (``write C``), and on
+W as int64, which only the numpy encoder takes (``write np``); it checks
+that the two files have the same bytes. It then times the eigensolver,
+``linecluster.top2_eigen`` (``eigen``), next to a dense
+``numpy.linalg.eigh`` of W as float64 (``eigh``), and checks that their two
+largest eigenvalues agree to 1e-9 relative. The script exits 1 if the
+kernels, the two files or the eigenvalues disagree.
 
 Usage::
 
@@ -25,7 +29,9 @@ import argparse
 import math
 import os
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -33,7 +39,7 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 import linecluster as lc  # noqa: E402
-from linecluster import _scan_numpy  # noqa: E402
+from linecluster import _scan_numpy, io  # noqa: E402
 
 
 def _best(repeats: int, run):
@@ -71,10 +77,13 @@ def main(argv: list[str] | None = None) -> int:
 
     seg1, seg2 = lc.standard_cross(math.pi / 2.0, 1.0)
     header = (f"{'n':>6} {'triples':>14} {'compiled':>14} {'numpy':>12} {'speedup':>9}  identical"
-              f" {'eigen':>12} {'eigh':>12}  eigenvalues")
+              f" {'write C':>12} {'write np':>12}  bytes  {'eigen':>12} {'eigh':>12}  eigenvalues")
     print(header, "-" * len(header), sep="\n")
     agree = True
+    same_bytes = True
     eigen_agree = True
+    tmp = tempfile.TemporaryDirectory()
+    c_csv, np_csv = Path(tmp.name) / "compiled.csv", Path(tmp.name) / "numpy.csv"
     for n in (int(s) for s in args.sizes.split(",")):
         points = lc.sample_glmm(lc.ModelParams(seg1, seg2, args.sigma, n, seed=0)).points
         x, y = np.ascontiguousarray(points[:, 0]), np.ascontiguousarray(points[:, 1])
@@ -83,18 +92,27 @@ def main(argv: list[str] | None = None) -> int:
         same = np.array_equal(sim.counts, w)
         agree &= same
         verdict = f"{slow / fast:>8.1f}x  {'yes' if same else 'NO'}" if compared else "not compared"
+        counts64 = sim.counts.astype(np.int64)
+        write_c, _ = _best(args.repeats, lambda: io.write_similarity_csv(c_csv, sim.counts))
+        write_np, _ = _best(args.repeats, lambda: io.write_similarity_csv(np_csv, counts64))
+        same_file = c_csv.read_bytes() == np_csv.read_bytes()
+        same_bytes &= same_file
         eigen, emb = _best(args.repeats, lambda: lc.top2_eigen(sim))
         dense, vals = _best(args.repeats,
                             lambda: np.linalg.eigh(np.asarray(sim.counts, dtype=np.float64))[0])
         close = np.allclose(emb.eigenvalues, vals[[-1, -2]], rtol=1e-9, atol=0.0)
         eigen_agree &= close
         print(f"{n:>6} {math.comb(n, 3):>14,} {fast:>12.4f} s {slow:>10.4f} s {verdict:<13}"
+              f" {write_c:>10.4f} s {write_np:>10.4f} s  {'same ' if same_file else 'DIFFER'}"
               f" {eigen:>10.4f} s {dense:>10.4f} s  {'agree' if close else 'DIFFER'}")
+    tmp.cleanup()
     if not agree:
         print("error: the kernels disagree on the similarity matrix", file=sys.stderr)
+    if not same_bytes:
+        print("error: the two similarity.csv encoders wrote different bytes", file=sys.stderr)
     if not eigen_agree:
         print("error: top2_eigen and eigh disagree on the top eigenvalues", file=sys.stderr)
-    return 0 if agree and eigen_agree else 1
+    return 0 if agree and same_bytes and eigen_agree else 1
 
 
 if __name__ == "__main__":

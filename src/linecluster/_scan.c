@@ -1,4 +1,5 @@
-/* Triple-scan kernel, built and loaded by linecluster/_scan_c.py.
+/* Triple-scan kernel and similarity.csv encoder, built and loaded by
+ * linecluster/_scan_c.py.
  *
  * Same contract as linecluster._scan_numpy.scan_triples: a triple i < j < k
  * with i in [i_lo, i_hi) is accepted when its score, the smallest eigenvalue
@@ -92,11 +93,15 @@
  * -march=native would not do, because the cached library's name does not
  * depend on the CPU, and a cache shared between hosts could then hold code
  * this CPU cannot run.
+ *
+ * The library also exports encode_upper_csv, the text encoder of
+ * similarity.csv's rows (see its comment at the end of this file).
  */
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 #if defined(__GNUC__)
 #define ALWAYS_INLINE inline __attribute__((always_inline))
@@ -244,4 +249,93 @@ int64_t scan_triples(const double *restrict x, const double *restrict y,
     counts[0] += acc;
     counts[1] += win;
     return exact;
+}
+
+/* Decimal digits of v, written so that they end just before end; returns
+ * where they start. */
+static char *put_digits(char *end, uint64_t v)
+{
+    do {
+        *--end = (char)('0' + v % 10);
+        v /= 10;
+    } while (v);
+    return end;
+}
+
+/* Adds 1 to the decimal text [start, end), which has room for one more digit
+ * before start; returns its new start. */
+static ALWAYS_INLINE char *increment(char *start, char *end)
+{
+    char *d = end - 1;
+    while (d >= start && *d == '9')
+        *d-- = '0';
+    if (d < start)
+        *d = '1';
+    else
+        ++*d;
+    return d < start ? d : start;
+}
+
+/* Bytes that put_text reads from the start of a text and writes at p, past
+ * the text's end if it is shorter: each text array has SLACK spare bytes after
+ * its end, and the output bytes past a text are overwritten by the next one or
+ * lie past the size returned. */
+#define SLACK 16
+
+/* Copies the text [start, end) to p and returns its end there: one fixed
+ * SLACK-byte move for any text that short, which is every text below 10^15. */
+static ALWAYS_INLINE char *put_text(char *restrict p, const char *start, const char *end)
+{
+    const ptrdiff_t len = end - start;
+    if (len <= SLACK)
+        memcpy(p, start, SLACK);
+    else
+        memcpy(p, start, (size_t)len);
+    return p + len;
+}
+
+/* Rows of similarity.csv from the n x n int32 matrix w: for i = i_lo,
+ * i_lo + 1, ..., one line "i,j,c\n" for each j > i with c = w[i*n+j] != 0,
+ * in row-major order, each number written as Python's str(int(value)). A row
+ * is written only if its worst case, (n-1-i) lines of the digits of i and of
+ * n-1 plus 11 characters for c ("-2147483648") plus 3 separators, and SLACK
+ * bytes more, fits in what is left of the cap bytes at out, so a row is never
+ * split and put_text never writes past out + cap. Stores the
+ * first row not written in *i_next (n when all are) and returns the number
+ * of bytes written. j's text is counted up digit by digit along the row, so
+ * only c is divided into digits. */
+int64_t encode_upper_csv(const int32_t *restrict w, int64_t n, int64_t i_lo, char *restrict out,
+                         int64_t cap, int64_t *restrict i_next)
+{
+    char *restrict p = out;
+    char *const end = out + cap;
+    char last[24];
+    const int64_t j_digits = (last + sizeof last) - put_digits(last + sizeof last,
+                                                                (uint64_t)(n > 1 ? n - 1 : 0));
+    int64_t i = i_lo;
+    for (; i < n; i++) {
+        char head[24 + SLACK], j_text[24 + SLACK], value[24 + SLACK];
+        char *const head_end = head + 24, *const j_end = j_text + 24, *const value_end = value + 24;
+        head_end[-1] = ',';
+        const char *const i_start = put_digits(head_end - 1, (uint64_t)i);
+        if ((n - 1 - i) * ((head_end - i_start) + j_digits + 13) + SLACK > end - p)
+            break;
+        const int32_t *restrict row = w + i * n;
+        char *j_start = put_digits(j_end, (uint64_t)(i + 1));
+        for (int64_t j = i + 1; j < n; j++, j_start = increment(j_start, j_end)) {
+            const int32_t c = row[j];
+            if (!c)
+                continue;
+            char *v_start = put_digits(value_end, c < 0 ? -(uint64_t)c : (uint64_t)c);
+            if (c < 0)
+                *--v_start = '-';
+            p = put_text(p, i_start, head_end);
+            p = put_text(p, j_start, j_end);
+            *p++ = ',';
+            p = put_text(p, v_start, value_end);
+            *p++ = '\n';
+        }
+    }
+    *i_next = i;
+    return p - out;
 }

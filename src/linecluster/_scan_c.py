@@ -1,4 +1,5 @@
-"""Compiled triple-scan kernel: ``_scan.c`` built on first use, loaded through ctypes.
+"""Compiled triple-scan kernel and ``similarity.csv`` encoder: ``_scan.c`` built
+on first use, loaded through ctypes.
 
 The C source ships with the package. ``CompiledKernel.ready(build_missing=True)``
 compiles it once per machine with
@@ -30,6 +31,11 @@ is not used because the library's name does not depend on the CPU, so a
 cache shared between hosts could hand a CPU instructions it lacks. The kernel
 runs without the GIL (ctypes releases it), so disjoint outer-index ranges
 can run on several threads with one buffer each.
+
+The same library exports ``encode_upper_csv``, which renders rows of
+``similarity.csv`` into a caller's buffer; ``io.write_similarity_csv`` runs
+it only when the library is already loaded or cached, so a write never
+starts a compiler.
 """
 
 from __future__ import annotations
@@ -55,6 +61,7 @@ FALLBACK_WARNING = "compiled scan kernel not available; falling back to the slow
 _PTR = ctypes.c_void_p
 _ARGTYPES = [_PTR, _PTR, _PTR, ctypes.c_int64, ctypes.c_double, ctypes.c_int64, ctypes.c_int64,
              _PTR, _PTR]
+_ENCODE_ARGTYPES = [_PTR, ctypes.c_int64, ctypes.c_int64, _PTR, ctypes.c_int64, _PTR]
 
 
 def cache_dir() -> Path:
@@ -93,7 +100,7 @@ def build(target: Path) -> None:
 
 
 class CompiledKernel:
-    """The C kernel of one cache directory, built at most once and loaded at most once.
+    """The C library of one cache directory, built at most once and loaded at most once.
 
     ``directory`` defaults to ``cache_dir()`` as it reads when the kernel is
     first needed. A failed build or load warns once and is not retried.
@@ -102,6 +109,7 @@ class CompiledKernel:
     def __init__(self, directory: Path | None = None) -> None:
         self._directory = directory
         self._fn = None
+        self._encode = None
         self._failed = False
 
     @property
@@ -119,15 +127,17 @@ class CompiledKernel:
         try:
             if not path.exists():
                 build(path)
-            fn = ctypes.CDLL(str(path)).scan_triples
+            lib = ctypes.CDLL(str(path))
         except (OSError, subprocess.SubprocessError):
             self._failed = True
             # stacklevel 4: the caller of hypergraph.scan or active_backend.
             warnings.warn(FALLBACK_WARNING, RuntimeWarning, stacklevel=4)
             return False
-        fn.argtypes = _ARGTYPES
-        fn.restype = ctypes.c_int64
-        self._fn = fn
+        for fn, argtypes in ((lib.scan_triples, _ARGTYPES),
+                             (lib.encode_upper_csv, _ENCODE_ARGTYPES)):
+            fn.argtypes = argtypes
+            fn.restype = ctypes.c_int64
+        self._fn, self._encode = lib.scan_triples, lib.encode_upper_csv
         return True
 
     def scan_triples(
@@ -162,3 +172,29 @@ class CompiledKernel:
         if exact < 0:
             raise MemoryError("the compiled scan kernel could not allocate its per-call arrays")
         return exact
+
+    def encode_upper_csv(self, w: np.ndarray, i_lo: int, out: np.ndarray) -> tuple[int, int]:
+        """Render rows ``i_lo, i_lo + 1, ...`` of ``similarity.csv`` into ``out``.
+
+        ``w`` is a C-contiguous square int32 matrix and ``out`` a writable
+        contiguous uint8 buffer. Each row i contributes ``i,j,c\\n`` for every
+        j > i with c = w[i, j] nonzero, each number as ``str(int(value))``.
+        Rows are written whole while their worst case fits (see ``_scan.c``).
+        Returns the number of bytes written and the first row not written
+        (n when every row is); needs ``ready``.
+        """
+        if self._encode is None:
+            raise RuntimeError("the compiled scan kernel is not loaded")
+        if (w.dtype != np.int32 or w.ndim != 2 or w.shape[0] != w.shape[1]
+                or not w.flags.c_contiguous):
+            raise ValueError("expected a contiguous square int32 matrix")
+        if out.dtype != np.uint8 or out.ndim != 1 or not (out.flags.c_contiguous
+                                                         and out.flags.writeable):
+            raise ValueError("expected a writable contiguous uint8 buffer")
+        n = w.shape[0]
+        if not 0 <= i_lo <= n:
+            raise ValueError("bad start row")
+        i_next = ctypes.c_int64(0)
+        size = self._encode(w.ctypes.data, n, i_lo, out.ctypes.data, out.size,
+                            ctypes.byref(i_next))
+        return size, i_next.value

@@ -10,7 +10,10 @@ same seed is byte-identical:
     (the symmetric-cross geometry), sorted keys, 2-space indent;
   * labels CSV: header ``index,z_hat``;
   * similarity CSV: header ``i,j,count``, upper-triangle nonzero entries in
-    row-major order;
+    row-major order, written in blocks of whole rows: by the compiled
+    library's C encoder when it is already built and W is the scan's
+    contiguous int32 matrix, else by the numpy encoder; both write the same
+    bytes, and neither holds more than about a megabyte beyond W;
   * bounds CSV: header ``bound_name,params,theory,mc_estimate,mc_se,pass``;
     Monte-Carlo columns are empty for bounds without a sampling validator;
   * sweep CSV: one row per (cell, trial) with the column order pinned in
@@ -29,6 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import hypergraph
 from .errors import LineClusterError
 from .model import ModelParams, standard_cross
 
@@ -176,7 +180,9 @@ def read_params_json(path) -> ModelParams:
 
 def write_labels_csv(path, labels) -> None:
     z = np.asarray(labels).astype(np.int64)
-    Path(path).write_bytes(_integer_csv("index,z_hat", np.arange(z.size), z))
+    with open(path, "wb") as fh:
+        fh.write(b"index,z_hat\n")
+        fh.write(_integer_rows(np.arange(z.size), z))
 
 
 def read_labels_csv(path) -> np.ndarray:
@@ -208,40 +214,95 @@ def read_labels_csv(path) -> np.ndarray:
 _PAD = 0  # a byte no CSV field contains; dropped from the assembled rows
 
 
-def _ascii_column(values: np.ndarray) -> np.ndarray:
-    """(m, 1 + width) uint8 text of the integer ``values``: a sign byte, then the
-    digits right-aligned; without its ``_PAD`` bytes a row is ``str(int(value))``."""
+def _ascii_column(values: np.ndarray, text: np.ndarray) -> None:
+    """Fill the (m, 1 + width) uint8 ``text`` with the integer ``values``: a sign
+    byte, then the digits right-aligned; without its ``_PAD`` bytes a row is
+    ``str(int(value))``. ``text`` must be wide enough for the largest magnitude."""
     mag = np.abs(values)
-    top = int(mag.max()) if mag.size else 0
-    width = len(str(top))
+    width = text.shape[1] - 1
     # Dividing by a scalar is several times faster in 32 bits than in 64.
-    rest = mag.astype(np.uint32 if top < 2**32 else np.uint64)
-    text = np.empty((mag.size, 1 + width), dtype=np.uint8)
+    rest = mag.astype(np.uint32 if width < 10 else np.uint64)
     text[:, 0] = (values < 0) * ord("-")
     for col in range(width, 0, -1):
         # Times 0 (= _PAD) for a leading zero; the last digit is always kept.
         text[:, col] = (rest % 10 + ord("0")) * ((rest > 0) | (col == width))
         rest //= 10
-    return text
 
 
-def _integer_csv(header: str, *columns: np.ndarray) -> bytes:
-    """``header``, then one line per row of the integer ``columns``, fields
-    comma-separated as ``str(int(value))``: one byte table, pads dropped."""
-    rows = columns[0].size
-    comma = np.full((rows, 1), ord(","), dtype=np.uint8)
-    newline = np.full((rows, 1), ord("\n"), dtype=np.uint8)
-    # Only the argument list holds the column texts, so they are freed before
-    # the copies below.
-    table = np.hstack([a for col in columns for a in (comma, _ascii_column(col))][1:]
-                      + [newline]).ravel()
-    return header.encode() + b"\n" + table[table != _PAD].tobytes()
+def _integer_rows(*columns: np.ndarray) -> np.ndarray:
+    """The text of one line per row of the integer ``columns``, as uint8 bytes:
+    fields comma-separated as ``str(int(value))``, each line ending in a
+    newline. Assembled in one byte table, then the pads are dropped."""
+    widths = [len(str(max(int(col.max()), -int(col.min())))) if col.size else 1
+              for col in columns]
+    # Per column a sign byte and its digits, then a comma (a newline after the last).
+    table = np.empty((columns[0].size, sum(widths) + 2 * len(columns)), dtype=np.uint8)
+    at = 0
+    for col, width in zip(columns, widths):
+        _ascii_column(col, table[:, at:at + 1 + width])
+        at += 2 + width
+        table[:, at - 1] = ord(",")
+    table[:, -1] = ord("\n")
+    flat = table.ravel()
+    return flat[flat != _PAD]
+
+
+# Pairs of the upper triangle per block of the numpy encoder (whole rows, at
+# most this many unless one row holds more), so its memory does not grow with n.
+_BLOCK_PAIRS = 2**14
+# Smallest buffer of the C encoder; 36 n bytes hold a row's worst case below
+# n = 10^11 (see encode_upper_csv in _scan.c).
+_BUFFER_BYTES = 2**20
 
 
 def write_similarity_csv(path, counts) -> None:
+    """Write the nonzero upper-triangle entries of the square ``counts`` as
+    ``similarity.csv``: header ``i,j,count``, then ``i,j,count`` lines in
+    row-major order, each number as ``str(int(value))``.
+
+    The file is written in blocks of whole rows, so memory stays bounded
+    whatever n is. A C-contiguous int32 matrix (the scan's output) is encoded
+    by the compiled library's ``encode_upper_csv`` into one reused buffer,
+    when that library is already loaded or cached: a write never starts a
+    compiler. Any other input, or no library, goes through the numpy encoder,
+    by blocks of about ``_BLOCK_PAIRS`` pairs. Both give the same bytes.
+    """
     mat = np.asarray(counts)
-    ii, jj = np.nonzero(np.triu(mat, 1))
-    Path(path).write_bytes(_integer_csv("i,j,count", ii, jj, mat[ii, jj].astype(np.int64)))
+    kernel = hypergraph._compiled
+    with open(path, "wb") as fh:
+        fh.write(b"i,j,count\n")
+        if (mat.dtype == np.int32 and mat.ndim == 2 and mat.shape[0] == mat.shape[1]
+                and mat.flags.c_contiguous and kernel.ready(build_missing=False)):
+            _write_upper_compiled(fh, mat, kernel)
+        else:
+            _write_upper_numpy(fh, mat)
+
+
+def _write_upper_compiled(fh, mat: np.ndarray, kernel) -> None:
+    """The rows of ``similarity.csv`` for ``mat`` through the C encoder, one
+    buffer of max(1 MiB, 36 n) bytes refilled per block of rows."""
+    n = mat.shape[0]
+    buf = np.empty(max(_BUFFER_BYTES, 36 * n), dtype=np.uint8)
+    view = memoryview(buf)
+    row = 0
+    while row < n:
+        size, row = kernel.encode_upper_csv(mat, row, buf)
+        fh.write(view[:size])
+
+
+def _write_upper_numpy(fh, mat: np.ndarray) -> None:
+    """The rows of ``similarity.csv`` for ``mat`` through ``_integer_rows``,
+    a block of about ``_BLOCK_PAIRS`` pairs at a time."""
+    rows, cols = mat.shape
+    lo = 0
+    while lo < rows:
+        # Row lo is the longest of its block: rows shrink down the triangle.
+        hi = min(rows, lo + max(1, _BLOCK_PAIRS // max(1, cols - 1 - lo)))
+        # Columns past lo only: block entry (r, c) is mat[lo + r, lo + 1 + c].
+        block = np.triu(mat[lo:hi, lo + 1:])
+        ii, jj = np.nonzero(block)
+        fh.write(_integer_rows(ii + lo, jj + (lo + 1), block[ii, jj].astype(np.int64)))
+        lo = hi
 
 
 def write_bounds_csv(path, rows: list[dict]) -> None:

@@ -11,9 +11,11 @@ block size 2 and full reorthogonalization, the one path at every n:
   * each new vector is orthogonalized twice against the whole basis; one
     that is numerically lost (a Krylov space that stopped growing, as for
     the complete graph) is replaced by a fresh draw from the same stream;
+  * the solve runs on W times the power of two 1/s that puts its largest
+    entry in [1, 2), so no norm of the basis or of its images overflows;
   * Rayleigh-Ritz runs each time the basis grows by 25 %, and the solve
     stops when both top Ritz pairs satisfy ||W u - theta u|| <= 1e-10
-    max(1, |theta|), or when the basis spans R^n, where Rayleigh-Ritz is
+    max(s, |theta|), or when the basis spans R^n, where Rayleigh-Ritz is
     exact. There is no iteration cap and no other solver.
 
 The eigenvalues agree with a dense ``numpy.linalg.eigh`` to rounding (about
@@ -47,11 +49,12 @@ _KMEANS_RESTARTS = 10
 _KMEANS_MAX_ITER = 100
 _KMEANS_TOL = 1e-9
 
-_EIG_TOL = 1e-10  # residual bound, relative to max(1, |theta|)
+_EIG_TOL = 1e-10  # residual bound, relative to max(1, |theta|) at unit scale
 _EIG_GROWTH = 1.25  # Rayleigh-Ritz each time the basis grows by this factor
 # A new basis vector whose norm fell below this fraction of its norm before
 # orthogonalization lies in the span of the basis: it is replaced by a draw.
 _EIG_LOST = 1e-8
+_SYMMETRY_BLOCK = 2**14  # entries per row block of the symmetry check
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,20 +77,27 @@ class ClusterResult:
 
 
 def _as_matrix(w) -> np.ndarray:
+    """A float64 copy of ``w``, which the caller may overwrite."""
     if isinstance(w, SimilarityMatrix):
         # The scan's own output: integer counts built as upper + upper.T, so
         # square, finite and exactly symmetric; the checks below are for raw arrays.
-        return np.asarray(w.counts, dtype=np.float64)
-    mat = np.asarray(w, dtype=np.float64)
+        return np.array(w.counts, dtype=np.float64)
+    mat = np.array(w, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise LineClusterError(f"similarity matrix must be square, got shape {mat.shape}")
-    if mat.shape[0] < 2:
+    n = mat.shape[0]
+    if n < 2:
         raise SizeTooSmallError("the embedding needs a matrix of size at least 2")
-    if not np.all(np.isfinite(mat)):
+    low, high = float(mat.min()), float(mat.max())  # NaN if any entry is
+    if not (math.isfinite(low) and math.isfinite(high)):
         raise LineClusterError("similarity matrix contains non-finite entries")
-    scale = float(np.abs(mat).max())
-    if not np.allclose(mat, mat.T, atol=1e-12 * max(1.0, scale), rtol=0.0):
-        raise LineClusterError("similarity matrix must be symmetric")
+    # |W - W^T| <= 1e-12 max(1, max |W|), checked by row blocks so that no
+    # n x n temporary is made.
+    atol = 1e-12 * max(1.0, high, -low)
+    step = max(1, _SYMMETRY_BLOCK // n)
+    for lo in range(0, n, step):
+        if not np.all(np.abs(mat[lo:lo + step] - mat[:, lo:lo + step].T) <= atol):
+            raise LineClusterError("similarity matrix must be symmetric")
     return mat
 
 
@@ -106,9 +116,10 @@ def top2_eigen(w) -> SpectralEmbedding:
     matrix returns the first two standard basis vectors with eigenvalues
     (0, 0). Otherwise the pairs come from a block Lanczos solve (block size
     2, start block from the seed-0 ``DOMAIN_EIG`` stream, see the module
-    docstring) that stops when ||W u - lam u|| <= 1e-10 max(1, |lam|) holds
-    for both columns, or when its basis spans R^n and the pairs are exact up
-    to rounding. Two calls on the same matrix return the same bytes.
+    docstring) that stops when ||W u - lam u|| <= 1e-10 max(s, |lam|) holds
+    for both columns, s being the power of two with s <= max |W_ij| < 2s, or
+    when its basis spans R^n and the pairs are exact up to rounding. Two
+    calls on the same matrix return the same bytes.
     """
     mat = _as_matrix(w)
     n = mat.shape[0]
@@ -118,11 +129,12 @@ def top2_eigen(w) -> SpectralEmbedding:
         u[0, 0] = 1.0
         u[1, 1] = 1.0
         return SpectralEmbedding(u=u, eigenvalues=(0.0, 0.0))
+    # Solve W times the power of two that puts its largest entry in [1, 2).
     # Below |lam| = 1 the residual bound is absolute, which any vector meets
-    # when all of W is tiny: solve W times the power of two that lifts its
-    # largest entry to [1, 2), so the bound is never looser than 1e-10 ||W||.
-    shift = max(0, 1 - math.frexp(top)[1])
-    theta, u = _block_lanczos_top2(np.ldexp(mat, shift) if shift else mat)
+    # when all of W is tiny; scaled, the bound is never looser than
+    # 1e-10 ||W||, and no norm of the basis or of its images can overflow.
+    shift = 1 - math.frexp(top)[1]
+    theta, u = _block_lanczos_top2(np.ldexp(mat, shift, out=mat))
     theta = np.ldexp(theta, -shift)
     return SpectralEmbedding(u=_fix_signs(u), eigenvalues=(float(theta[0]), float(theta[1])))
 

@@ -452,5 +452,7 @@ def test_bench_scan_compares_both_kernels_in_process(capsys):
     rows = capsys.readouterr().out.splitlines()[2:]
     verdict = "yes" if shutil.which("cc") is not None else "not compared"
     assert [row.split()[0] for row in rows] == ["40", "60"]
-    # The scan verdict, then the eigen and eigh timings and their verdict.
-    assert all(f" {verdict} " in row and row.endswith(" agree") for row in rows)
+    # The scan verdict, the two writers' verdict, then the eigen and eigh
+    # timings and their verdict.
+    assert all(f" {verdict} " in row and " same " in row and row.endswith(" agree")
+               for row in rows)

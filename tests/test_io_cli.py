@@ -6,6 +6,7 @@ import math
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -263,6 +264,132 @@ def test_similarity_csv_bytes_are_pinned_for_fields_of_mixed_width(tmp_path):
     assert path.read_bytes() == expected.encode()
 
 
+def _symmetric(n: int, entries) -> np.ndarray:
+    """The C-contiguous int32 W with the upper-triangle ``entries`` (i, j, c)."""
+    w = np.zeros((n, n), dtype=np.int32)
+    for i, j, c in entries:
+        w[i, j] = w[j, i] = c
+    return w
+
+
+def _plain_rows(counts) -> bytes:
+    """similarity.csv's rows, one f-string per nonzero upper-triangle pair."""
+    ii, jj = np.nonzero(np.triu(counts, 1))
+    return "".join(f"{i},{j},{counts[i, j]}\n" for i, j in zip(ii, jj)).encode()
+
+
+def _compiled_kernel() -> _scan_c.CompiledKernel:
+    kernel = lc.hypergraph._compiled
+    if not kernel.ready(build_missing=True):
+        pytest.skip("no C compiler: the compiled encoder cannot be built")
+    return kernel
+
+
+def _both_encoders(counts) -> tuple[bytes, bytes]:
+    """similarity.csv's rows from the C encoder and from the numpy block path."""
+    kernel = _compiled_kernel()
+    c_out, np_out = std_io.BytesIO(), std_io.BytesIO()
+    io._write_upper_compiled(c_out, counts, kernel)
+    io._write_upper_numpy(np_out, counts)
+    return c_out.getvalue(), np_out.getvalue()
+
+
+def _random_w(n: int, seed: int, top: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.integers(0, top, size=(n, n)) * (rng.random((n, n)) < 0.7), 1)
+    return (upper + upper.T).astype(np.int32)
+
+
+ENCODER_CASES = {
+    "all zero": lambda: np.zeros((5, 5), dtype=np.int32),
+    "n=2": lambda: _symmetric(2, [(0, 1, 7)]),
+    "n=3": lambda: _symmetric(3, [(0, 1, 2), (0, 2, 10), (1, 2, 1)]),
+    "complete graph": lambda: (np.ones((40, 40)) - np.eye(40)).astype(np.int32),
+    "one negative entry": lambda: _symmetric(4, [(0, 1, 5), (1, 3, -3), (2, 3, 12)]),
+    "int32 extremes": lambda: _symmetric(3, [(0, 1, -2**31), (0, 2, 2**31 - 1), (1, 2, -1)]),
+    "1-4 digits, indices past 1000": lambda: _symmetric(
+        1203, [(0, 1202, 4444), (999, 1000, 1), (999, 1001, 22), (1000, 1100, 333),
+               (1001, 1002, 4444), (1200, 1201, 9), (1201, 1202, 1000)]),
+    "random n=150": lambda: _random_w(150, 3, 20000),
+}
+
+
+@pytest.mark.parametrize("make", ENCODER_CASES.values(), ids=ENCODER_CASES.keys())
+def test_similarity_encoders_give_the_same_bytes(make):
+    counts = make()
+    c_rows, np_rows = _both_encoders(counts)
+    assert c_rows == np_rows == _plain_rows(counts)
+
+
+def test_similarity_encoders_agree_across_many_blocks(monkeypatch):
+    counts = _random_w(300, 4, 5000)
+    expected = _plain_rows(counts)
+    # A few rows per block on both paths: 36 n bytes for C, about 500 pairs for numpy.
+    monkeypatch.setattr(io, "_BUFFER_BYTES", 0)
+    monkeypatch.setattr(io, "_BLOCK_PAIRS", 500)
+    assert _both_encoders(counts) == (expected, expected)
+
+
+def test_compiled_encoder_writes_whole_rows_that_fit():
+    kernel = _compiled_kernel()
+    counts = _random_w(12, 7, 300)
+    counts[0, 11] = counts[11, 0] = -40
+    rows = _plain_rows(counts).splitlines(keepends=True)
+
+    def worst(i):  # lines of i and of n - 1's two digits, 11 for c, 3 separators; 16 spare
+        return (11 - i) * (len(str(i)) + 2 + 11 + 3) + 16
+
+    out = np.zeros(worst(0), dtype=np.uint8)
+    size, row = kernel.encode_upper_csv(counts, 0, out)
+    assert 1 <= row < 12 and worst(row) > out.size - size
+    assert out[:size].tobytes() == b"".join(r for r in rows if int(r.split(b",")[0]) < row)
+    assert kernel.encode_upper_csv(counts, 0, out[:-1]) == (0, 0)
+    assert kernel.encode_upper_csv(counts, 12, out) == (0, 12)
+    with pytest.raises(ValueError):
+        kernel.encode_upper_csv(counts.astype(np.int64), 0, out)
+
+
+def test_similarity_csv_of_other_dtypes_takes_the_numpy_path(tmp_path, monkeypatch):
+    counts = _random_w(80, 5, 300)
+    path = tmp_path / "w.csv"
+    io.write_similarity_csv(path, counts)
+    expected = path.read_bytes()
+    assert expected == b"i,j,count\n" + _plain_rows(counts)
+
+    def refuse(*args):
+        raise AssertionError("the compiled encoder ran")
+
+    monkeypatch.setattr(io, "_write_upper_compiled", refuse)
+    for other in (counts.astype(np.int64), np.asfortranarray(counts), counts.tolist()):
+        io.write_similarity_csv(path, other)
+        assert path.read_bytes() == expected
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
+def test_similarity_csv_memory_is_bounded_at_n_2000(tmp_path, monkeypatch, compiled):
+    n = 2000
+    rng = np.random.default_rng(6)
+    upper = np.triu(rng.integers(1, n - 1, size=(n, n), dtype=np.int32), 1)
+    counts = upper + upper.T  # dense, as the scan's W of a noisy cross
+    del upper
+    if compiled:
+        _compiled_kernel()
+    else:
+        monkeypatch.setattr(lc.hypergraph, "_compiled", _scan_c.CompiledKernel(tmp_path / "none"))
+    path = tmp_path / "w.csv"
+    tracemalloc.start()
+    try:
+        io.write_similarity_csv(path, counts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2e6  # W itself is 16 MB
+    with open(path, "rb") as fh:
+        assert fh.readline() == b"i,j,count\n"
+        assert fh.readline() == f"0,1,{counts[0, 1]}\n".encode()
+    assert sum(1 for _ in open(path, "rb")) == 1 + n * (n - 1) // 2
+
+
 def test_labels_csv_bytes_are_pinned(tmp_path):
     path = tmp_path / "labels.csv"
     io.write_labels_csv(path, np.array([], dtype=np.int8))
@@ -416,6 +543,35 @@ def test_cli_cluster_reports_metrics_and_writes_stable_artifacts(capsys, tmp_pat
     assert payload2 == payload  # nothing time-dependent in the summary
     assert (out / "labels.csv").read_bytes() == labels_csv
     assert (out / "similarity.csv").read_bytes() == w_csv
+
+
+def test_cli_cluster_artifacts_do_not_depend_on_the_compiled_library(capsys, tmp_path,
+                                                                     monkeypatch):
+    d, _ = _gen(capsys, tmp_path, n=lc.hypergraph.BUILD_MIN_N + 10, sigma=0.01, seed=3)
+
+    def cluster(out):
+        argv = ["cluster", "--in", str(d / "points.csv"), "--t", "0.05", "--seed", "0",
+                "--out", str(out)]
+        code, payload, _ = _run(capsys, argv)
+        assert code == 0
+        return payload
+
+    _compiled_kernel()
+    compiled = cluster(tmp_path / "compiled")
+    # A library that cannot be built: its cache directory is a file.
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    broken = _scan_c.CompiledKernel(blocker)
+    monkeypatch.setattr(lc.hypergraph, "_compiled", broken)
+    with pytest.warns(RuntimeWarning, match="not available"):
+        fallback = cluster(tmp_path / "numpy")
+    assert not broken.ready(build_missing=True)
+    assert (compiled.pop("backend"), fallback.pop("backend")) == ("compiled", "numpy")
+    for name in ("similarity.csv", "labels.csv"):
+        assert (tmp_path / "numpy" / name).read_bytes() == (tmp_path / "compiled" / name).read_bytes()
+    for payload in (compiled, fallback):
+        del payload["labels_out"], payload["w_out"]
+    assert fallback == compiled
 
 
 def test_cli_cluster_on_unlabeled_data_omits_the_truth_metrics(capsys, tmp_path):

@@ -1,11 +1,13 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 import linecluster as lc
 from linecluster.errors import LineClusterError, SizeTooSmallError
+from linecluster import spectral
 from linecluster.spectral import _fix_signs, kmeans2_rows
 
 from _oracles import brute_force_kmeans2
@@ -94,6 +96,12 @@ def _spectrum_351() -> np.ndarray:
     return 0.5 * (w + w.T)
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of ``v`` whose squares cannot overflow: taken at unit scale."""
+    top = float(np.abs(v).max())
+    return top * float(np.linalg.norm(v / top)) if top else 0.0
+
+
 SOLVER_CASES = {
     # W q for a start block q lies in span(q, 1): the second block loses a
     # column, which is replaced by a fresh draw.
@@ -108,20 +116,37 @@ SOLVER_CASES = {
     # Every entry far below 1, where the absolute residual bound alone would
     # accept any vector.
     "GOE n=100 times 1e-12": lambda: 1e-12 * _goe(100),
+    # Entries so large that an unscaled basis vector's squared norm overflows.
+    "GOE n=100 times 1e200": lambda: 1e200 * _goe(100),
+    "GOE n=100 times 1e300": lambda: 1e300 * _goe(100),
 }
 
 
 @pytest.mark.parametrize("make", SOLVER_CASES.values(), ids=SOLVER_CASES.keys())
-def test_solver_matches_the_dense_decomposition_on_edge_cases(make):
+def test_solver_matches_the_dense_decomposition_on_edge_cases(make, monkeypatch):
     w = make()
-    emb = lc.top2_eigen(w)
+    kept = []  # one entry per vector _orthogonalize was given: was it kept?
+
+    def orthogonalize(v, basis):
+        out = orthogonalize.real(v, basis)
+        kept.append(out is not None)
+        return out
+
+    orthogonalize.real = spectral._orthogonalize
+    monkeypatch.setattr(spectral, "_orthogonalize", orthogonalize)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        emb = lc.top2_eigen(w)
+    n = w.shape[0]
+    # The basis size m: below n the solve stopped on the residual bound.
+    assert sum(kept) < n or n <= 3
     vals, vecs = np.linalg.eigh(w)
     scale = float(np.abs(vals).max())
     assert np.abs(np.array(emb.eigenvalues) - vals[[-1, -2]]).max() <= 1e-12 * scale
     u = emb.u
     assert u.T @ u == pytest.approx(np.eye(2), abs=1e-10)
     for col, lam in zip(u.T, emb.eigenvalues):
-        assert np.linalg.norm(w @ col - lam * col) <= 1e-10 * max(1.0, abs(lam))
+        assert _norm(w @ col - lam * col) <= 1e-10 * max(1.0, abs(lam))
         # The column lies in the eigenspace of eigh's values equal to lam.
         near = vecs[:, np.abs(vals - lam) <= 1e-9 * scale]
         assert np.linalg.norm(near.T @ col) == pytest.approx(1.0, abs=1e-9)
@@ -139,6 +164,19 @@ def test_solver_keeps_no_n_by_n_basis(make_dataset):
     finally:
         tracemalloc.stop()
     # The float64 copy of the counts, plus a basis of a few dozen vectors.
+    assert peak < 1.25 * n * n * 8
+
+
+def test_solver_makes_no_n_by_n_temporary_on_raw_arrays(make_dataset):
+    n = 600
+    raw = np.asarray(lc.scan(make_dataset(n, 0.02, 5).points, 0.1)[0].counts, dtype=np.float64)
+    tracemalloc.start()
+    try:
+        lc.top2_eigen(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The checks run by row blocks: the copy that is scaled, plus the basis.
     assert peak < 1.25 * n * n * 8
 
 
