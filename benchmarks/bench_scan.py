@@ -5,7 +5,7 @@ O(n^3) scan twice: the C kernel through ``linecluster.scan`` (on
 LINECLUSTER_THREADS threads), and the numpy fallback through the very call
 ``scan`` makes for it, ``_scan_numpy.scan_triples`` over all outer indices
 on one thread. It checks that both give the same similarity matrix. The C
-kernel is built (about 0.5 s) before the first timing if it is not cached;
+kernel is built (0.3–0.5 s) before the first timing if it is not cached;
 without a compiler both columns run numpy and the table says "not compared".
 
 On the same W it times ``linecluster.io.write_similarity_csv`` twice: on
@@ -55,7 +55,7 @@ def _best(repeats: int, run):
 def _numpy_scan(x: np.ndarray, y: np.ndarray, t2: float) -> np.ndarray:
     n = x.shape[0]
     w = np.zeros(n * n, dtype=np.int32)
-    _scan_numpy.scan_triples(x, y, None, t2, 0, n, w, np.zeros(2, dtype=np.int64))
+    _scan_numpy.scan_triples(x, y, t2, 0, n, w)
     upper = w.reshape(n, n)
     return upper + upper.T
 

@@ -5,11 +5,11 @@
  * with i in [i_lo, i_hi) is accepted when its score, the smallest eigenvalue
  * of its centered scatter matrix as linecluster.tls._triple_scores computes
  * it, is strictly below t2; an accepted triple adds 1 to the flat
- * upper-triangle entries w[i*n+j], w[i*n+k], w[j*n+k] and to counts[0], and
- * to counts[1] when z is given and the three labels agree. The return value
+ * upper-triangle entries w[i*n+j], w[i*n+k] and w[j*n+k]. The return value
  * is the number of triples the exact path below decided, or -1 when the
- * per-call arrays (3n doubles) could not be allocated; w and counts are then
- * untouched.
+ * per-call arrays (3n doubles) could not be allocated; w is then untouched.
+ * The kernel sees no labels: linecluster.hypergraph reads the within/mixed
+ * tallies off W afterwards.
  *
  * The identity. Let a = p_j - p_i, b = p_k - p_i, q = |a|^2 + |b|^2 - a.b and
  * c = a_x b_y - a_y b_x. The scatter matrix S of the three points has trace
@@ -72,16 +72,15 @@
  * a second loop over its k, which re-runs the filter (same operations, same
  * results) and scores each undecided triple with the expression of
  * linecluster.tls._triple_scores, operation for operation: the centroid's
- * / 3.0, the sums in their order, sqrt, the clamp at 0 and strict <. So W and
- * the counts are bit-identical to the numpy fallback's, whichever path
- * decided a triple. On noisy data the exact path sees almost no triple; a
- * lattice with exact ties (lmin == t2), or many exactly collinear points at a
- * tiny t, sends it many.
+ * / 3.0, the sums in their order, sqrt, the clamp at 0 and strict <. So W is
+ * bit-identical to the numpy fallback's, whichever path decided a triple. On
+ * noisy data the exact path sees almost no triple; a lattice with exact ties
+ * (lmin == t2), or many exactly collinear points at a tiny t, sends it many.
  *
  * Vectorization. The filter loop has no control flow, so gcc vectorizes it:
- * the label test is hoisted into the choice of call, and a decision is a
- * compare mask turned into 1.0 or 0.0 and then into an int32, which SSE2 has
- * instructions for (a 64-bit mask turned straight into an int is not).
+ * a decision is a compare mask turned into 1.0 or 0.0 and then into an
+ * int32, which SSE2 has instructions for (a 64-bit mask turned straight into
+ * an int is not).
  * Each SIMD lane runs the same correctly rounded IEEE operations on its own
  * triple, FP contraction stays off and there is no fast-math; only the
  * integer row sums are reassociated, which is exact. -fno-math-errno drops
@@ -149,19 +148,16 @@ static ALWAYS_INLINE void classify(double ax, double ay, double aa, double bx, d
 }
 
 /* Accepted triples (i, j, k) over k in (j, n); adds each hit to wi[k] and
- * wj[k], the hits whose z[k] equals key to *within, and the number of
- * triples the exact path decided to *exact. Rows i < j of w never overlap,
- * hence restrict. Inlined with z constant NULL or not, so the label test
- * never reaches the filter loop. */
+ * wj[k], and the number of triples the exact path decided to *exact. Rows
+ * i < j of w never overlap, hence restrict. */
 static ALWAYS_INLINE int32_t scan_row(const double *restrict x, const double *restrict y,
-                                      const int8_t *restrict z, int8_t key, int64_t n, int64_t j,
-                                      double xi, double yi, double t2, const double *restrict bx,
-                                      const double *restrict by, const double *restrict bb,
-                                      const struct band *bd, int32_t *restrict wi,
-                                      int32_t *restrict wj, int64_t *within, int64_t *exact)
+                                      int64_t n, int64_t j, double xi, double yi, double t2,
+                                      const double *restrict bx, const double *restrict by,
+                                      const double *restrict bb, const struct band *bd,
+                                      int32_t *restrict wi, int32_t *restrict wj, int64_t *exact)
 {
     const double ax = bx[j], ay = by[j], aa = bb[j];
-    int32_t row = 0, row_within = 0, undecided = 0;
+    int32_t row = 0, undecided = 0;
     for (int64_t k = j + 1; k < n; k++) {
         int32_t hit, und;
         classify(ax, ay, aa, bx[k], by[k], bb[k], bd, &hit, &und);
@@ -169,8 +165,6 @@ static ALWAYS_INLINE int32_t scan_row(const double *restrict x, const double *re
         undecided += und;
         wi[k] += hit;
         wj[k] += hit;
-        if (z)
-            row_within += hit & (z[k] == key);
     }
     if (undecided) {
         const double xj = x[j], yj = y[j];
@@ -192,19 +186,15 @@ static ALWAYS_INLINE int32_t scan_row(const double *restrict x, const double *re
             row += hit;
             wi[k] += hit;
             wj[k] += hit;
-            if (z)
-                row_within += hit & (z[k] == key);
         }
         *exact += undecided;
     }
-    *within += row_within;
     return row;
 }
 
 SIMD_CLONES
-int64_t scan_triples(const double *restrict x, const double *restrict y,
-                     const int8_t *restrict z, int64_t n, double t2, int64_t i_lo, int64_t i_hi,
-                     int32_t *restrict w, int64_t *restrict counts)
+int64_t scan_triples(const double *restrict x, const double *restrict y, int64_t n, double t2,
+                     int64_t i_lo, int64_t i_hi, int32_t *restrict w)
 {
     double *diffs = malloc(3 * (size_t)(n > 0 ? n : 1) * sizeof(double));
     if (!diffs)
@@ -224,7 +214,7 @@ int64_t scan_triples(const double *restrict x, const double *restrict y,
         bd.root_off = ROOT_BAND2 * r_minus_q;
     }
 
-    int64_t acc = 0, win = 0, exact = 0;
+    int64_t exact = 0;
     for (int64_t i = i_lo; i < i_hi; i++) {
         const double xi = x[i], yi = y[i];
         for (int64_t k = i + 1; k < n; k++) {
@@ -233,21 +223,10 @@ int64_t scan_triples(const double *restrict x, const double *restrict y,
             bb[k] = bx[k] * bx[k] + by[k] * by[k];
         }
         int32_t *wi = w + i * n;
-        for (int64_t j = i + 1; j < n; j++) {
-            int32_t *wj = w + j * n, row;
-            if (z) /* Labels are 1 or 2: key -1 matches no z[k] when z[i] != z[j]. */
-                row = scan_row(x, y, z, z[i] == z[j] ? z[j] : -1, n, j, xi, yi, t2, bx, by, bb,
-                               &bd, wi, wj, &win, &exact);
-            else
-                row = scan_row(x, y, NULL, 0, n, j, xi, yi, t2, bx, by, bb, &bd, wi, wj, &win,
-                               &exact);
-            wi[j] += row;
-            acc += row;
-        }
+        for (int64_t j = i + 1; j < n; j++)
+            wi[j] += scan_row(x, y, n, j, xi, yi, t2, bx, by, bb, &bd, wi, w + j * n, &exact);
     }
     free(diffs);
-    counts[0] += acc;
-    counts[1] += win;
     return exact;
 }
 

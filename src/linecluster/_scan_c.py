@@ -18,13 +18,14 @@ sign of a polynomial in the triple's coordinate differences, with neither a
 divide nor a square root, accepted only where it clears an error band proven
 in ``_scan.c``. The few triples inside the band go to an exact path that
 repeats ``tls._triple_scores`` operation for operation, so the accepted
-triples, and W, stay bit-identical to the numpy fallback's. The filter loop
-has no branches, so gcc vectorizes it; every SIMD lane does the same
-correctly rounded IEEE operations on its own triple, FP contraction stays
-off and no ``-ffast-math`` is used; only the integer tallies are summed in
-another order, which is exact. ``-fno-math-errno`` only drops ``sqrt``'s
-errno branch, whose argument, a sum of squares, is never negative. On
-x86-64 glibc the source marks the kernel ``target_clones("avx2",
+triples, and W, stay bit-identical to the numpy fallback's. The kernel takes
+no labels and keeps no tallies: it only adds accepted triples into W. The
+filter loop has no branches, so gcc vectorizes it; every SIMD lane does the
+same correctly rounded IEEE operations on its own triple, FP contraction
+stays off and no ``-ffast-math`` is used; only the integer row sums are
+added in another order, which is exact. ``-fno-math-errno`` only drops
+``sqrt``'s errno branch, whose argument, a sum of squares, is never negative.
+On x86-64 glibc the source marks the kernel ``target_clones("avx2",
 "default")``: one library holds an AVX2 body and a baseline one, both
 vectorized, and the dynamic loader picks one by cpuid. ``-march=native``
 is not used because the library's name does not depend on the CPU, so a
@@ -59,8 +60,7 @@ _FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared")
 FALLBACK_WARNING = "compiled scan kernel not available; falling back to the slower numpy backend"
 
 _PTR = ctypes.c_void_p
-_ARGTYPES = [_PTR, _PTR, _PTR, ctypes.c_int64, ctypes.c_double, ctypes.c_int64, ctypes.c_int64,
-             _PTR, _PTR]
+_ARGTYPES = [_PTR, _PTR, ctypes.c_int64, ctypes.c_double, ctypes.c_int64, ctypes.c_int64, _PTR]
 _ENCODE_ARGTYPES = [_PTR, ctypes.c_int64, ctypes.c_int64, _PTR, ctypes.c_int64, _PTR]
 
 
@@ -144,12 +144,10 @@ class CompiledKernel:
         self,
         x: np.ndarray,
         y: np.ndarray,
-        z: np.ndarray | None,
         t2: float,
         i_lo: int,
         i_hi: int,
         w: np.ndarray,
-        counts: np.ndarray,
     ) -> int:
         """Same contract as ``linecluster._scan_numpy.scan_triples``; needs ``ready``.
 
@@ -160,15 +158,12 @@ class CompiledKernel:
         if self._fn is None:
             raise RuntimeError("the compiled scan kernel is not loaded")
         n = x.shape[0]
-        for arr, dtype, size in ((x, np.float64, n), (y, np.float64, n), (z, np.int8, n),
-                                 (w, np.int32, n * n), (counts, np.int64, 2)):
-            if arr is not None and (arr.dtype != dtype or arr.shape != (size,)
-                                    or not arr.flags.c_contiguous):
+        for arr, dtype, size in ((x, np.float64, n), (y, np.float64, n), (w, np.int32, n * n)):
+            if arr.dtype != dtype or arr.shape != (size,) or not arr.flags.c_contiguous:
                 raise ValueError(f"expected a contiguous {np.dtype(dtype)} array of length {size}")
-        if not (0 <= i_lo <= i_hi <= n) or not (w.flags.writeable and counts.flags.writeable):
+        if not (0 <= i_lo <= i_hi <= n) or not w.flags.writeable:
             raise ValueError("bad outer-index range or read-only output buffer")
-        exact = self._fn(x.ctypes.data, y.ctypes.data, None if z is None else z.ctypes.data, n,
-                         t2, i_lo, i_hi, w.ctypes.data, counts.ctypes.data)
+        exact = self._fn(x.ctypes.data, y.ctypes.data, n, t2, i_lo, i_hi, w.ctypes.data)
         if exact < 0:
             raise MemoryError("the compiled scan kernel could not allocate its per-call arrays")
         return exact

@@ -20,6 +20,14 @@ and uses numpy. No option picks the kernel: counts are integers accumulated
 per disjoint outer-index range, so the result is independent of kernel and
 thread count, and ``SimilarityMatrix.backend`` names the kernel that ran.
 
+Labels never reach a kernel: the acceptance tallies of ``HyperedgeStats``
+follow from W, the pair projection of the hypergraph, and the labels in
+O(n^2). Let S_in be the sum of W[i, j] over unordered pairs with equal
+labels and S_x the sum over pairs with different labels. An accepted
+one-label triple adds 3 to S_in; an accepted mixed triple adds 1 to S_in and
+2 to S_x. So ``accepted_triples = (S_in + S_x) / 3`` and
+``accepted_within = (2 S_in - S_x) / 6``, both exact integers.
+
 The scan is O(n^3); n is capped at 5000 (about 2.1e10 triples) to keep a
 single call within practical time and memory.
 """
@@ -46,13 +54,13 @@ MAX_POINTS = 5000
 # Smallest scan that compiles the C kernel when it is not cached yet, so a
 # fresh process doing a tiny scan never starts a compiler. On a 2-vCPU Xeon
 # VM the numpy scan took 0.04 s at n=150 and 0.08 s at n=200, and the build
-# 0.46-0.56 s (two inlined copies of the vectorized filter loop and of the
-# exact path, each cloned for AVX2). A scan just above the cut pays that
-# once per machine; every later one loads the cached library. The cut is
-# decided per scan, so it stays low: at about n=400, where one numpy scan
-# costs one build, a process doing many mid-size scans (an autocluster
-# sweep's rest sets of about 220 points) would run numpy for good while the
-# cache is cold.
+# 0.27-0.53 s (one inlined copy of the vectorized filter loop and of the
+# exact path, cloned for AVX2). A scan just above the cut pays that once per
+# machine; every later one loads the cached library. The cut is decided per
+# scan, so it stays low: at n=300-400, where one numpy scan costs about one
+# build, a process doing many mid-size scans (an autocluster sweep's rest
+# sets of about 220 points) would run numpy for good while the cache is
+# cold.
 BUILD_MIN_N = 150
 
 
@@ -144,7 +152,7 @@ def scan(points, t: float, labels=None) -> tuple[SimilarityMatrix, HyperedgeStat
         )
     if not (t > 0.0) or not math.isfinite(t):
         raise LineClusterError(f"threshold t must be positive and finite, got {t}")
-    z = np.ascontiguousarray(as_labels(labels, n)) if labels is not None else None
+    z = as_labels(labels, n) if labels is not None else None
     # Scan at unit scale, so that no score overflows or underflows because of
     # the units of the input alone.
     scale = _unit_scale(pts)
@@ -161,23 +169,21 @@ def scan(points, t: float, labels=None) -> tuple[SimilarityMatrix, HyperedgeStat
     ranges = _partition(n, min(threads, n) * 2 if threads > 1 else 1)
     workers = min(threads, len(ranges))
 
-    def run(worker: int) -> tuple[np.ndarray, np.ndarray]:
+    def run(worker: int) -> np.ndarray:
         # One buffer per worker, for every range it runs.
         w_part = np.zeros(n * n, dtype=np.int32)
-        c_part = np.zeros(2, dtype=np.int64)
         for lo, hi in ranges[worker::workers]:
-            kernel(x, y, z, t2, lo, hi, w_part, c_part)
-        return w_part, c_part
+            kernel(x, y, t2, lo, hi, w_part)
+        return w_part
 
     if workers == 1:
-        w_flat, counts = run(0)
+        w_flat = run(0)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(run, range(workers)))
-        w_flat, counts = parts[0]
-        for w_part, c_part in parts[1:]:
+        w_flat = parts[0]
+        for w_part in parts[1:]:
             w_flat += w_part
-            counts += c_part
 
     upper = w_flat.reshape(n, n)
     w = upper + upper.T
@@ -185,11 +191,17 @@ def scan(points, t: float, labels=None) -> tuple[SimilarityMatrix, HyperedgeStat
 
     stats: HyperedgeStats | None = None
     if z is not None:
+        # Row i of W @ one_hot is row i's W-mass on label 1 and on label 2;
+        # a row of W sums to at most (n-1)(n-2) < 2**31, so int32 holds it.
+        one_hot = (z[:, None] == np.array([1, 2])).astype(np.int32)
+        mass = w @ one_hot
+        same = int((mass * one_hot).sum(dtype=np.int64))  # 2 S_in
+        both = int(mass.sum(dtype=np.int64))  # 2 (S_in + S_x)
+        # (2 S_in - S_x) / 6 with S_in = same / 2 and S_x = (both - same) / 2.
+        accepted, within = both // 6, (3 * same - both) // 12
         total = math.comb(n, 3)
-        n1 = int(np.count_nonzero(z == 1))
+        n1 = int(one_hot[:, 0].sum())
         total_within = math.comb(n1, 3) + math.comb(n - n1, 3)
-        accepted = int(counts[0])
-        within = int(counts[1])
         stats = HyperedgeStats(
             total_triples=total,
             accepted_triples=accepted,

@@ -255,8 +255,8 @@ def kmeans2_rows(u, seed: int) -> tuple[np.ndarray, float, np.ndarray, bool]:
 
 def cluster_from_similarity(w: SimilarityMatrix, seed: int) -> ClusterResult:
     """Spectral clustering of an already-built similarity matrix."""
+    embedding = top2_eigen(w)
     if not w.counts.any():
-        embedding = top2_eigen(w)
         return ClusterResult(
             labels=np.ones(w.n, dtype=np.int8),
             embedding=embedding,
@@ -264,7 +264,6 @@ def cluster_from_similarity(w: SimilarityMatrix, seed: int) -> ClusterResult:
             centers=None,
             degenerate=True,
         )
-    embedding = top2_eigen(w)
     labels, inertia, centers, degenerate = kmeans2_rows(embedding.u, seed)
     return ClusterResult(
         labels=labels,

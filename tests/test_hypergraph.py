@@ -32,15 +32,15 @@ def compiled():
     return hypergraph._compiled
 
 
-def _kernel_result(kernel, ds, t, labeled=True):
+def _kernel_result(kernel, ds, t):
+    """The flat upper-triangle W of one kernel call over all outer indices;
+    it sums to 3 times the accepted triples."""
     n = ds.n
     w = np.zeros(n * n, dtype=np.int32)
-    counts = np.zeros(2, dtype=np.int64)
     x = np.ascontiguousarray(ds.points[:, 0])
     y = np.ascontiguousarray(ds.points[:, 1])
-    z = np.ascontiguousarray(ds.labels) if labeled else None
-    kernel(x, y, z, t * t, 0, n, w, counts)
-    return w, counts
+    kernel(x, y, t * t, 0, n, w)
+    return w
 
 
 def _dyadic_grid():
@@ -64,14 +64,57 @@ def _shifted(ds, offset):
     return SimpleNamespace(n=ds.n, points=ds.points + offset, labels=ds.labels)
 
 
-def test_counts_match_the_cubic_reference_scan(make_dataset):
+@pytest.mark.parametrize("case", [
+    "random", "one-label", "single-2", "n3", "tiny-t", "huge-t",
+])
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("backend", ["numpy", pytest.param("compiled", marks=needs_cc)])
+def test_counts_match_the_cubic_reference_scan(make_dataset, monkeypatch, backend, threads, case):
+    # The tallies are read off W and the labels, so they are checked against
+    # the triple-by-triple count on label layouts where the identity has
+    # edge cases: no mixed pair, one lone point, a single triple, nothing
+    # accepted and everything accepted.
+    if backend == "numpy":
+        monkeypatch.setattr(hypergraph, "_use_compiled", lambda n: False)
+    else:
+        assert hypergraph._compiled.ready(build_missing=True)
+    monkeypatch.setenv("LINECLUSTER_THREADS", threads)
     ds = make_dataset(25, 0.05, 21)
-    t = 0.08
-    sim, stats = lc.scan(ds.points, t, ds.labels)
-    ref_w, ref_accepted, ref_within = brute_force_scan(ds.points, t, ds.labels)
+    points, labels, t = ds.points, ds.labels, 0.08
+    if case == "one-label":
+        labels = np.ones(ds.n, dtype=np.int8)
+    elif case == "single-2":
+        labels = np.ones(ds.n, dtype=np.int8)
+        labels[7] = 2
+    elif case == "n3":
+        points, labels = np.array([[0.0, 0.0], [1.0, 0.01], [2.0, 0.0]]), np.array([1, 2, 1])
+    elif case == "tiny-t":
+        t = math.ulp(0.0)
+    elif case == "huge-t":
+        t = 1e300
+    n = points.shape[0]
+    sim, stats = lc.scan(points, t, labels)
+    assert sim.backend == backend
+    ref_w, ref_accepted, ref_within = brute_force_scan(points, t, labels)
     assert np.array_equal(sim.counts, ref_w)
     assert stats.accepted_triples == ref_accepted
     assert stats.accepted_within == ref_within
+    assert stats.accepted_between == ref_accepted - ref_within
+    # Labels change no count: the unlabeled scan gives the same bytes.
+    assert lc.scan(points, t)[0].counts.tobytes() == sim.counts.tobytes()
+    n1 = int(np.count_nonzero(np.asarray(labels) == 1))
+    if case == "one-label":
+        assert stats.total_between == 0 and math.isnan(stats.q_hat)
+    elif case == "single-2":
+        assert (stats.total_within, stats.total_between) == (math.comb(n - 1, 3),
+                                                             math.comb(n - 1, 2))
+    elif case == "n3":
+        assert (stats.accepted_triples, stats.accepted_within) == (1, 0)
+    elif case == "tiny-t":
+        assert stats.accepted_triples == 0 and not sim.counts.any()
+    elif case == "huge-t":
+        assert stats.accepted_triples == math.comb(n, 3)
+        assert stats.accepted_within == math.comb(n1, 3) + math.comb(n - n1, 3)
 
 
 def test_unlabeled_scan_returns_no_stats(make_dataset):
@@ -134,23 +177,22 @@ def test_compiled_and_fallback_kernels_agree_bitwise(make_dataset, monkeypatch, 
     else:
         ds, t = make_dataset(int(case), 0.03, 17), 0.05
     n = ds.n
-    w_np, counts_np = _kernel_result(_scan_numpy.scan_triples, ds, t)
-    w_c, counts_c = _kernel_result(compiled.scan_triples, ds, t)
+    w_np = _kernel_result(_scan_numpy.scan_triples, ds, t)
+    w_c = _kernel_result(compiled.scan_triples, ds, t)
     assert np.array_equal(w_np, w_c)
-    assert np.array_equal(counts_np, counts_c)
-    for kernel in (_scan_numpy.scan_triples, compiled.scan_triples):
-        w, counts = _kernel_result(kernel, ds, t, labeled=False)
-        assert np.array_equal(w, w_np)
-        assert (counts[0], counts[1]) == (counts_np[0], 0)
     # scan runs the kernels on the points scaled by a power of two to unit
     # scale. That changes no count unless the raw scores overflow, as the
     # squares do near 1e160; there scan counts the true scores' acceptances.
     scale = _unit_scale(ds.points)
     unit = SimpleNamespace(n=n, points=np.ldexp(ds.points, scale), labels=ds.labels)
-    w_unit, counts_unit = _kernel_result(_scan_numpy.scan_triples, unit, float(np.ldexp(t, scale)))
+    t_unit = float(np.ldexp(t, scale))
+    w_unit = _kernel_result(_scan_numpy.scan_triples, unit, t_unit)
     if case != "near-1e160":
         assert np.array_equal(w_unit, w_np)
-        assert np.array_equal(counts_unit, counts_np)
+    # The within tally, counted by scanning each label's points on their own.
+    within = sum(int(_kernel_result(_scan_numpy.scan_triples,
+                                    SimpleNamespace(n=int(part.sum()), points=unit.points[part]),
+                                    t_unit).sum()) for part in (ds.labels == 1, ds.labels == 2))
     results = []
     for threads in ("1", "2"):
         monkeypatch.setenv("LINECLUSTER_THREADS", threads)
@@ -160,8 +202,10 @@ def test_compiled_and_fallback_kernels_agree_bitwise(make_dataset, monkeypatch, 
     upper = w_unit.reshape(n, n)
     assert np.array_equal(results[0][0], upper + upper.T)
     assert np.array_equal(results[1][0], results[0][0])
+    assert np.array_equal(lc.scan(ds.points, t)[0].counts, results[0][0])
     assert results[0][1] == results[1][1]
-    assert (results[0][1].accepted_triples, results[0][1].accepted_within) == tuple(counts_unit)
+    stats = results[0][1]
+    assert (3 * stats.accepted_triples, 3 * stats.accepted_within) == (int(w_unit.sum()), within)
 
 
 @pytest.mark.parametrize("backend", ["numpy", pytest.param("compiled", marks=needs_cc)])
@@ -197,10 +241,9 @@ def test_both_kernels_reject_ties_and_clamp_negative_scores(compiled):
     assert min(raw) < 0.0
     for kernel in (_scan_numpy.scan_triples, compiled.scan_triples):
         # Strict: a score equal to t * t is rejected.
-        assert _kernel_result(kernel, ds, t)[1][0] == np.count_nonzero(scores < t * t)
+        assert _kernel_result(kernel, ds, t).sum() // 3 == np.count_nonzero(scores < t * t)
         # Clamped: at t = 0 nothing is accepted, negative raw scores included.
-        w, counts = _kernel_result(kernel, ds, 0.0)
-        assert not w.any() and not counts.any()
+        assert not _kernel_result(kernel, ds, 0.0).any()
 
 
 @needs_cc
@@ -245,14 +288,14 @@ def test_near_ties_are_decided_like_the_score(compiled):
     pts += offset[:, None, None] * rng.choice([-1.0, 1.0], size=(m, 1, 2))
     scores = _triple_scores(*(pts[:, p, d] for p in range(3) for d in range(2)))
     w = np.zeros(9, dtype=np.int32)
-    counts = np.zeros(2, dtype=np.int64)
     wrong = []
     for triple, score in zip(pts, scores):
         x, y = np.ascontiguousarray(triple[:, 0]), np.ascontiguousarray(triple[:, 1])
         for t2 in (np.nextafter(score, -np.inf), score, np.nextafter(score, np.inf)):
-            counts[:] = 0
-            compiled.scan_triples(x, y, None, float(t2), 0, 3, w, counts)
-            if counts[0] != (score < t2):
+            w[:] = 0
+            compiled.scan_triples(x, y, float(t2), 0, 3, w)
+            # w[1], the pair (0, 1), counts the one triple's acceptance.
+            if w[1] != (score < t2):
                 wrong.append((triple.tolist(), float(t2)))
     assert wrong == []
 
@@ -265,7 +308,7 @@ def test_c_kernel_exact_path_takes_only_near_ties(make_dataset, compiled):
     def exact_path_triples(ds, t):
         x, y = np.ascontiguousarray(ds.points[:, 0]), np.ascontiguousarray(ds.points[:, 1])
         w = np.zeros(ds.n * ds.n, dtype=np.int32)
-        return compiled.scan_triples(x, y, None, t * t, 0, ds.n, w, np.zeros(2, dtype=np.int64))
+        return compiled.scan_triples(x, y, t * t, 0, ds.n, w)
 
     ds = make_dataset(200, 0.03, 17)
     for points in (ds, _shifted(ds, 1e3)):
@@ -279,13 +322,13 @@ def test_kernel_allocation_failure_raises_memory_error():
     kernel._fn = lambda *args: -1  # what the C kernel returns when malloc fails
     x = np.zeros(3)
     with pytest.raises(MemoryError):
-        kernel.scan_triples(x, x, None, 1.0, 0, 3, np.zeros(9, np.int32), np.zeros(2, np.int64))
+        kernel.scan_triples(x, x, 1.0, 0, 3, np.zeros(9, np.int32))
 
 
 @needs_cc
 def test_small_scan_with_an_empty_cache_starts_no_compiler(make_dataset, monkeypatch, tmp_path):
     ds = make_dataset(BUILD_MIN_N - 1, 0.02, 3)
-    expected = _kernel_result(_scan_numpy.scan_triples, ds, 0.05)[0].reshape(ds.n, ds.n)
+    expected = _kernel_result(_scan_numpy.scan_triples, ds, 0.05).reshape(ds.n, ds.n)
 
     def no_process(*args, **kwargs):
         raise AssertionError("a small scan started a process")
@@ -322,9 +365,8 @@ def test_racing_builds_leave_one_valid_library(make_dataset, tmp_path):
     kernel = _scan_c.CompiledKernel(tmp_path)
     assert kernel.ready(build_missing=False)
     ds = make_dataset(40, 0.03, 9)
-    w, counts = _kernel_result(kernel.scan_triples, ds, 0.05)
-    w_np, counts_np = _kernel_result(_scan_numpy.scan_triples, ds, 0.05)
-    assert np.array_equal(w, w_np) and np.array_equal(counts, counts_np)
+    w = _kernel_result(kernel.scan_triples, ds, 0.05)
+    assert np.array_equal(w, _kernel_result(_scan_numpy.scan_triples, ds, 0.05))
 
 
 @pytest.mark.parametrize("broken", ["no compiler", "cache dir not writable"])
@@ -332,7 +374,7 @@ def test_scan_without_a_usable_build_warns_once_and_matches_numpy(
     make_dataset, monkeypatch, tmp_path, broken
 ):
     ds = make_dataset(BUILD_MIN_N, 0.02, 4)
-    expected = _kernel_result(_scan_numpy.scan_triples, ds, 0.05)[0].reshape(ds.n, ds.n)
+    expected = _kernel_result(_scan_numpy.scan_triples, ds, 0.05).reshape(ds.n, ds.n)
     if broken == "no compiler":
         monkeypatch.setenv("PATH", "")
         cache = tmp_path
@@ -358,16 +400,20 @@ def test_scan_peak_memory_is_one_buffer_per_worker(make_dataset, monkeypatch, co
     n = 400
     ds = make_dataset(n, 0.01, 3)
     monkeypatch.setenv("LINECLUSTER_THREADS", str(threads))
-    tracemalloc.start()
-    try:
-        sim, _ = lc.scan(ds.points, 0.05, ds.labels)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert sim.backend == "compiled"
+    peaks = []
+    for labels in (ds.labels, None):
+        tracemalloc.start()
+        try:
+            sim, _ = lc.scan(ds.points, 0.05, labels)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert sim.backend == "compiled"
     # One n*n int32 buffer per worker plus the symmetric result, and slack
     # for the small arrays around them.
-    assert peak < (threads + 2) * n * n * 4 + (1 << 16)
+    assert peaks[0] < (threads + 2) * n * n * 4 + (1 << 16)
+    # The tallies of a labeled scan are read off W with no n*n temporary.
+    assert peaks[0] <= 1.05 * peaks[1]
 
 
 def test_scan_is_independent_of_the_thread_count(make_dataset, monkeypatch):
