@@ -2,11 +2,14 @@
 
 For each size the script samples a perpendicular cross and times the full
 O(n^3) scan twice: the C kernel through ``linecluster.scan`` (on
-LINECLUSTER_THREADS threads), and the numpy fallback through the very call
-``scan`` makes for it, ``_scan_numpy.scan_triples`` over all outer indices
-on one thread. It checks that both give the same similarity matrix. The C
-kernel is built (0.3–0.5 s) before the first timing if it is not cached;
-without a compiler both columns run numpy and the table says "not compared".
+min(LINECLUSTER_THREADS, CPUs) threads), and the numpy fallback through the
+very call ``scan`` makes for it, ``_scan_numpy.scan_triples`` over one range
+of all outer indices on one thread, folded into W by the same helper. It
+checks that both give the same similarity matrix. The C kernel is built
+(0.3–0.5 s) before the first timing if it is not cached; without a compiler
+both columns run numpy and the table says "not compared". ``peak`` is the
+tracemalloc peak of one more ``linecluster.scan``, in units of n^2 * 4 B
+(one int32 n x n matrix).
 
 On the same W it times ``linecluster.io.write_similarity_csv`` twice: on
 the scan's int32 W, which the compiled encoder writes (``write C``), and on
@@ -31,6 +34,7 @@ import os
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +43,7 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 import linecluster as lc  # noqa: E402
-from linecluster import _scan_numpy, io  # noqa: E402
+from linecluster import _scan_numpy, hypergraph, io  # noqa: E402
 
 
 def _best(repeats: int, run):
@@ -52,12 +56,14 @@ def _best(repeats: int, run):
     return best, result
 
 
-def _numpy_scan(x: np.ndarray, y: np.ndarray, t2: float) -> np.ndarray:
-    n = x.shape[0]
-    w = np.zeros(n * n, dtype=np.int32)
-    _scan_numpy.scan_triples(x, y, t2, 0, n, w)
-    upper = w.reshape(n, n)
-    return upper + upper.T
+def _peak(run) -> int:
+    """tracemalloc peak of one call of ``run``, in bytes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -77,7 +83,8 @@ def main(argv: list[str] | None = None) -> int:
 
     seg1, seg2 = lc.standard_cross(math.pi / 2.0, 1.0)
     header = (f"{'n':>6} {'triples':>14} {'compiled':>14} {'numpy':>12} {'speedup':>9}  identical"
-              f" {'write C':>12} {'write np':>12}  bytes  {'eigen':>12} {'eigh':>12}  eigenvalues")
+              f" {'peak':>5} {'write C':>12} {'write np':>12}  bytes  {'eigen':>12} {'eigh':>12}"
+              "  eigenvalues")
     print(header, "-" * len(header), sep="\n")
     agree = True
     same_bytes = True
@@ -88,7 +95,9 @@ def main(argv: list[str] | None = None) -> int:
         points = lc.sample_glmm(lc.ModelParams(seg1, seg2, args.sigma, n, seed=0)).points
         x, y = np.ascontiguousarray(points[:, 0]), np.ascontiguousarray(points[:, 1])
         fast, sim = _best(args.repeats, lambda: lc.scan(points, args.t)[0])
-        slow, w = _best(args.repeats, lambda: _numpy_scan(x, y, args.t * args.t))
+        slow, w = _best(args.repeats, lambda: hypergraph._pair_counts(
+            _scan_numpy.scan_triples, x, y, args.t * args.t, 1))
+        peak = _peak(lambda: lc.scan(points, args.t)) / (4 * n * n)
         same = np.array_equal(sim.counts, w)
         agree &= same
         verdict = f"{slow / fast:>8.1f}x  {'yes' if same else 'NO'}" if compared else "not compared"
@@ -103,7 +112,8 @@ def main(argv: list[str] | None = None) -> int:
         close = np.allclose(emb.eigenvalues, vals[[-1, -2]], rtol=1e-9, atol=0.0)
         eigen_agree &= close
         print(f"{n:>6} {math.comb(n, 3):>14,} {fast:>12.4f} s {slow:>10.4f} s {verdict:<13}"
-              f" {write_c:>10.4f} s {write_np:>10.4f} s  {'same ' if same_file else 'DIFFER'}"
+              f" {peak:>5.2f} {write_c:>10.4f} s {write_np:>10.4f} s"
+              f"  {'same ' if same_file else 'DIFFER'}"
               f" {eigen:>10.4f} s {dense:>10.4f} s  {'agree' if close else 'DIFFER'}")
     tmp.cleanup()
     if not agree:

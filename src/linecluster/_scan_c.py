@@ -30,8 +30,9 @@ On x86-64 glibc the source marks the kernel ``target_clones("avx2",
 vectorized, and the dynamic loader picks one by cpuid. ``-march=native``
 is not used because the library's name does not depend on the CPU, so a
 cache shared between hosts could hand a CPU instructions it lacks. The kernel
-runs without the GIL (ctypes releases it), so disjoint outer-index ranges
-can run on several threads with one buffer each.
+runs without the GIL (ctypes releases it), so ``hypergraph.scan`` runs
+disjoint outer-index ranges on several threads, at most one per CPU, each
+into a private buffer (see ``hypergraph``).
 
 The same library exports ``encode_upper_csv``, which renders rows of
 ``similarity.csv`` into a caller's buffer; ``io.write_similarity_csv`` runs

@@ -10,15 +10,20 @@ a symmetric integer matrix with zero diagonal and entries at most n - 2.
 Two interchangeable scan kernels accept the same triples: a vectorized numpy
 fallback, which evaluates the one score expression
 (``linecluster.tls._triple_scores``) on every triple, and a plain-C kernel
-(``linecluster._scan_c``), compiled on first use into a per-user cache and
-run on ``thread_count()`` threads, which decides most triples by a
-divide-free filter and re-checks only near-ties with that expression,
-operation for operation. A scan builds the C kernel only when
-``n >= BUILD_MIN_N``; smaller scans use it when it is already cached and
-numpy otherwise. Without a compiler or a writable cache the scan warns once
-and uses numpy. No option picks the kernel: counts are integers accumulated
-per disjoint outer-index range, so the result is independent of kernel and
-thread count, and ``SimilarityMatrix.backend`` names the kernel that ran.
+(``linecluster._scan_c``), compiled on first use into a per-user cache,
+which decides most triples by a divide-free filter and re-checks only
+near-ties with that expression, operation for operation. A scan builds the C
+kernel only when ``n >= BUILD_MIN_N``; smaller scans use it when it is
+already cached and numpy otherwise. Without a compiler or a writable cache
+the scan warns once and uses numpy. No option picks the kernel, and
+``SimilarityMatrix.backend`` names the kernel that ran.
+
+The C kernel runs on min(``thread_count()``, CPUs) threads, numpy on one.
+Each thread scans one contiguous outer-index range of about equal triple
+mass into its own n x n int32 buffer; integer counts summed over disjoint
+ranges make W independent of kernel and thread count. Both kernels write
+only the strict upper triangle, so W is symmetrized in place by row blocks,
+and the peak is one n^2 * 4 B buffer per thread.
 
 Labels never reach a kernel: the acceptance tallies of ``HyperedgeStats``
 follow from W, the pair projection of the hypergraph, and the labels in
@@ -34,7 +39,9 @@ single call within practical time and memory.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -78,18 +85,22 @@ def active_backend() -> str:
     return "compiled" if _use_compiled(BUILD_MIN_N) else "numpy"
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return (len(affinity(0)) if affinity else os.cpu_count()) or 1
+
+
 def thread_count() -> int:
     """Scan threads: LINECLUSTER_THREADS if set, else the CPUs this process
-    may run on (compiled only)."""
+    may run on (compiled only; a scan never runs more threads than CPUs)."""
     env = os.environ.get("LINECLUSTER_THREADS", "").strip()
     if env:
         try:
             return max(1, int(env))
         except ValueError as exc:
             raise LineClusterError(f"LINECLUSTER_THREADS must be an integer, got {env!r}") from exc
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) or 1
-    return os.cpu_count() or 1
+    return _cpus()
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,19 +134,26 @@ class HyperedgeStats:
         return self.accepted_between / self.total_between if self.total_between else math.nan
 
 
-def _partition(n: int, parts: int) -> list[tuple[int, int]]:
-    """Split outer indices into ranges of roughly equal triple mass."""
-    if parts <= 1:
-        return [(0, n)]
-    weights = np.array([(n - 1 - i) * (n - 2 - i) // 2 for i in range(n)], dtype=np.int64)
-    cum = np.cumsum(weights)
-    total = int(cum[-1])
-    cuts = [0]
-    for p in range(1, parts):
-        idx = int(np.searchsorted(cum, total * p / parts))
-        cuts.append(min(max(idx, cuts[-1]), n))
-    cuts.append(n)
-    return [(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
+def _pair_counts(kernel, x: np.ndarray, y: np.ndarray, t2: float, workers: int) -> np.ndarray:
+    """W by ``kernel`` on at most ``workers`` threads, one range and buffer each."""
+    n = x.shape[0]
+    mass = np.cumsum([(n - 1 - i) * (n - 2 - i) // 2 for i in range(n)])
+    cuts = [0, *np.searchsorted(mass, mass[-1] * np.arange(1, workers) / workers).tolist(), n]
+
+    def run(lo: int, hi: int) -> np.ndarray:
+        w_part = np.zeros((n, n), dtype=np.int32)
+        kernel(x, y, t2, lo, hi, w_part.reshape(-1))
+        return w_part
+
+    ranges = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
+    with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
+        w = functools.reduce(operator.iadd, pool.map(run, *zip(*ranges)))  # drops each part added
+    # Rows [lo, hi) add columns [lo, hi) of rows [0, hi), which no earlier
+    # block touched; numpy copies that overlapping operand, so keep it small.
+    step = max(1, (1 << 16) // n)
+    for lo in range(0, n, step):
+        w[lo:lo + step, :lo + step] += w[:lo + step, lo:lo + step].T
+    return w
 
 
 def scan(points, t: float, labels=None) -> tuple[SimilarityMatrix, HyperedgeStats | None]:
@@ -163,30 +181,10 @@ def scan(points, t: float, labels=None) -> tuple[SimilarityMatrix, HyperedgeStat
     t2 = t_unit * t_unit
 
     if _use_compiled(n):
-        kernel, backend, threads = _compiled.scan_triples, "compiled", thread_count()
+        kernel, backend, workers = _compiled.scan_triples, "compiled", min(thread_count(), _cpus())
     else:
-        kernel, backend, threads = _scan_numpy.scan_triples, "numpy", 1
-    ranges = _partition(n, min(threads, n) * 2 if threads > 1 else 1)
-    workers = min(threads, len(ranges))
-
-    def run(worker: int) -> np.ndarray:
-        # One buffer per worker, for every range it runs.
-        w_part = np.zeros(n * n, dtype=np.int32)
-        for lo, hi in ranges[worker::workers]:
-            kernel(x, y, t2, lo, hi, w_part)
-        return w_part
-
-    if workers == 1:
-        w_flat = run(0)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, range(workers)))
-        w_flat = parts[0]
-        for w_part in parts[1:]:
-            w_flat += w_part
-
-    upper = w_flat.reshape(n, n)
-    w = upper + upper.T
+        kernel, backend, workers = _scan_numpy.scan_triples, "numpy", 1
+    w = _pair_counts(kernel, x, y, t2, workers)
     sim = SimilarityMatrix(n=n, counts=w, backend=backend)
 
     stats: HyperedgeStats | None = None

@@ -1,7 +1,7 @@
 """Grid sweeps over (n, sigma, t) cells with per-trial derived seeds.
 
 Each (cell, trial) pair gets its own seed derived from the master seed via
-``SeedSequence(entropy=seed, spawn_key=(cell_index, trial))``, so results
+``SeedSequence(entropy=seed mod 2**64, spawn_key=(cell_index, trial))``, so results
 are independent of execution order and a rerun with the same config file
 reproduces every row byte-for-byte (the ``runtime_ms`` column excepted).
 
@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._rng import _check_seed
 from .errors import ClusterTooSmallError, LineClusterError
 from .hypergraph import scan
 from .metrics import align_swap, report
@@ -65,7 +66,11 @@ class SweepConfig:
             raise LineClusterError("n_points must be a non-empty list of integers >= 3")
         if not self.sigma or any(not (s >= 0.0) for s in self.sigma):
             raise LineClusterError("sigma must be a non-empty list of values >= 0")
-        if int(self.trials) < 1:
+        for key in ("trials", "seed"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise LineClusterError(f"{key} must be an integer, got {value!r}")
+        if self.trials < 1:
             raise LineClusterError(f"trials must be >= 1, got {self.trials}")
         if isinstance(self.t, str):
             if self.t != "auto":
@@ -211,10 +216,11 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     cells = [
         (n, sig, t) for n in config.n_points for sig in config.sigma for t in t_values
     ]
+    entropy = _check_seed(config.seed)  # any integer, taken modulo 2**64 as everywhere
     rows: list[SweepRow] = []
     for cell_idx, (n, sig, t_cell) in enumerate(cells):
-        for trial in range(int(config.trials)):
-            ss = np.random.SeedSequence(entropy=int(config.seed), spawn_key=(cell_idx, trial))
+        for trial in range(config.trials):
+            ss = np.random.SeedSequence(entropy=entropy, spawn_key=(cell_idx, trial))
             run_seed = int(ss.generate_state(1, np.uint64)[0])
             try:
                 rows.append(_run_trial(config, int(n), float(sig), float(t_cell), trial, run_seed))

@@ -395,9 +395,9 @@ def test_scan_without_a_usable_build_warns_once_and_matches_numpy(
 
 
 @needs_cc
-@pytest.mark.parametrize("threads", [1, 4])
+@pytest.mark.parametrize("threads", [1, 2, 4])
 def test_scan_peak_memory_is_one_buffer_per_worker(make_dataset, monkeypatch, compiled, threads):
-    n = 400
+    n = 1000  # large enough that the slack is a quarter of one buffer
     ds = make_dataset(n, 0.01, 3)
     monkeypatch.setenv("LINECLUSTER_THREADS", str(threads))
     peaks = []
@@ -409,9 +409,9 @@ def test_scan_peak_memory_is_one_buffer_per_worker(make_dataset, monkeypatch, co
         finally:
             tracemalloc.stop()
         assert sim.backend == "compiled"
-    # One n*n int32 buffer per worker plus the symmetric result, and slack
-    # for the small arrays around them.
-    assert peaks[0] < (threads + 2) * n * n * 4 + (1 << 16)
+    # One n*n int32 buffer per worker, at most one worker per CPU, W made
+    # symmetric inside the first; the slack covers the small arrays around them.
+    assert peaks[0] <= min(threads, hypergraph._cpus()) * n * n * 4 + (1 << 20)
     # The tallies of a labeled scan are read off W with no n*n temporary.
     assert peaks[0] <= 1.05 * peaks[1]
 
@@ -426,6 +426,62 @@ def test_scan_is_independent_of_the_thread_count(make_dataset, monkeypatch):
     sim7, stats7 = lc.scan(ds.points, 0.07, ds.labels)
     assert np.array_equal(sim1.counts, sim7.counts)
     assert stats1 == stats7
+    # The range/fold helper itself, past the CPU cap that scan applies, with
+    # more workers than ranges on n = 3 and 4, and with W symmetrized in more
+    # than one row block at n = 300 (against U + U.T of one kernel call).
+    big = make_dataset(300, 0.02, 5)
+    upper = _kernel_result(_scan_numpy.scan_triples, big, 0.07).reshape(300, 300)
+    kernels = [_scan_numpy.scan_triples]
+    if hypergraph._use_compiled(BUILD_MIN_N):
+        kernels.append(hypergraph._compiled.scan_triples)
+    for points, t, expected in ((ds.points, 0.07, sim1.counts),
+                                (ds.points[:3], 10.0, brute_force_scan(ds.points[:3], 10.0)[0]),
+                                (ds.points[:4], 0.5, brute_force_scan(ds.points[:4], 0.5)[0]),
+                                (big.points, 0.07, upper + upper.T)):
+        x = np.ascontiguousarray(points[:, 0])
+        y = np.ascontiguousarray(points[:, 1])
+        for kernel, workers in itertools.product(kernels, (1, 2, 3, 7)):
+            w = hypergraph._pair_counts(kernel, x, y, t * t, workers)
+            assert w.dtype == np.int32 and np.array_equal(w, expected), (kernel, workers)
+
+
+@needs_cc
+def test_scan_runs_no_more_threads_than_cpus(make_dataset, monkeypatch, compiled):
+    ds = make_dataset(120, 0.02, 5)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setenv("LINECLUSTER_THREADS", "64")
+    assert thread_count() == 64
+    workers, pools, ranges = [], [], []
+    pair_counts, pool_class = hypergraph._pair_counts, hypergraph.ThreadPoolExecutor
+
+    def record_workers(kernel, x, y, t2, count):
+        workers.append(count)
+        return pair_counts(kernel, x, y, t2, count)
+
+    class RecordingPool(pool_class):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    def record_range(x, y, t2, lo, hi, w):
+        ranges.append((lo, hi))
+        return type(compiled).scan_triples(compiled, x, y, t2, lo, hi, w)
+
+    monkeypatch.setattr(hypergraph, "_pair_counts", record_workers)
+    monkeypatch.setattr(hypergraph, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(compiled, "scan_triples", record_range)
+    sim, _ = lc.scan(ds.points, 0.07)
+    assert sim.backend == "compiled"
+    # A pool of two threads runs two contiguous ranges that cover every index.
+    assert workers == [2] and pools == [2]
+    (a, b), (c, d) = sorted(ranges)
+    assert a == 0 and b == c and d == ds.n
+    # LINECLUSTER_THREADS still lowers the count.
+    monkeypatch.setenv("LINECLUSTER_THREADS", "1")
+    lc.scan(ds.points, 0.07)
+    assert workers == [2, 1] and pools == [2, 1]
+    monkeypatch.undo()
+    assert np.array_equal(sim.counts, lc.scan(ds.points, 0.07)[0].counts)
 
 
 def test_thread_count_defaults_to_the_cpu_affinity_set(monkeypatch):

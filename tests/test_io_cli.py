@@ -743,30 +743,32 @@ def test_cli_bounds_draws_the_mixed_triples_once(capsys, monkeypatch):
 
 
 def test_cli_sweep_runs_a_config_file(capsys, tmp_path):
-    config = tmp_path / "config.json"
-    config.write_text(
-        json.dumps({"n_points": [40], "sigma": [0.01], "t": [0.1], "trials": 2, "seed": 1})
-    )
-    out = tmp_path / "sweep"
-    argv = ["sweep", "--config", str(config), "--out", str(out)]
-    code, payload, _ = _run(capsys, argv)
-    assert code == 0
-    assert payload["rows"] == 2
-    assert payload["failed_rows"] == 0
-    lines = (out / "sweep.csv").read_text().splitlines()
-    assert lines[0] == ",".join(io.SWEEP_COLUMNS)
-    assert len(lines) == 3
+    # A negative seed runs and reproduces, as it does for gen and cluster.
+    for seed in (1, -3):
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps({"n_points": [40], "sigma": [0.01], "t": [0.1], "trials": 2, "seed": seed})
+        )
+        out = tmp_path / f"sweep{seed}"
+        argv = ["sweep", "--config", str(config), "--out", str(out)]
+        code, payload, _ = _run(capsys, argv)
+        assert code == 0
+        assert payload["rows"] == 2
+        assert payload["failed_rows"] == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert lines[0] == ",".join(io.SWEEP_COLUMNS)
+        assert len(lines) == 3
 
-    # rerun: every column except runtime_ms is identical
-    first = [line.split(",") for line in lines[1:]]
-    code, _, _ = _run(capsys, argv)
-    assert code == 0
-    second = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
-    skip = io.SWEEP_COLUMNS.index("runtime_ms")
-    for a, b in zip(first, second):
-        assert [v for i, v in enumerate(a) if i != skip] == [
-            v for i, v in enumerate(b) if i != skip
-        ]
+        # rerun: every column except runtime_ms is identical
+        first = [line.split(",") for line in lines[1:]]
+        code, _, _ = _run(capsys, argv)
+        assert code == 0
+        second = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+        skip = io.SWEEP_COLUMNS.index("runtime_ms")
+        for a, b in zip(first, second):
+            assert [v for i, v in enumerate(a) if i != skip] == [
+                v for i, v in enumerate(b) if i != skip
+            ]
 
 
 def test_cli_exit_codes(capsys, tmp_path):
@@ -809,11 +811,20 @@ _LABELS = "index,z_hat\n" + "".join(f"{i},1\n" for i in range(9))
          "malformed row (could not convert string 'x' to float64 at line 4, column 2.)"),
         (["recover-lines", "--labels"], _LABELS + "\n9\n",
          "malformed row (invalid column index 1 at line 12 with 1 columns)"),
+        (["bounds", "--t", "0.05", "--sigma", "0.01", "--mc-samples", "0"], "",
+         "sample count must be at least 1, got 0"),
+        (["bounds", "--t", "0.05", "--sigma", "0.01", "--mc-samples", "-5"], "",
+         "sample count must be at least 1, got -5"),
+        (["sweep", "--config"], json.dumps({"n_points": [10], "sigma": [0.01], "t": [0.1],
+                                            "trials": 2.5}), "trials must be an integer"),
+        (["sweep", "--config"], json.dumps({"n_points": [10], "sigma": [0.01], "t": [0.1],
+                                            "seed": 0.5}), "seed must be an integer"),
     ],
     ids=["short labels row", "non-integer label", "label past int8", "repeated index",
          "params list", "n_points not a list", "non-numeric stdin", "dataset label past int8",
          "dataset label of 200000 digits", "dataset row after a blank line",
-         "labels row after a blank line"],
+         "labels row after a blank line", "zero mc samples", "negative mc samples",
+         "fractional sweep trials", "fractional sweep seed"],
 )
 def test_cli_reports_malformed_input_as_an_error(capsys, tmp_path, monkeypatch, command, text,
                                                  message):
@@ -821,7 +832,7 @@ def test_cli_reports_malformed_input_as_an_error(capsys, tmp_path, monkeypatch, 
     path = tmp_path / "input"
     path.write_text(text)
     monkeypatch.setattr(sys, "stdin", std_io.StringIO(text))
-    argv = command + [str(path)] if len(command) > 1 else command
+    argv = command + [str(path)] if command[-1].startswith("--") else command
     if command[0] in ("recover-lines", "oracle"):
         argv += ["--in", str(d / "points.csv")]
     code, payload, err = _run(capsys, argv)

@@ -164,6 +164,11 @@ def test_config_validation():
         lc.SweepConfig(n_points=[10], sigma=[0.1], t=[0.0])
     with pytest.raises(lc.LineClusterError):
         lc.SweepConfig(n_points=[10], sigma=[0.1], t=[0.1], trials=0)
+    # trials and seed must be integers: 2.5 trials is not silently 2
+    for bad in ({"trials": 2.5}, {"trials": "3"}, {"trials": True}, {"seed": 1.5},
+                {"seed": "7"}):
+        with pytest.raises(lc.LineClusterError, match="must be an integer"):
+            lc.SweepConfig(n_points=[10], sigma=[0.1], t=[0.1], **bad)
     with pytest.raises(lc.LineClusterError):
         lc.SweepConfig(n_points=[10], sigma=[0.1], t=[0.1], algorithm="votes")
     with pytest.raises(lc.LineClusterError):
