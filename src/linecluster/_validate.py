@@ -1,10 +1,18 @@
-"""Shared argument checks for array-accepting entry points."""
+"""Shared argument checks for array-accepting entry points and integer fields."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import BadLabelError, LengthMismatchError, LineClusterError, SizeTooSmallError
+
+
+def as_int(value, name: str) -> int:
+    """``value`` as an int; a bool, float, string or any other non-integer is
+    refused, so 40.7 is not silently 40 nor "5" silently 5."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise LineClusterError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def as_points(points, min_n: int = 1) -> np.ndarray:

@@ -138,9 +138,13 @@ def tail_chi2(k: int, theta: float) -> float:
 
 
 def cdf_rayleigh(t: float, scale: float) -> float:
-    """Exact Rayleigh CDF 1 - exp(-t^2 / (2 scale^2)) (t < 0 gives 0)."""
+    """Exact Rayleigh CDF 1 - exp(-t^2 / (2 scale^2)) (t < 0 gives 0).
+
+    Scale 0 is outside the formula's domain (``OutOfValidityError``); a
+    negative or non-finite scale is an error."""
     if not (scale > 0.0) or not math.isfinite(scale):
-        raise LineClusterError(f"scale must be positive and finite, got {scale}")
+        error = OutOfValidityError if scale == 0.0 else LineClusterError
+        raise error(f"scale must be positive and finite, got {scale}")
     if t <= 0.0:
         return 0.0
     return 1.0 - math.exp(-(t * t) / (2.0 * scale * scale))

@@ -16,9 +16,12 @@ same seed is byte-identical:
     bytes, and neither holds more than about a megabyte beyond W;
   * bounds CSV: header ``bound_name,params,theory,mc_estimate,mc_se,pass``;
     Monte-Carlo columns are empty for bounds without a sampling validator;
-  * sweep CSV: one row per (cell, trial) with the column order pinned in
-    ``SWEEP_COLUMNS``; ``runtime_ms`` is the only column exempt from
-    rerun determinism.
+  * sweep CSV: one row per (cell, trial), its columns ``SweepRow``'s fields
+    in order (``SWEEP_COLUMNS``); ``runtime_ms`` is the only column exempt
+    from rerun determinism.
+
+Both tables go through ``_write_table``, which renders each cell by the
+value's type (``_cell``).
 """
 
 from __future__ import annotations
@@ -33,29 +36,15 @@ from pathlib import Path
 import numpy as np
 
 from . import hypergraph
+from ._validate import as_int
 from .errors import LineClusterError
 from .model import ModelParams, standard_cross
+from .sweep import SweepRow
 
 SCHEMA_VERSION = 1
 
-SWEEP_COLUMNS = (
-    "n",
-    "sigma",
-    "t",
-    "trial",
-    "seed",
-    "ham_star",
-    "rate",
-    "exact",
-    "runtime_ms",
-    "p_hat",
-    "q_hat",
-    "sin_angle_1",
-    "sin_angle_2",
-    "center_err_1",
-    "center_err_2",
-    "error",
-)
+SWEEP_COLUMNS = tuple(f.name for f in dataclasses.fields(SweepRow))
+BOUNDS_COLUMNS = ("bound_name", "params", "theory", "mc_estimate", "mc_se", "pass")
 
 
 def fmt_float(v: float) -> str:
@@ -169,7 +158,7 @@ def read_params_json(path) -> ModelParams:
         raise LineClusterError(f"{path}: params JSON must be an object, got {type(payload).__name__}")
     try:
         alpha, half_length, sigma = (float(payload[k]) for k in ("alpha", "half_length", "sigma"))
-        n_points, seed = int(payload["n_points"]), int(payload["seed"])
+        n_points, seed = (as_int(payload[k], k) for k in ("n_points", "seed"))
     except KeyError as exc:
         raise LineClusterError(f"{path}: missing key {exc} in params JSON") from exc
     except (TypeError, ValueError) as exc:
@@ -305,40 +294,38 @@ def _write_upper_numpy(fh, mat: np.ndarray) -> None:
         lo = hi
 
 
-def write_bounds_csv(path, rows: list[dict]) -> None:
-    lines = ["bound_name,params,theory,mc_estimate,mc_se,pass"]
-    for row in rows:
-        mc_est = fmt_float(row["mc_estimate"]) if row.get("mc_estimate") is not None else ""
-        mc_se = fmt_float(row["mc_se"]) if row.get("mc_se") is not None else ""
-        ok = "" if row.get("pass") is None else ("1" if row["pass"] else "0")
-        lines.append(
-            f"{row['bound_name']},{row['params']},{fmt_float(row['theory'])},{mc_est},{mc_se},{ok}"
-        )
+def _cell(value) -> str:
+    """One table cell, rendered by the value's type: None empty, a string with
+    commas and newlines replaced (so it stays one field), a bool ``1``/``0``,
+    an integer ``str(int(v))``, anything else ``fmt_float`` (nan as ``nan``)."""
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value.replace(",", ";").replace("\n", " ")
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return fmt_float(value)
+
+
+def _write_table(path, columns, rows) -> None:
+    """A CSV of the header ``columns``, then one line per row of values."""
+    lines = [",".join(columns)]
+    lines.extend(",".join(map(_cell, row)) for row in rows)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def sweep_row_to_strings(row) -> list[str]:
-    values = dataclasses.asdict(row) if dataclasses.is_dataclass(row) else dict(row)
-    out = []
-    for col in SWEEP_COLUMNS:
-        v = values[col]
-        if col == "error":
-            # Keep the bare comma-join format intact for arbitrary messages.
-            out.append(str(v).replace(",", ";").replace("\n", " ") if v else "")
-        elif col in ("n", "trial", "seed", "ham_star"):
-            out.append("nan" if isinstance(v, float) and math.isnan(v) else str(int(v)))
-        elif col == "exact":
-            out.append("1" if v else "0")
-        else:
-            out.append(fmt_float(v) if v is not None and not (isinstance(v, float) and math.isnan(v)) else "nan")
-    return out
+def write_bounds_csv(path, rows: list[dict]) -> None:
+    _write_table(path, BOUNDS_COLUMNS, ([row.get(col) for col in BOUNDS_COLUMNS] for row in rows))
+
+
+def sweep_row_to_strings(row: SweepRow) -> list[str]:
+    return list(map(_cell, dataclasses.astuple(row)))
 
 
 def write_sweep_csv(path, rows) -> None:
-    lines = [",".join(SWEEP_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(sweep_row_to_strings(row)))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_table(path, SWEEP_COLUMNS, map(dataclasses.astuple, rows))
 
 
 def to_jsonable(obj):

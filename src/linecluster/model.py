@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import DOMAIN_MODEL, block_words, uniform_from_word, uniform_open_closed
+from ._validate import as_int
 from .errors import InvalidAngleError, LineClusterError
 
 _CHUNK_POINTS = 1 << 16
@@ -67,7 +68,7 @@ class ModelParams:
     def __post_init__(self) -> None:
         if not (self.sigma >= 0.0) or not math.isfinite(self.sigma):
             raise LineClusterError(f"sigma must be finite and >= 0, got {self.sigma}")
-        if int(self.n_points) < 1:
+        if as_int(self.n_points, "n_points") < 1:
             raise LineClusterError(f"n_points must be >= 1, got {self.n_points}")
 
 
@@ -141,7 +142,7 @@ def sample_glmm(params: ModelParams) -> LabeledDataset:
     Deterministic in ``params.seed``; growing ``n_points`` with the same seed
     extends the draw without changing earlier points.
     """
-    n = int(params.n_points)
+    n = params.n_points
     points = np.empty((n, 2), dtype=np.float64)
     labels = np.empty(n, dtype=np.int8)
     for start in range(0, n, _CHUNK_POINTS):

@@ -53,6 +53,8 @@ def triple_scores(triples: np.ndarray) -> np.ndarray:
 def mc_within_miss(t: float, sigma: float, ell: float, n_triples: int, seed: int) -> MCResult:
     """P(score >= t^2) for triples drawn from a single noisy segment."""
     _check_samples(n_triples)
+    if not (0.0 < ell < math.inf):
+        raise LineClusterError(f"ell must be positive and finite, got {ell}")
     rng = generator(seed, DOMAIN_MC)
     h = 0.5 * ell
     u = rng.uniform(-h, h, size=(n_triples, 3))

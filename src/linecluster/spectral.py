@@ -79,8 +79,9 @@ class ClusterResult:
 def _as_matrix(w) -> np.ndarray:
     """A float64 copy of ``w``, which the caller may overwrite."""
     if isinstance(w, SimilarityMatrix):
-        # The scan's own output: integer counts built as upper + upper.T, so
-        # square, finite and exactly symmetric; the checks below are for raw arrays.
+        # The scan's own output: integer counts whose upper triangle is mirrored
+        # in place, so square, finite and exactly symmetric; the checks below
+        # are for raw arrays.
         return np.array(w.counts, dtype=np.float64)
     mat = np.array(w, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:

@@ -30,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from ._rng import _check_seed
+from ._validate import as_int
 from .errors import ClusterTooSmallError, LineClusterError
 from .hypergraph import scan
 from .metrics import align_swap, report
@@ -62,16 +63,24 @@ class SweepConfig:
             raise LineClusterError(
                 f"algorithm must be one of {_ALGORITHMS}, got {self.algorithm!r}"
             )
-        if not self.n_points or any(int(n) < 3 for n in self.n_points):
+        # Every field is checked here, so a bad config is refused before any
+        # trial runs rather than failing each trial into the error column.
+        if not self.n_points or any(as_int(n, "each n_points entry") < 3 for n in self.n_points):
             raise LineClusterError("n_points must be a non-empty list of integers >= 3")
-        if not self.sigma or any(not (s >= 0.0) for s in self.sigma):
-            raise LineClusterError("sigma must be a non-empty list of values >= 0")
-        for key in ("trials", "seed"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise LineClusterError(f"{key} must be an integer, got {value!r}")
+        if not self.sigma or any(not (0.0 <= s < math.inf) for s in self.sigma):
+            raise LineClusterError("sigma must be a non-empty list of finite values >= 0")
+        for key in ("trials", "seed", "m"):
+            as_int(getattr(self, key), key)
         if self.trials < 1:
             raise LineClusterError(f"trials must be >= 1, got {self.trials}")
+        if self.m < 1:
+            raise LineClusterError(f"m must be >= 1, got {self.m}")
+        if not (0.0 <= self.theta <= 1.0):
+            raise LineClusterError(f"theta must lie in [0, 1], got {self.theta}")
+        if not (0.0 < self.alpha < math.pi):
+            raise LineClusterError(f"alpha must lie strictly between 0 and pi, got {self.alpha}")
+        if not (0.0 < self.ell < math.inf):
+            raise LineClusterError(f"ell must be positive and finite, got {self.ell}")
         if isinstance(self.t, str):
             if self.t != "auto":
                 raise LineClusterError(f"t must be a list of thresholds or 'auto', got {self.t!r}")
@@ -82,8 +91,8 @@ class SweepConfig:
                 raise LineClusterError(
                     f"algorithm {self.algorithm!r} selects its own threshold; set t to 'auto'"
                 )
-            if not self.t or any(not (v > 0.0) for v in self.t):
-                raise LineClusterError("spectral sweeps need a non-empty list of thresholds > 0")
+            if not self.t or any(not (0.0 < v < math.inf) for v in self.t):
+                raise LineClusterError("t must be a non-empty list of finite thresholds > 0")
         # The grid is a set of cells: enumerate it in sorted order so the CSV
         # comes out sorted by (n, sigma, t, trial) and cell indices (which
         # seed the trials) do not depend on how the lists were typed in.
@@ -123,23 +132,25 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One (cell, trial) result; column order pinned by io.SWEEP_COLUMNS."""
+    """One (cell, trial) result. The fields are sweep.csv's columns, in order
+    (``io.SWEEP_COLUMNS`` is read off them); a failed trial sets only its cell,
+    trial, seed and error, and its metrics keep their nan / False defaults."""
 
     n: int
     sigma: float
     t: float
     trial: int
     seed: int
-    ham_star: int
-    rate: float
-    exact: bool
-    runtime_ms: float
-    p_hat: float
-    q_hat: float
-    sin_angle_1: float
-    sin_angle_2: float
-    center_err_1: float
-    center_err_2: float
+    ham_star: int | float = math.nan  # an int, or nan on a failed trial
+    rate: float = math.nan
+    exact: bool = False
+    runtime_ms: float = math.nan
+    p_hat: float = math.nan
+    q_hat: float = math.nan
+    sin_angle_1: float = math.nan
+    sin_angle_2: float = math.nan
+    center_err_1: float = math.nan
+    center_err_2: float = math.nan
     error: str = ""
 
 
@@ -225,14 +236,6 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
             try:
                 rows.append(_run_trial(config, int(n), float(sig), float(t_cell), trial, run_seed))
             except Exception as exc:  # noqa: BLE001 - a bad cell must not kill the sweep
-                rows.append(
-                    SweepRow(
-                        n=int(n), sigma=float(sig), t=float(t_cell), trial=trial,
-                        seed=run_seed, ham_star=math.nan, rate=math.nan, exact=False,
-                        runtime_ms=math.nan, p_hat=math.nan, q_hat=math.nan,
-                        sin_angle_1=math.nan, sin_angle_2=math.nan,
-                        center_err_1=math.nan, center_err_2=math.nan,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                )
+                rows.append(SweepRow(n=int(n), sigma=float(sig), t=float(t_cell), trial=trial,
+                                     seed=run_seed, error=f"{type(exc).__name__}: {exc}"))
     return rows

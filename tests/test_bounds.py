@@ -86,8 +86,14 @@ def test_bound_domain_violations_raise():
         lc.tail_binomial(300.0, 1.5)
     with pytest.raises(lc.LineClusterError):
         lc.tail_binomial(0.0, 0.1)
-    with pytest.raises(lc.LineClusterError):
+    # Scale 0 is outside the formula's domain; a negative or non-finite scale
+    # is an error, not a skipped bound.
+    with pytest.raises(lc.OutOfValidityError):
         lc.cdf_rayleigh(1.0, 0.0)
+    for scale in (-1.0, math.inf, math.nan):
+        with pytest.raises(lc.LineClusterError) as info:
+            lc.cdf_rayleigh(1.0, scale)
+        assert not isinstance(info.value, lc.OutOfValidityError)
     for bad in ((0.0, 0.1, 2.0), (0.1, -1.0, 2.0), (0.1, 0.1, 0.0)):
         with pytest.raises(lc.LineClusterError):
             lc.BoundInputs(*bad)

@@ -172,6 +172,13 @@ def test_params_json_rejects_bad_files(tmp_path):
     missing.write_text(json.dumps({"alpha": 1.0}))
     with pytest.raises(lc.LineClusterError, match="missing key"):
         io.read_params_json(missing)
+    # integer keys are not truncated or converted from strings
+    good = {"alpha": 1.0, "half_length": 1.0, "sigma": 0.01, "n_points": 80, "seed": 3}
+    for key, bad in (("n_points", 80.7), ("n_points", "80"), ("seed", 1.5)):
+        not_int = tmp_path / "not_int.json"
+        not_int.write_text(json.dumps({**good, key: bad}))
+        with pytest.raises(lc.LineClusterError, match=f"bad value.*{key} must be an integer"):
+            io.read_params_json(not_int)
 
 
 def test_labels_csv_round_trip_and_errors(tmp_path):
@@ -431,6 +438,31 @@ def test_sweep_rows_render_sanitized_errors_and_nan_metrics():
     assert rendered[io.SWEEP_COLUMNS.index("exact")] == "0"
     assert rendered[io.SWEEP_COLUMNS.index("n")] == "4"
     assert len(rendered) == len(io.SWEEP_COLUMNS)
+    # A failed trial names only its identity and error; the metric defaults
+    # render exactly as the spelled-out nan / False values.
+    short = lc.SweepRow(n=4, sigma=0.05, t=math.nan, trial=0, seed=99,
+                        error="Boom: a, b\nand more")
+    assert short == row
+    assert io.sweep_row_to_strings(short) == rendered
+
+
+def test_sweep_csv_bytes_are_pinned(tmp_path):
+    ok = lc.SweepRow(n=40, sigma=0.01, t=0.1, trial=0, seed=2**64 - 1, ham_star=np.int64(0),
+                     rate=0.0, exact=np.bool_(True), runtime_ms=12.5, p_hat=0.75,
+                     q_hat=1 / 3, sin_angle_1=0.0012, sin_angle_2=np.float64(2e-5),
+                     center_err_1=0.5, center_err_2=math.nan)
+    failed = lc.SweepRow(n=4, sigma=0.0, t=math.nan, trial=1, seed=7,
+                         error="SampleExhaustsNodesError: touched 3, of 4\nnodes")
+    path = tmp_path / "sweep.csv"
+    io.write_sweep_csv(path, [ok, failed])
+    assert path.read_bytes() == (
+        b"n,sigma,t,trial,seed,ham_star,rate,exact,runtime_ms,p_hat,q_hat,"
+        b"sin_angle_1,sin_angle_2,center_err_1,center_err_2,error\n"
+        b"40,0.01,0.10000000000000001,0,18446744073709551615,0,0,1,12.5,0.75,"
+        b"0.33333333333333331,0.0011999999999999999,2.0000000000000002e-05,0.5,nan,\n"
+        b"4,0,nan,1,7,nan,nan,0,nan,nan,nan,nan,nan,nan,nan,"
+        b"SampleExhaustsNodesError: touched 3; of 4 nodes\n"
+    )
 
 
 def test_sweep_csv_header_is_the_pinned_column_order(tmp_path):
@@ -714,6 +746,16 @@ def test_cli_bounds_skips_out_of_domain_rows(capsys, tmp_path):
     assert all(row["bound_name"] != "within_miss_upper" for row in payload["rows"])
 
 
+@pytest.mark.parametrize("mc", ["--no-mc", "--mc"])
+def test_cli_bounds_skips_the_rayleigh_rows_at_sigma_zero(capsys, mc):
+    # sigma = 0 is outside within_miss_upper's and cdf_rayleigh's domains; the
+    # other five bounds are evaluated there.
+    code, payload, err = _run(capsys, ["bounds", "--t", "0.05", "--sigma", "0", mc])
+    assert code == 0 and err == ""
+    assert [s.split(":")[0] for s in payload["skipped"]] == ["within_miss_upper", "cdf_rayleigh"]
+    assert len(payload["rows"]) == 5
+
+
 @pytest.mark.parametrize("flag, value, name", [("--chi2-theta", "0.5", "tail_chi2"),
                                                ("--binom-delta", "1.5", "tail_binomial")])
 def test_cli_bounds_skips_out_of_domain_tail_bounds(capsys, flag, value, name):
@@ -819,12 +861,22 @@ _LABELS = "index,z_hat\n" + "".join(f"{i},1\n" for i in range(9))
                                             "trials": 2.5}), "trials must be an integer"),
         (["sweep", "--config"], json.dumps({"n_points": [10], "sigma": [0.01], "t": [0.1],
                                             "seed": 0.5}), "seed must be an integer"),
+        (["sweep", "--config"], json.dumps({"n_points": [40.7], "sigma": [0.01], "t": [0.1]}),
+         "each n_points entry must be an integer, got 40.7"),
+        (["sweep", "--config"], json.dumps({"n_points": [40], "sigma": [0.01], "t": "auto",
+                                            "algorithm": "autocluster", "m": 2.5}),
+         "m must be an integer, got 2.5"),
+        (["bounds", "--t", "0.05", "--sigma", "0.01", "--ell", "nan"], "",
+         "ell must be positive and finite, got nan"),
+        (["bounds", "--t", "0.05", "--sigma", "0.01", "--ell", "-1"], "",
+         "ell must be positive and finite, got -1.0"),
     ],
     ids=["short labels row", "non-integer label", "label past int8", "repeated index",
          "params list", "n_points not a list", "non-numeric stdin", "dataset label past int8",
          "dataset label of 200000 digits", "dataset row after a blank line",
          "labels row after a blank line", "zero mc samples", "negative mc samples",
-         "fractional sweep trials", "fractional sweep seed"],
+         "fractional sweep trials", "fractional sweep seed", "fractional sweep n_points",
+         "fractional sweep m", "nan bounds ell", "negative bounds ell"],
 )
 def test_cli_reports_malformed_input_as_an_error(capsys, tmp_path, monkeypatch, command, text,
                                                  message):

@@ -44,6 +44,10 @@ def test_model_params_validation():
         lc.ModelParams(seg1=seg1, seg2=seg2, sigma=-0.1, n_points=10, seed=0)
     with pytest.raises(LineClusterError):
         lc.ModelParams(seg1=seg1, seg2=seg2, sigma=0.1, n_points=0, seed=0)
+    # n_points must be an integer: 40.7 is not silently 40, nor "12" 12
+    for bad in (40.7, "12", True):
+        with pytest.raises(LineClusterError, match="n_points must be an integer"):
+            lc.ModelParams(seg1=seg1, seg2=seg2, sigma=0.1, n_points=bad, seed=0)
 
 
 def test_segment_distance_interior_and_clamped():

@@ -169,6 +169,33 @@ def test_config_validation():
                 {"seed": "7"}):
         with pytest.raises(lc.LineClusterError, match="must be an integer"):
             lc.SweepConfig(n_points=[10], sigma=[0.1], t=[0.1], **bad)
+    # every other field is checked too, so a bad config is refused before any
+    # trial runs instead of failing each trial into the error column
+    for bad, message in (
+        ({"n_points": [40.7]}, "each n_points entry must be an integer"),
+        ({"n_points": ["5"]}, "each n_points entry must be an integer"),
+        ({"n_points": [True, 10]}, "each n_points entry must be an integer"),
+        ({"m": 2.5}, "m must be an integer"),
+        ({"m": 0}, "m must be >= 1"),
+        ({"theta": 1.5}, r"theta must lie in \[0, 1\]"),
+        ({"theta": math.nan}, r"theta must lie in \[0, 1\]"),
+        ({"alpha": 5}, "alpha must lie strictly between 0 and pi"),
+        ({"alpha": 0.0}, "alpha must lie strictly between 0 and pi"),
+        ({"ell": -1}, "ell must be positive and finite"),
+        ({"ell": math.inf}, "ell must be positive and finite"),
+        ({"sigma": [math.inf]}, "sigma must be a non-empty list of finite values"),
+        ({"sigma": [math.nan]}, "sigma must be a non-empty list of finite values"),
+        ({"t": [math.inf]}, "t must be a non-empty list of finite thresholds"),
+    ):
+        with pytest.raises(lc.LineClusterError, match=message):
+            lc.SweepConfig(**{"n_points": [10], "sigma": [0.1], "t": [0.1], **bad})
+    # and under the algorithm that samples m triples
+    with pytest.raises(lc.LineClusterError, match="m must be an integer"):
+        lc.SweepConfig(n_points=[10], sigma=[0.1], t="auto", algorithm="autocluster", m=2.5)
+    # the bounds of each domain are accepted
+    lc.SweepConfig(n_points=[3], sigma=[0.0], t="auto", algorithm="autocluster", m=1, theta=0.0)
+    lc.SweepConfig(n_points=[np.int64(3)], sigma=[0.1], t="auto", algorithm="autocluster",
+                   theta=1.0, seed=np.int64(-3))
     with pytest.raises(lc.LineClusterError):
         lc.SweepConfig(n_points=[10], sigma=[0.1], t=[0.1], algorithm="votes")
     with pytest.raises(lc.LineClusterError):
