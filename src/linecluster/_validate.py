@@ -1,6 +1,8 @@
-"""Shared argument checks for array-accepting entry points and integer fields."""
+"""Shared argument checks for array-accepting entry points and number fields."""
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -13,6 +15,14 @@ def as_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise LineClusterError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def as_float(value, name: str) -> float:
+    """``value`` as a float; a bool, string or any other non-real is refused,
+    so true is not silently 1.0 nor "0.1" silently 0.1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise LineClusterError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def as_points(points, min_n: int = 1) -> np.ndarray:

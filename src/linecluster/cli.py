@@ -1,10 +1,12 @@
 """Command-line interface.
 
 Subcommands: gen, tls-score, cluster, autocluster, recover-lines, oracle,
-bounds, sweep. Every command prints a JSON summary to stdout; ``--out DIR``
-commands write their CSV artifacts under that directory (created if missing)
-with fixed names, in the formats of ``linecluster.io``. Exit codes: 0 on
-success, 1 on runtime errors (bad files, invalid values), 2 on usage errors.
+bounds, sweep. Each ``_cmd_*`` returns its payload (``bounds`` also its exit
+status); ``cli_dispatch`` adds the ``command`` key and prints the one JSON
+summary to stdout. ``--out DIR`` commands write their CSV artifacts under
+that directory (created if missing) with fixed names, in the formats of
+``linecluster.io``. Exit codes: 0 on success, 1 on runtime errors (bad
+files, invalid values) and failed ``bounds`` checks, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -44,7 +46,20 @@ def _artifact(out_dir: str, name: str) -> str:
     return os.path.join(out_dir, name)
 
 
-def _cmd_gen(args) -> int:
+def _rates(z_hat, z) -> dict:
+    """The recovery block of a labeling against the truth."""
+    rep = metrics.report(z_hat, z)
+    return {"ham_star": rep.ham_star, "rate": rep.rate, "exact": rep.exact}
+
+
+def _write_labels(args, payload: dict, labels) -> None:
+    """With ``--out``, write ``labels.csv`` and name it in the payload."""
+    if args.out:
+        payload["labels_out"] = _artifact(args.out, "labels.csv")
+        io.write_labels_csv(payload["labels_out"], labels)
+
+
+def _cmd_gen(args) -> dict:
     seg1, seg2 = standard_cross(args.alpha, args.half_length)
     params = ModelParams(seg1=seg1, seg2=seg2, sigma=args.sigma, n_points=args.n, seed=args.seed)
     ds = sample_glmm(params)
@@ -52,23 +67,19 @@ def _cmd_gen(args) -> int:
     params_out = _artifact(args.out, "params.json")
     io.write_points_csv(points_out, ds.points, ds.labels)
     io.write_params_json(params_out, args.alpha, args.half_length, args.sigma, args.n, args.seed)
-    _print_json(
-        {
-            "command": "gen",
-            "n": ds.n,
-            "sigma": args.sigma,
-            "alpha": args.alpha,
-            "half_length": args.half_length,
-            "seed": args.seed,
-            "points_out": points_out,
-            "params_out": params_out,
-            "label_counts": {
-                "1": int(np.count_nonzero(ds.labels == 1)),
-                "2": int(np.count_nonzero(ds.labels == 2)),
-            },
-        }
-    )
-    return 0
+    return {
+        "n": ds.n,
+        "sigma": args.sigma,
+        "alpha": args.alpha,
+        "half_length": args.half_length,
+        "seed": args.seed,
+        "points_out": points_out,
+        "params_out": params_out,
+        "label_counts": {
+            "1": int(np.count_nonzero(ds.labels == 1)),
+            "2": int(np.count_nonzero(ds.labels == 2)),
+        },
+    }
 
 
 def _parse_triple(text: str) -> np.ndarray:
@@ -99,64 +110,45 @@ def _read_triple_stdin() -> np.ndarray:
     return arr
 
 
-def _cmd_tls_score(args) -> int:
+def _cmd_tls_score(args) -> dict:
     triple = _parse_triple(args.points) if args.points else _read_triple_stdin()
     s = scatter(triple)
     score = sigma_tls_sq(triple)
-    _print_json(
-        {
-            "command": "tls-score",
-            "s_xx": s.s_xx,
-            "s_xy": s.s_xy,
-            "s_yy": s.s_yy,
-            "sigma_tls_sq": score,
-            "sigma_tls": math.sqrt(score),
-        }
-    )
-    return 0
+    return {
+        "s_xx": s.s_xx,
+        "s_xy": s.s_xy,
+        "s_yy": s.s_yy,
+        "sigma_tls_sq": score,
+        "sigma_tls": math.sqrt(score),
+    }
 
 
-def _cmd_cluster(args) -> int:
+def _cmd_cluster(args) -> dict:
     points, labels = io.read_points_csv(args.infile)
     sim, stats = scan(points, args.t, labels)
     res = cluster_from_similarity(sim, args.seed)
     payload = {
-        "command": "cluster",
         "n": sim.n,
         "t": args.t,
         "seed": args.seed,
         "backend": sim.backend,
-        "eigenvalues": list(res.embedding.eigenvalues) if res.embedding else None,
+        "eigenvalues": res.embedding.eigenvalues if res.embedding else None,
         "kmeans_inertia": res.kmeans_inertia,
         "degenerate": res.degenerate,
     }
-    if labels is not None and stats is not None:
-        rep = metrics.report(res.labels, labels)
-        payload.update(
-            {
-                "ham_star": rep.ham_star,
-                "rate": rep.rate,
-                "exact": rep.exact,
-                "p_hat": stats.p_hat,
-                "q_hat": stats.q_hat,
-            }
-        )
+    if labels is not None:
+        payload.update(_rates(res.labels, labels), p_hat=stats.p_hat, q_hat=stats.q_hat)
+    _write_labels(args, payload, res.labels)
     if args.out:
-        labels_out = _artifact(args.out, "labels.csv")
-        w_out = _artifact(args.out, "similarity.csv")
-        io.write_labels_csv(labels_out, res.labels)
-        io.write_similarity_csv(w_out, sim.counts)
-        payload["labels_out"] = labels_out
-        payload["w_out"] = w_out
-    _print_json(payload)
-    return 0
+        payload["w_out"] = _artifact(args.out, "similarity.csv")
+        io.write_similarity_csv(payload["w_out"], sim.counts)
+    return payload
 
 
-def _cmd_autocluster(args) -> int:
+def _cmd_autocluster(args) -> dict:
     points, labels = io.read_points_csv(args.infile)
     res = autocluster(points, args.m, args.theta, args.seed)
     payload = {
-        "command": "autocluster",
         "n": int(points.shape[0]),
         "m": args.m,
         "theta": args.theta,
@@ -169,35 +161,14 @@ def _cmd_autocluster(args) -> int:
         "degenerate": res.degenerate,
     }
     if labels is not None:
-        rep_full = metrics.report(res.labels, labels)
         rest = res.rest_indices
-        rep_rest = metrics.report(res.labels[rest], np.asarray(labels)[rest])
-        payload["full"] = {"ham_star": rep_full.ham_star, "rate": rep_full.rate, "exact": rep_full.exact}
-        payload["rest_only"] = {
-            "ham_star": rep_rest.ham_star,
-            "rate": rep_rest.rate,
-            "exact": rep_rest.exact,
-        }
-    if args.out:
-        labels_out = _artifact(args.out, "labels.csv")
-        io.write_labels_csv(labels_out, res.labels)
-        payload["labels_out"] = labels_out
-    _print_json(payload)
-    return 0
+        payload["full"] = _rates(res.labels, labels)
+        payload["rest_only"] = _rates(res.labels[rest], labels[rest])
+    _write_labels(args, payload, res.labels)
+    return payload
 
 
-def _line_payload(est) -> dict:
-    return {
-        "center": list(est.center),
-        "direction": list(est.direction),
-        "cluster_size": est.cluster_size,
-        "top_eigenvalue": est.top_eigenvalue,
-        "bottom_eigenvalue": est.bottom_eigenvalue,
-        "rank_deficient": est.rank_deficient,
-    }
-
-
-def _cmd_recover_lines(args) -> int:
+def _cmd_recover_lines(args) -> dict:
     points, truth = io.read_points_csv(args.infile)
     if args.labels:
         labels_hat = io.read_labels_csv(args.labels)
@@ -208,12 +179,7 @@ def _cmd_recover_lines(args) -> int:
     if truth is not None:
         labels_hat = metrics.align_swap(labels_hat, truth)
     est1, est2 = recover_lines(points, labels_hat)
-    payload = {
-        "command": "recover-lines",
-        "n": int(points.shape[0]),
-        "line1": _line_payload(est1),
-        "line2": _line_payload(est2),
-    }
+    payload = {"n": int(points.shape[0]), "line1": est1, "line2": est2}
     if args.params:
         params = io.read_params_json(args.params)
         payload["errors"] = {
@@ -222,38 +188,28 @@ def _cmd_recover_lines(args) -> int:
             "center_err_1": center_error(est1, params.seg1.center),
             "center_err_2": center_error(est2, params.seg2.center),
         }
-    _print_json(payload)
-    return 0
+    return payload
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> dict:
     points, labels = io.read_points_csv(args.infile)
     params = io.read_params_json(args.params)
-    if labels is None:
-        ds = LabeledDataset(points=points, labels=np.ones(points.shape[0], dtype=np.int8), params=params)
-    else:
-        ds = LabeledDataset(points=points, labels=np.asarray(labels, dtype=np.int8), params=params)
-    res = mle_recover(ds)
+    z = np.ones(points.shape[0], dtype=np.int8) if labels is None else labels
+    res = mle_recover(LabeledDataset(points=points, labels=z, params=params))
     # Recover the cross geometry from the segment pair for the error report.
     d1, d2 = params.seg1.direction, params.seg2.direction
     alpha = math.acos(max(-1.0, min(1.0, d1[0] * d2[0] + d1[1] * d2[1])))
     err = perr_exact(alpha, 2.0 * params.seg1.half_length, params.sigma)
     payload = {
-        "command": "oracle",
         "n": int(points.shape[0]),
         "sigma": params.sigma,
         "perr": err.perr,
         "perr_asymptote": err.asymptote,
     }
     if labels is not None:
-        rep = metrics.report(res.labels, labels)
-        payload.update({"ham_star": rep.ham_star, "rate": rep.rate, "exact": rep.exact})
-    if args.out:
-        labels_out = _artifact(args.out, "labels.csv")
-        io.write_labels_csv(labels_out, res.labels)
-        payload["labels_out"] = labels_out
-    _print_json(payload)
-    return 0
+        payload.update(_rates(res.labels, labels))
+    _write_labels(args, payload, res.labels)
+    return payload
 
 
 # Two-sided level of the exact Rayleigh CDF test: that of a 3-SE normal test.
@@ -324,42 +280,31 @@ def _bounds_rows(args) -> tuple[list[dict], list[str]]:
     return rows, skipped
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> tuple[dict, int]:
+    """The payload, and exit status 1 when a Monte-Carlo check failed."""
     rows, skipped = _bounds_rows(args)
-    payload = {
-        "command": "bounds",
-        "rows": rows,
-        "skipped": skipped,
-        "mc": bool(args.mc),
-    }
+    payload = {"rows": rows, "skipped": skipped, "mc": bool(args.mc)}
     if args.out:
-        bounds_out = _artifact(args.out, "bounds.csv")
-        io.write_bounds_csv(bounds_out, rows)
-        payload["out"] = bounds_out
-    _print_json(payload)
-    if any(row.get("pass") is False for row in rows):
-        return 1
-    return 0
+        payload["out"] = _artifact(args.out, "bounds.csv")
+        io.write_bounds_csv(payload["out"], rows)
+    return payload, int(any(row.get("pass") is False for row in rows))
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> dict:
     config = SweepConfig.from_json(args.config)
     rows = run_sweep(config)
     payload = {
-        "command": "sweep",
         "algorithm": config.algorithm,
         "trials": config.trials,
         "rows": len(rows),
         "failed_rows": sum(1 for r in rows if r.error),
-        "exact_fraction": float(np.mean([1.0 if r.exact else 0.0 for r in rows])),
+        "exact_fraction": float(np.mean([r.exact for r in rows])),
         "median_rate": float(np.median([r.rate for r in rows])),
     }
     if args.out:
-        sweep_out = _artifact(args.out, "sweep.csv")
-        io.write_sweep_csv(sweep_out, rows)
-        payload["out"] = sweep_out
-    _print_json(payload)
-    return 0
+        payload["out"] = _artifact(args.out, "sweep.csv")
+        io.write_sweep_csv(payload["out"], rows)
+    return payload
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -441,10 +386,13 @@ def cli_dispatch(argv=None) -> int:
         code = exc.code
         return int(code) if code is not None else 0
     try:
-        return args.func(args)
+        result = args.func(args)
+        payload, code = result if isinstance(result, tuple) else (result, 0)
+        _print_json({"command": args.command, **payload})
     except (LineClusterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return code
 
 
 def main() -> None:

@@ -20,8 +20,8 @@ same seed is byte-identical:
     in order (``SWEEP_COLUMNS``); ``runtime_ms`` is the only column exempt
     from rerun determinism.
 
-Both tables go through ``_write_table``, which renders each cell by the
-value's type (``_cell``).
+The dataset CSV and both tables go through ``_write_table``, which renders
+each cell by the value's type (``_cell``).
 """
 
 from __future__ import annotations
@@ -53,16 +53,11 @@ def fmt_float(v: float) -> str:
 
 
 def write_points_csv(path, points, labels=None) -> None:
-    pts = np.asarray(points, dtype=np.float64)
-    lines = ["x,y,z" if labels is not None else "x,y"]
+    x, y = np.asarray(points, dtype=np.float64).T
+    columns = [x.tolist(), y.tolist()]
     if labels is not None:
-        labs = np.asarray(labels)
-        for (px, py), z in zip(pts, labs):
-            lines.append(f"{fmt_float(px)},{fmt_float(py)},{int(z)}")
-    else:
-        for px, py in pts:
-            lines.append(f"{fmt_float(px)},{fmt_float(py)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+        columns.append(np.asarray(labels).astype(np.int64).tolist())
+    _write_table(path, ("x", "y", "z")[: len(columns)], zip(*columns))
 
 
 def read_points_csv(path) -> tuple[np.ndarray, np.ndarray | None]:

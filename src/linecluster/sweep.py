@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from ._rng import _check_seed
-from ._validate import as_int
+from ._validate import as_float, as_int
 from .errors import ClusterTooSmallError, LineClusterError
 from .hypergraph import scan
 from .metrics import align_swap, report
@@ -67,10 +67,15 @@ class SweepConfig:
         # trial runs rather than failing each trial into the error column.
         if not self.n_points or any(as_int(n, "each n_points entry") < 3 for n in self.n_points):
             raise LineClusterError("n_points must be a non-empty list of integers >= 3")
-        if not self.sigma or any(not (0.0 <= s < math.inf) for s in self.sigma):
+        if not self.sigma or any(not (0.0 <= as_float(s, "each sigma entry") < math.inf)
+                                 for s in self.sigma):
             raise LineClusterError("sigma must be a non-empty list of finite values >= 0")
+        if self.algorithm == "oracle" and 0.0 in self.sigma:
+            raise LineClusterError("algorithm 'oracle' needs every sigma > 0, got 0")
         for key in ("trials", "seed", "m"):
             as_int(getattr(self, key), key)
+        for key in ("alpha", "ell", "theta"):
+            as_float(getattr(self, key), key)
         if self.trials < 1:
             raise LineClusterError(f"trials must be >= 1, got {self.trials}")
         if self.m < 1:
@@ -91,7 +96,8 @@ class SweepConfig:
                 raise LineClusterError(
                     f"algorithm {self.algorithm!r} selects its own threshold; set t to 'auto'"
                 )
-            if not self.t or any(not (0.0 < v < math.inf) for v in self.t):
+            if not self.t or any(not (0.0 < as_float(v, "each t entry") < math.inf)
+                                 for v in self.t):
                 raise LineClusterError("t must be a non-empty list of finite thresholds > 0")
         # The grid is a set of cells: enumerate it in sorted order so the CSV
         # comes out sorted by (n, sigma, t, trial) and cell indices (which

@@ -416,6 +416,13 @@ def test_scan_peak_memory_is_one_buffer_per_worker(make_dataset, monkeypatch, co
     assert peaks[0] <= 1.05 * peaks[1]
 
 
+def test_thread_count_refuses_a_non_integer_setting(monkeypatch):
+    # Called directly: a scan below BUILD_MIN_N runs numpy and never reads it.
+    monkeypatch.setenv("LINECLUSTER_THREADS", "abc")
+    with pytest.raises(lc.LineClusterError, match="LINECLUSTER_THREADS must be an integer"):
+        thread_count()
+
+
 def test_scan_is_independent_of_the_thread_count(make_dataset, monkeypatch):
     ds = make_dataset(80, 0.02, 5)
     monkeypatch.setenv("LINECLUSTER_THREADS", "1")

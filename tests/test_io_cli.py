@@ -3,6 +3,7 @@
 import io as std_io
 import json
 import math
+import re
 import shutil
 import subprocess
 import sys
@@ -34,7 +35,15 @@ def test_points_csv_round_trip_is_lossless(tmp_path):
     back_pts, back_labels = io.read_points_csv(path)
     assert np.array_equal(pts, back_pts)  # bit-exact, 17 significant digits
     assert np.array_equal(labels, back_labels)
-    assert path.read_text().splitlines()[0] == "x,y,z"
+    assert path.read_bytes() == (
+        b"x,y,z\n0.30000000000000004,-0.30000000000000004,1\n"
+        b"0.33333333333333331,-0.33333333333333331,2\n-0,0,1\n1e-300,-1e-300,2\n"
+        b"1.0000000000000001e+300,-1.0000000000000001e+300,1\n"
+        b"3.1415926535897931,-3.1415926535897931,2\n"
+        b"4.9406564584124654e-324,-4.9406564584124654e-324,1\n"
+    )
+    io.write_points_csv(path, np.empty((0, 2)), np.empty(0, dtype=np.int8))
+    assert path.read_bytes() == b"x,y,z\n"
 
 
 def test_points_csv_without_labels(tmp_path):
@@ -833,6 +842,66 @@ def test_cli_exit_codes(capsys, tmp_path):
     assert lc.__version__ in capsys.readouterr().out
 
 
+def _documented_keys() -> dict[str, list[set[str]]]:
+    """Per command, the key sets of the table in docs/formats.md: always,
+    with a z column, with --out (--params for recover-lines)."""
+    text = (Path(__file__).parents[1] / "docs" / "formats.md").read_text()
+    section = text.split("## CLI JSON summaries")[1].split("\n## ")[0]
+    table = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            name, *cells = line.strip("|").split("|")
+            table[name.strip(" `")] = [set(re.findall(r"`([a-z_0-9]+)`", c)) for c in cells]
+    return table
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """One generated dataset, its unlabeled copy, its labels and a sweep config."""
+    d = tmp_path_factory.mktemp("cli-keys")
+    assert cli_dispatch(["gen", "--sigma", "0.05", "--n", "40", "--seed", "1", "--out", str(d)]) == 0
+    points, labels = io.read_points_csv(d / "points.csv")
+    io.write_points_csv(d / "plain.csv", points)
+    io.write_labels_csv(d / "labels.csv", labels)
+    (d / "sweep.json").write_text(json.dumps({"n_points": [10], "sigma": [0.05], "t": [0.1]}))
+    return d
+
+
+def _key_runs(command: str, d: Path, out: Path) -> list[tuple[list[str], bool, bool]]:
+    """(argv, reads a z column, sets --out or --params) for each run of ``command``."""
+    labeled, plain, params = str(d / "points.csv"), str(d / "plain.csv"), str(d / "params.json")
+    to_out = ["--out", str(out)]
+    if command == "gen":
+        return [(["gen", "--sigma", "0.05", "--n", "20", "--seed", "1", *to_out], False, True)]
+    if command == "tls-score":
+        return [(["tls-score", "--points", "0,0;1,0;0.5,0.3"], False, False)]
+    if command == "recover-lines":
+        return [(["recover-lines", "--in", labeled], True, False),
+                (["recover-lines", "--in", labeled, "--params", params], True, True),
+                (["recover-lines", "--in", plain, "--labels", str(d / "labels.csv")], False, False)]
+    if command in ("bounds", "sweep"):
+        base = (["bounds", "--t", "0.1", "--sigma", "0.01", "--no-mc"] if command == "bounds"
+                else ["sweep", "--config", str(d / "sweep.json")])
+        return [(base, False, False), (base + to_out, False, True)]
+    flags = {"cluster": ["--t", "0.1"], "autocluster": ["--m", "5"], "oracle": ["--params", params]}
+    return [([command, "--in", path, *flags[command], *extra], path == labeled, bool(extra))
+            for path in (labeled, plain) for extra in ([], to_out)]
+
+
+@pytest.mark.parametrize("command", ["gen", "tls-score", "cluster", "autocluster",
+                                     "recover-lines", "oracle", "bounds", "sweep"])
+def test_cli_json_keys_match_the_documented_table(capsys, tmp_path, cli_inputs, command):
+    always, with_z, with_flag = _documented_keys()[command]
+    for argv, reads_z, flagged in _key_runs(command, cli_inputs, tmp_path / "out"):
+        code, payload, _ = _run(capsys, argv)
+        assert code == 0, argv
+        expected = {"schema_version", "command"} | always
+        expected |= (with_z if reads_z else set()) | (with_flag if flagged else set())
+        assert set(payload) == expected, argv
+        assert payload["command"] == command
+        assert all(Path(payload[key]).is_file() for key in payload if key.endswith("out"))
+
+
 _LABELS = "index,z_hat\n" + "".join(f"{i},1\n" for i in range(9))
 
 
@@ -866,6 +935,11 @@ _LABELS = "index,z_hat\n" + "".join(f"{i},1\n" for i in range(9))
         (["sweep", "--config"], json.dumps({"n_points": [40], "sigma": [0.01], "t": "auto",
                                             "algorithm": "autocluster", "m": 2.5}),
          "m must be an integer, got 2.5"),
+        (["sweep", "--config"], json.dumps({"n_points": [40], "sigma": [True], "t": [0.1]}),
+         "each sigma entry must be a number, got True"),
+        (["sweep", "--config"], json.dumps({"n_points": [40], "sigma": [0.0, 0.05], "t": "auto",
+                                            "algorithm": "oracle"}),
+         "algorithm 'oracle' needs every sigma > 0"),
         (["bounds", "--t", "0.05", "--sigma", "0.01", "--ell", "nan"], "",
          "ell must be positive and finite, got nan"),
         (["bounds", "--t", "0.05", "--sigma", "0.01", "--ell", "-1"], "",
@@ -876,7 +950,8 @@ _LABELS = "index,z_hat\n" + "".join(f"{i},1\n" for i in range(9))
          "dataset label of 200000 digits", "dataset row after a blank line",
          "labels row after a blank line", "zero mc samples", "negative mc samples",
          "fractional sweep trials", "fractional sweep seed", "fractional sweep n_points",
-         "fractional sweep m", "nan bounds ell", "negative bounds ell"],
+         "fractional sweep m", "boolean sweep sigma", "oracle sweep at sigma zero",
+         "nan bounds ell", "negative bounds ell"],
 )
 def test_cli_reports_malformed_input_as_an_error(capsys, tmp_path, monkeypatch, command, text,
                                                  message):

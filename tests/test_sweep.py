@@ -139,6 +139,17 @@ def test_noise_above_threshold_defeats_the_spectral_pipeline():
     assert float(np.median(rates)) >= 0.05
 
 
+def test_a_cluster_below_two_points_leaves_the_line_errors_nan():
+    # At t = 1e-9 no triple of 6 noisy points is accepted, so W is zero and
+    # every point lands in one cluster: the other has no line to fit.
+    row = lc.run_sweep(lc.SweepConfig(n_points=[6], sigma=[0.5], t=[1e-9]))[0]
+    assert row.error == ""
+    assert row.p_hat == 0.0 and row.q_hat == 0.0
+    assert all(math.isnan(getattr(row, name)) for name in
+               ("sin_angle_1", "sin_angle_2", "center_err_1", "center_err_2"))
+    assert row.ham_star == 2 and row.rate == 2 / 6  # the two points drawn from line 2
+
+
 def test_failing_trials_are_captured_as_error_rows():
     config = lc.SweepConfig(
         n_points=[4], sigma=[0.05], t="auto", trials=1, seed=0, algorithm="autocluster"
@@ -186,6 +197,17 @@ def test_config_validation():
         ({"sigma": [math.inf]}, "sigma must be a non-empty list of finite values"),
         ({"sigma": [math.nan]}, "sigma must be a non-empty list of finite values"),
         ({"t": [math.inf]}, "t must be a non-empty list of finite thresholds"),
+        # the float fields take numbers only: true is not 1.0, nor "0.1" 0.1
+        ({"sigma": [True]}, "each sigma entry must be a number, got True"),
+        ({"sigma": [np.bool_(True)]}, "each sigma entry must be a number"),
+        ({"sigma": ["0.1"]}, "each sigma entry must be a number, got '0.1'"),
+        ({"sigma": [None]}, "each sigma entry must be a number, got None"),
+        ({"t": [True]}, "each t entry must be a number, got True"),
+        ({"t": ["0.1"]}, "each t entry must be a number, got '0.1'"),
+        ({"theta": True}, "theta must be a number, got True"),
+        ({"theta": "0.5"}, "theta must be a number, got '0.5'"),
+        ({"alpha": "1"}, "alpha must be a number, got '1'"),
+        ({"ell": False}, "ell must be a number, got False"),
     ):
         with pytest.raises(lc.LineClusterError, match=message):
             lc.SweepConfig(**{"n_points": [10], "sigma": [0.1], "t": [0.1], **bad})
@@ -196,6 +218,12 @@ def test_config_validation():
     lc.SweepConfig(n_points=[3], sigma=[0.0], t="auto", algorithm="autocluster", m=1, theta=0.0)
     lc.SweepConfig(n_points=[np.int64(3)], sigma=[0.1], t="auto", algorithm="autocluster",
                    theta=1.0, seed=np.int64(-3))
+    # and integers or numpy numbers in the float fields
+    lc.SweepConfig(n_points=[10], sigma=[0, np.float32(0.5)], t=[1], alpha=1, ell=np.int64(2),
+                   theta=0)
+    # the oracle needs sigma > 0 in every cell, so a zero is refused up front
+    with pytest.raises(lc.LineClusterError, match="algorithm 'oracle' needs every sigma > 0"):
+        lc.SweepConfig(n_points=[50], sigma=[0.0, 0.05], t="auto", algorithm="oracle")
     with pytest.raises(lc.LineClusterError):
         lc.SweepConfig(n_points=[10], sigma=[0.1], t=[0.1], algorithm="votes")
     with pytest.raises(lc.LineClusterError):
