@@ -7,9 +7,12 @@ very call ``scan`` makes for it, ``_scan_numpy.scan_triples`` over one range
 of all outer indices on one thread, folded into W by the same helper. It
 checks that both give the same similarity matrix. The C kernel is built
 (0.3–0.5 s) before the first timing if it is not cached; without a compiler
-both columns run numpy and the table says "not compared". ``peak`` is the
-tracemalloc peak of one more ``linecluster.scan``, in units of n^2 * 4 B
-(one int32 n x n matrix).
+both columns run numpy and the table says "not compared". ``exact`` is the
+share of the triples that the C kernel's exact path decided (the rest its
+float32 filter decided), from one direct ``_compiled.scan_triples`` call on
+the same points; ``scan`` drops that count. ``peak`` is the tracemalloc peak
+of one more ``linecluster.scan``, in units of n^2 * 4 B (one int32 n x n
+matrix).
 
 On the same W it times ``linecluster.io.write_similarity_csv`` twice: on
 the scan's int32 W, which the compiled encoder writes (``write C``), and on
@@ -56,6 +59,13 @@ def _best(repeats: int, run):
     return best, result
 
 
+def _exact_share(x: np.ndarray, y: np.ndarray, t2: float) -> float:
+    """Share of the C(n, 3) triples the compiled kernel's exact path decided."""
+    n = x.shape[0]
+    exact = hypergraph._compiled.scan_triples(x, y, t2, 0, n, np.zeros(n * n, dtype=np.int32))
+    return exact / math.comb(n, 3)
+
+
 def _peak(run) -> int:
     """tracemalloc peak of one call of ``run``, in bytes."""
     tracemalloc.start()
@@ -83,8 +93,8 @@ def main(argv: list[str] | None = None) -> int:
 
     seg1, seg2 = lc.standard_cross(math.pi / 2.0, 1.0)
     header = (f"{'n':>6} {'triples':>14} {'compiled':>14} {'numpy':>12} {'speedup':>9}  identical"
-              f" {'peak':>5} {'write C':>12} {'write np':>12}  bytes  {'eigen':>12} {'eigh':>12}"
-              "  eigenvalues")
+              f" {'exact':>7} {'peak':>5} {'write C':>12} {'write np':>12}  bytes  {'eigen':>12}"
+              f" {'eigh':>12}  eigenvalues")
     print(header, "-" * len(header), sep="\n")
     agree = True
     same_bytes = True
@@ -101,6 +111,7 @@ def main(argv: list[str] | None = None) -> int:
         same = np.array_equal(sim.counts, w)
         agree &= same
         verdict = f"{slow / fast:>8.1f}x  {'yes' if same else 'NO'}" if compared else "not compared"
+        exact = f"{_exact_share(x, y, args.t * args.t):>7.1e}" if compared else f"{'-':>7}"
         counts64 = sim.counts.astype(np.int64)
         write_c, _ = _best(args.repeats, lambda: io.write_similarity_csv(c_csv, sim.counts))
         write_np, _ = _best(args.repeats, lambda: io.write_similarity_csv(np_csv, counts64))
@@ -111,8 +122,8 @@ def main(argv: list[str] | None = None) -> int:
                             lambda: np.linalg.eigh(np.asarray(sim.counts, dtype=np.float64))[0])
         close = np.allclose(emb.eigenvalues, vals[[-1, -2]], rtol=1e-9, atol=0.0)
         eigen_agree &= close
-        print(f"{n:>6} {math.comb(n, 3):>14,} {fast:>12.4f} s {slow:>10.4f} s {verdict:<13}"
-              f" {peak:>5.2f} {write_c:>10.4f} s {write_np:>10.4f} s"
+        print(f"{n:>6} {math.comb(n, 3):>14,} {fast:>12.4f} s {slow:>10.4f} s {verdict:<20}"
+              f" {exact} {peak:>5.2f} {write_c:>10.4f} s {write_np:>10.4f} s"
               f"  {'same ' if same_file else 'DIFFER'}"
               f" {eigen:>10.4f} s {dense:>10.4f} s  {'agree' if close else 'DIFFER'}")
     tmp.cleanup()

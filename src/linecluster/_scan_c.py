@@ -15,16 +15,19 @@ environment variable picks a kernel.
 
 The kernel decides most triples with a filter that computes no score: the
 sign of a polynomial in the triple's coordinate differences, with neither a
-divide nor a square root, accepted only where it clears an error band proven
-in ``_scan.c``. The few triples inside the band go to an exact path that
-repeats ``tls._triple_scores`` operation for operation, so the accepted
+divide nor a square root, evaluated in float32 on float copies of the
+differences and accepted only where it clears an error band proven in
+``_scan.c``. The few triples inside the band, and those outside the float32
+domain stated there, go to an exact path that repeats
+``tls._triple_scores`` in double, operation for operation, so the accepted
 triples, and W, stay bit-identical to the numpy fallback's. The kernel takes
 no labels and keeps no tallies: it only adds accepted triples into W. The
-filter loop has no branches, so gcc vectorizes it; every SIMD lane does the
-same correctly rounded IEEE operations on its own triple, FP contraction
-stays off and no ``-ffast-math`` is used; only the integer row sums are
-added in another order, which is exact. ``-fno-math-errno`` only drops
-``sqrt``'s errno branch, whose argument, a sum of squares, is never negative.
+filter loop has no branches, so gcc vectorizes it, eight triples to an AVX2
+vector; every SIMD lane does the same correctly rounded IEEE operations on
+its own triple, FP contraction stays off and no ``-ffast-math`` is used;
+only the integer row sums are added in another order, which is exact.
+``-fno-math-errno`` only drops ``sqrt``'s errno branch, whose argument, a
+sum of squares, is never negative.
 On x86-64 glibc the source marks the kernel ``target_clones("avx2",
 "default")``: one library holds an AVX2 body and a baseline one, both
 vectorized, and the dynamic loader picks one by cpuid. ``-march=native``
@@ -154,7 +157,7 @@ class CompiledKernel:
 
         Returns the number of triples the kernel's exact path decided (see
         ``_scan.c``); ``hypergraph.scan`` ignores it. Raises ``MemoryError``
-        when the kernel cannot allocate its per-call arrays (3n doubles).
+        when the kernel cannot allocate its per-call arrays (3n floats).
         """
         if self._fn is None:
             raise RuntimeError("the compiled scan kernel is not loaded")

@@ -11,10 +11,10 @@ Two interchangeable scan kernels accept the same triples: a vectorized numpy
 fallback, which evaluates the one score expression
 (``linecluster.tls._triple_scores``) on every triple, and a plain-C kernel
 (``linecluster._scan_c``), compiled on first use into a per-user cache,
-which decides most triples by a divide-free filter and re-checks only
-near-ties with that expression, operation for operation. A scan builds the C
-kernel only when ``n >= BUILD_MIN_N``; smaller scans use it when it is
-already cached and numpy otherwise. Without a compiler or a writable cache
+which decides most triples by a divide-free float32 filter and re-checks
+only near-ties with that expression, in double and operation for operation.
+A scan builds the C kernel only when ``n >= BUILD_MIN_N``; smaller scans use
+it when it is already cached and numpy otherwise. Without a compiler or a writable cache
 the scan warns once and uses numpy. No option picks the kernel, and
 ``SimilarityMatrix.backend`` names the kernel that ran.
 

@@ -64,6 +64,15 @@ def _shifted(ds, offset):
     return SimpleNamespace(n=ds.n, points=ds.points + offset, labels=ds.labels)
 
 
+def _near_origin(ds, step):
+    """ds at unit scale with its first 12 points moved to a cluster at the
+    origin, on a grid of ``step``: their differences, duplicates included,
+    are at most 8 * step."""
+    points = np.ldexp(ds.points, _unit_scale(ds.points))
+    points[:12] = np.random.default_rng(5).integers(-4, 5, size=(12, 2)) * step
+    return SimpleNamespace(n=ds.n, points=points, labels=ds.labels)
+
+
 @pytest.mark.parametrize("case", [
     "random", "one-label", "single-2", "n3", "tiny-t", "huge-t",
 ])
@@ -156,14 +165,31 @@ def test_acceptance_threshold_is_strict():
 @pytest.mark.parametrize("case", [
     "61", "200", "dyadic-grid", "quarter-lattice", "200-shifted", "near-1e80",
     pytest.param("near-1e160", marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+    "dups-below-2^-126", "dups-below-2^-149", "t2-below-FLT_MIN", "t2-above-FLT_MAX",
+    "offset-1e6",
 ])
 def test_compiled_and_fallback_kernels_agree_bitwise(make_dataset, monkeypatch, compiled, case):
+    # The float32 hazards of the C kernel's filter, at the unit scale scan
+    # works at: differences that are subnormal floats (2^-130 steps) or
+    # round to 0 as floats (2^-152 steps); t * t below FLT_MIN, with
+    # near-duplicates whose scores lie around it; t * t above FLT_MAX; and
+    # points 1e6 from the origin, scanned both as they are and at unit scale.
     if case == "dyadic-grid":
         ds, t = _dyadic_grid(), 0.125  # t * t == 1/64, the score of many triples
     elif case == "quarter-lattice":
         ds, t = _quarter_lattice(), 0.5
     elif case == "200-shifted":
         ds, t = _shifted(make_dataset(200, 0.03, 17), 1e3), 0.05
+    elif case == "dups-below-2^-126":
+        ds, t = _near_origin(make_dataset(200, 0.03, 17), 2.0**-130), 0.05
+    elif case == "dups-below-2^-149":
+        ds, t = _near_origin(make_dataset(200, 0.03, 17), 2.0**-152), 0.05
+    elif case == "t2-below-FLT_MIN":
+        ds, t = _near_origin(make_dataset(200, 0.03, 17), 2.0**-66), 2.0**-64
+    elif case == "t2-above-FLT_MAX":
+        ds, t = _near_origin(make_dataset(200, 0.03, 17), 2.0**-130), 2.0**65
+    elif case == "offset-1e6":
+        ds, t = _shifted(make_dataset(200, 0.03, 17), 1e6), 0.05
     elif case.startswith("near-"):
         # |p|^2 is past the C kernel's filter limit (1e160 and inf), so its
         # exact path decides every triple. Near 1e80 the scores are ordinary;
@@ -278,25 +304,26 @@ def test_near_ties_are_decided_like_the_score(compiled):
     # scanned at its own score as t * t and at the two neighbouring doubles:
     # only the exact path can decide such a tie, so a filter band too narrow
     # for its rounding errors accepts or rejects some of them wrongly.
-    rng = np.random.default_rng(7)
-    m = 3000
-    spread = 10.0 ** rng.uniform(-6, 3, m)
-    offset = np.where(rng.random(m) < 0.2, 0.0, 10.0 ** rng.uniform(0, 6, m))
-    squash = 10.0 ** rng.uniform(-8, 0, m)
-    pts = rng.standard_normal((m, 3, 2)) * spread[:, None, None]
-    pts[:, :, 1] *= squash[:, None]
-    pts += offset[:, None, None] * rng.choice([-1.0, 1.0], size=(m, 1, 2))
-    scores = _triple_scores(*(pts[:, p, d] for p in range(3) for d in range(2)))
     w = np.zeros(9, dtype=np.int32)
     wrong = []
-    for triple, score in zip(pts, scores):
-        x, y = np.ascontiguousarray(triple[:, 0]), np.ascontiguousarray(triple[:, 1])
-        for t2 in (np.nextafter(score, -np.inf), score, np.nextafter(score, np.inf)):
-            w[:] = 0
-            compiled.scan_triples(x, y, float(t2), 0, 3, w)
-            # w[1], the pair (0, 1), counts the one triple's acceptance.
-            if w[1] != (score < t2):
-                wrong.append((triple.tolist(), float(t2)))
+    for seed in (7, 8):
+        rng = np.random.default_rng(seed)
+        m = 3000
+        spread = 10.0 ** rng.uniform(-6, 3, m)
+        offset = np.where(rng.random(m) < 0.2, 0.0, 10.0 ** rng.uniform(0, 6, m))
+        squash = 10.0 ** rng.uniform(-12, 0, m)
+        pts = rng.standard_normal((m, 3, 2)) * spread[:, None, None]
+        pts[:, :, 1] *= squash[:, None]
+        pts += offset[:, None, None] * rng.choice([-1.0, 1.0], size=(m, 1, 2))
+        scores = _triple_scores(*(pts[:, p, d] for p in range(3) for d in range(2)))
+        for triple, score in zip(pts, scores):
+            x, y = np.ascontiguousarray(triple[:, 0]), np.ascontiguousarray(triple[:, 1])
+            for t2 in (np.nextafter(score, -np.inf), score, np.nextafter(score, np.inf)):
+                w[:] = 0
+                compiled.scan_triples(x, y, float(t2), 0, 3, w)
+                # w[1], the pair (0, 1), counts the one triple's acceptance.
+                if w[1] != (score < t2):
+                    wrong.append((seed, triple.tolist(), float(t2)))
     assert wrong == []
 
 
@@ -313,6 +340,9 @@ def test_c_kernel_exact_path_takes_only_near_ties(make_dataset, compiled):
     ds = make_dataset(200, 0.03, 17)
     for points in (ds, _shifted(ds, 1e3)):
         assert exact_path_triples(points, 0.05) <= 1e-6 * math.comb(ds.n, 3)
+    # The benchmark's regime: the cluster workload's n, sigma and t.
+    ds = make_dataset(600, 0.01, 11)
+    assert exact_path_triples(ds, 0.05) <= 1e-6 * math.comb(ds.n, 3)
     # Exact ties (scores equal to t * t) are left to the exact path.
     assert exact_path_triples(_dyadic_grid(), 0.125) > 0
 
@@ -558,10 +588,18 @@ def test_bench_scan_compares_both_kernels_in_process(capsys):
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     assert bench.main(["--sizes", "40,60", "--repeats", "1"]) == 0
-    rows = capsys.readouterr().out.splitlines()[2:]
+    header, _, *rows = capsys.readouterr().out.splitlines()
     verdict = "yes" if shutil.which("cc") is not None else "not compared"
     assert [row.split()[0] for row in rows] == ["40", "60"]
     # The scan verdict, the two writers' verdict, then the eigen and eigh
     # timings and their verdict.
     assert all(f" {verdict} " in row and " same " in row and row.endswith(" agree")
                for row in rows)
+    # Next to the scan verdict, the share of triples the C kernel's exact
+    # path decided: a fraction, or "-" when no kernel was compared.
+    assert header.split()[6] == "exact"
+    shares = [row.split(f" {verdict} ")[1].split()[0] for row in rows]
+    if verdict == "yes":
+        assert all(0.0 <= float(share) <= 1.0 for share in shares)
+    else:
+        assert shares == ["-", "-"]
