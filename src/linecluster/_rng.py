@@ -14,6 +14,8 @@ from __future__ import annotations
 import numpy as np
 from numpy.random import Generator, Philox
 
+from ._validate import as_int
+
 _MASK64 = (1 << 64) - 1
 
 # Domain separation constants (arbitrary odd 64-bit values, golden-ratio mixes).
@@ -28,9 +30,7 @@ WORDS_PER_BLOCK = 4
 
 
 def _check_seed(seed: int) -> int:
-    if not isinstance(seed, (int, np.integer)):
-        raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
-    return int(seed) & _MASK64
+    return as_int(seed, "seed") & _MASK64
 
 
 def generator(seed: int, domain: int) -> Generator:

@@ -15,12 +15,16 @@ all bound probabilities) and every function validates its domain, raising
   * ``tail_chi2`` / ``cdf_rayleigh`` / ``tail_binomial``: standard tail
     helpers in the exact parametrizations the guarantees use.
   * ``expected_similarity``: the population similarity matrix W* whose
-    entries depend only on label agreement, with its closed-form spectrum
-    (balanced labels): lam1 = (w_in + w_out) n/2 - w_in,
-    lam2 = (w_in - w_out) n/2 - w_in, all remaining eigenvalues -w_in, and
+    entries depend only on label agreement, with its spectrum in closed form
+    for every label split. W* + w_in I has rank 2 and its range is spanned
+    by the two label indicators, so the spectrum is that of the 2x2 block
+    [[w_in n1, w_out n2], [w_out n1, w_in n2]] shifted by -w_in, plus
+    -w_in for all remaining eigenvalues. For balanced labels this is
+    lam1 = (w_in + w_out) n/2 - w_in, lam2 = (w_in - w_out) n/2 - w_in and
     spectral gap lam2 - lam_rest = n (n - 2) (p - q) / 4.
   * ``davis_kahan``: the sin-Theta misalignment of an observed embedding
-    against the idealized one, with its 2 ||W - W*||_F / gap bound.
+    against the idealized one (the normalized label indicators, W*'s exact
+    top-two eigenspace), with its 2 ||W - W*||_F / gap bound.
 """
 
 from __future__ import annotations
@@ -163,10 +167,11 @@ def tail_binomial(mu: float, delta: float) -> float:
 class ExpectedSimilarity:
     """Population similarity matrix and its spectrum.
 
-    ``lam1 >= lam2`` are the two informative eigenvalues and ``lam_rest``
-    the common value of all others; the closed forms hold only for balanced
-    labels (``balanced`` is False otherwise, and the spectrum fields are
-    taken from a dense eigendecomposition instead).
+    ``lam1 >= lam2`` are the two informative eigenvalues (those of the label
+    indicators' span) and ``lam_rest`` the common value of all others (nan
+    for n < 3); ``gap = lam2 - lam_rest``. The closed forms hold for every
+    label split. When p < q the gap is negative: lam2 then lies below the
+    bulk. ``balanced`` records whether the two labels are equally frequent.
     """
 
     matrix: np.ndarray
@@ -182,9 +187,11 @@ class ExpectedSimilarity:
 def expected_similarity(n: int, p: float, q: float, z) -> ExpectedSimilarity:
     """W* with entries w_in / w_out by label agreement, and its spectrum.
 
-    w_in = (n - 2)(p + q)/2 and w_out = (n - 2) q; the closed-form
-    eigenvalues apply for balanced labels, with spectral gap
-    n (n - 2)(p - q)/4 between lam2 and the bulk.
+    w_in = (n - 2)(p + q)/2 and w_out = (n - 2) q. With n1 and n2 points per
+    label, half = w_in n/2 and root = sqrt(w_in^2 (n1 - n2)^2 + 4 w_out^2
+    n1 n2)/2 give lam1 = half + root - w_in and gap = half - root, the
+    latter evaluated as n1 n2 (w_in^2 - w_out^2) / (half + root) to avoid
+    cancellation; for balanced labels the gap is n (n - 2)(p - q)/4.
     """
     if int(n) < 2:
         raise LineClusterError(f"need n >= 2, got {n}")
@@ -195,30 +202,26 @@ def expected_similarity(n: int, p: float, q: float, z) -> ExpectedSimilarity:
     w_in = (n - 2) * (p + q) / 2.0
     w_out = (n - 2) * q
     same = labels[:, None] == labels[None, :]
-    matrix = np.where(same, w_in, w_out).astype(np.float64)
+    matrix = np.where(same, w_in, w_out)
     np.fill_diagonal(matrix, 0.0)
 
     n1 = int(np.count_nonzero(labels == 1))
-    balanced = (2 * n1) == n
-    if balanced:
-        lam1 = (w_in + w_out) * n / 2.0 - w_in
-        lam2 = (w_in - w_out) * n / 2.0 - w_in
-        lam_rest = -w_in
-        gap = n * (n - 2) * (p - q) / 4.0
-    else:
-        vals = np.linalg.eigvalsh(matrix)
-        lam1, lam2 = float(vals[-1]), float(vals[-2])
-        lam_rest = float(vals[-3]) if n >= 3 else math.nan
-        gap = lam2 - lam_rest
+    n2 = n - n1
+    # Eigenvalues half +- root of the 2x2 action of W* + w_in I on the
+    # label indicators; every other eigenvalue of W* + w_in I is 0.
+    half = w_in * n / 2.0
+    root = 0.5 * math.sqrt((w_in * (n1 - n2)) ** 2 + 4.0 * w_out * w_out * n1 * n2)
+    top = half + root
+    gap = n1 * n2 * (w_in - w_out) * (w_in + w_out) / top if top > 0.0 else 0.0
     return ExpectedSimilarity(
         matrix=matrix,
         w_in=float(w_in),
         w_out=float(w_out),
-        lam1=float(lam1),
-        lam2=float(lam2),
-        lam_rest=float(lam_rest),
+        lam1=float(top - w_in),
+        lam2=float(gap - w_in),
+        lam_rest=float(-w_in) if n >= 3 else math.nan,
         gap=float(gap),
-        balanced=balanced,
+        balanced=(2 * n1) == n,
     )
 
 
@@ -238,10 +241,11 @@ def davis_kahan(w, z, p_hat: float, q_hat: float, embedding: SpectralEmbedding) 
     """Check ||sin Theta||_F <= 2 ||W - W*||_F / gap for one labeled run.
 
     W* is the idealized similarity built from the true labels with the
-    measured acceptance rates plugged in; its top-two eigenspace U* and the
-    spectral gap come from a dense eigendecomposition of W*, making the
-    inequality a theorem whenever the gap is positive. Runs with a
-    nonpositive gap (p_hat <= q_hat) are reported as skipped.
+    measured acceptance rates plugged in. Whenever its gap is positive
+    (p_hat > q_hat with both labels present) its top-two eigenspace U* is
+    spanned by the normalized label indicators 1_A / sqrt(n1) and
+    1_B / sqrt(n2), and the inequality is a theorem. Runs with a
+    nonpositive gap are reported as skipped.
     """
     mat = w.counts.astype(np.float64) if isinstance(w, SimilarityMatrix) else np.asarray(w, float)
     n = mat.shape[0]
@@ -249,17 +253,20 @@ def davis_kahan(w, z, p_hat: float, q_hat: float, embedding: SpectralEmbedding) 
         raise LineClusterError(f"the sin-Theta diagnostic needs n >= 3, got {n}")
     labels = as_labels(z, n)
     ideal = expected_similarity(n, p_hat, q_hat, labels)
-    vals, vecs = np.linalg.eigh(ideal.matrix)
-    gap = float(vals[-2] - vals[-3])
+    gap = ideal.gap
     deviation = float(np.linalg.norm(mat - ideal.matrix))
-    if gap <= 1e-12 * max(1.0, abs(float(vals[-1]))):
+    if gap <= 1e-12 * max(1.0, abs(ideal.lam1)):
         return DKReport(
             sin_theta=math.nan, bound=math.inf, gap=gap, deviation_fro=deviation, ok=True,
             skipped=True,
         )
-    u_star = vecs[:, -2:]
-    overlap = embedding.u.T @ u_star
-    sin_theta = math.sqrt(max(0.0, 2.0 - float((overlap**2).sum())))
+    # ||U^T U*||_F^2, with U*'s columns the normalized label indicators.
+    in_a = labels == 1
+    overlap = sum(
+        float((embedding.u[rows].sum(axis=0) ** 2).sum()) / np.count_nonzero(rows)
+        for rows in (in_a, ~in_a)
+    )
+    sin_theta = math.sqrt(max(0.0, 2.0 - overlap))
     bound = 2.0 * deviation / gap
     return DKReport(
         sin_theta=sin_theta,

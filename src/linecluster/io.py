@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import hypergraph
-from ._validate import as_int
+from ._validate import as_float, as_int
 from .errors import LineClusterError
 from .model import ModelParams, standard_cross
 from .sweep import SweepRow
@@ -152,11 +152,13 @@ def read_params_json(path) -> ModelParams:
     if not isinstance(payload, dict):
         raise LineClusterError(f"{path}: params JSON must be an object, got {type(payload).__name__}")
     try:
-        alpha, half_length, sigma = (float(payload[k]) for k in ("alpha", "half_length", "sigma"))
+        alpha, half_length, sigma = (
+            as_float(payload[k], k) for k in ("alpha", "half_length", "sigma")
+        )
         n_points, seed = (as_int(payload[k], k) for k in ("n_points", "seed"))
     except KeyError as exc:
         raise LineClusterError(f"{path}: missing key {exc} in params JSON") from exc
-    except (TypeError, ValueError) as exc:
+    except LineClusterError as exc:
         raise LineClusterError(f"{path}: bad value in params JSON ({exc})") from exc
     seg1, seg2 = standard_cross(alpha, half_length)
     return ModelParams(seg1=seg1, seg2=seg2, sigma=sigma, n_points=n_points, seed=seed)

@@ -70,6 +70,7 @@ class ModelParams:
             raise LineClusterError(f"sigma must be finite and >= 0, got {self.sigma}")
         if as_int(self.n_points, "n_points") < 1:
             raise LineClusterError(f"n_points must be >= 1, got {self.n_points}")
+        as_int(self.seed, "seed")
 
 
 @dataclass(frozen=True, eq=False)

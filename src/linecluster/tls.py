@@ -160,9 +160,12 @@ def sigma_tls_sq(triple) -> float:
     """Squared TLS residual of a triple: smallest scatter eigenvalue.
 
     Non-negative; zero iff the three points are collinear; at most half the
-    scatter trace.
+    scatter trace. Scored at unit scale like the scan, then scaled back (see
+    ``_unit_scale``), so no intermediate square over- or underflows.
     """
-    return float(_triple_scores(*_as_triple(triple).ravel().tolist()))
+    arr = _as_triple(triple)
+    k = _unit_scale(arr)
+    return math.ldexp(float(_triple_scores(*np.ldexp(arr, k).ravel().tolist())), -2 * k)
 
 
 def best_fit_line(triple) -> FittedLine:

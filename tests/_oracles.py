@@ -97,3 +97,24 @@ def derive_trial_seed(master_seed: int, cell_index: int, trial: int) -> int:
     """The sweep's per-trial seed derivation, duplicated for direct API runs."""
     ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(cell_index, trial))
     return int(ss.generate_state(1, np.uint64)[0])
+
+
+def dense_davis_kahan(w, labels, p_hat: float, q_hat: float, u: np.ndarray):
+    """The sin-Theta check by a dense eigendecomposition of W*.
+
+    W* has (n - 2)(p + q)/2 within labels, (n - 2) q across and a zero
+    diagonal. Returns (skipped, sin_theta, gap) with the library's skip rule.
+    """
+    mat = np.asarray(w, dtype=np.float64)
+    n = mat.shape[0]
+    labels = np.asarray(labels)
+    w_in = (n - 2) * (p_hat + q_hat) / 2.0
+    w_out = (n - 2) * q_hat
+    ideal = np.where(labels[:, None] == labels[None, :], w_in, w_out)
+    np.fill_diagonal(ideal, 0.0)
+    vals, vecs = np.linalg.eigh(ideal)
+    gap = float(vals[-2] - vals[-3])
+    if gap <= 1e-12 * max(1.0, abs(float(vals[-1]))):
+        return True, math.nan, gap
+    overlap = u.T @ vecs[:, -2:]
+    return False, math.sqrt(max(0.0, 2.0 - float((overlap**2).sum()))), gap

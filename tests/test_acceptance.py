@@ -14,7 +14,6 @@ Both are asserted exactly as stated rather than patched to pass.
 
 import json
 import math
-import os
 import time
 from dataclasses import dataclass
 
@@ -201,8 +200,7 @@ def test_criterion_07_median_rate_in_the_mid_noise_regime(mid_noise_runs):
 
 
 def test_criterion_08_data_driven_threshold_recovers_the_rest_set():
-    full = os.environ.get("LINECLUSTER_ACCEPT_FULL") == "1"
-    n, budget = (2000, 1800.0) if full else (800, 180.0)
+    n, budget = 2000, 180.0
     start = time.perf_counter()
     rates = []
     optimal = []

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 import linecluster as lc
 
+from _oracles import dense_davis_kahan
+
 # ---------------------------------------------------------------------------
 # frozen values (independently computed with 40-digit quadrature/arithmetic)
 # ---------------------------------------------------------------------------
@@ -197,6 +199,17 @@ def test_expected_similarity_closed_form_matches_dense_eigendecomposition(n):
     assert vals[:-2] == pytest.approx(np.full(n - 2, ideal.lam_rest), rel=1e-12)
     assert ideal.gap == pytest.approx(n * (n - 2) * (p - q) / 4.0, rel=1e-12)
     assert ideal.gap == pytest.approx(ideal.lam2 - ideal.lam_rest, rel=1e-12)
+    # Every label split, including one label only, with p > q, p < q and p == q.
+    for n1 in (0, 1, n // 3, n // 2, n - 1):
+        labels = np.repeat([1, 2], [n1, n - n1])
+        for p, q in ((0.7, 0.25), (0.2, 0.6), (0.4, 0.4)):
+            ideal = lc.expected_similarity(n, p, q, labels)
+            vals = np.linalg.eigvalsh(ideal.matrix)
+            tol = 1e-12 * float(np.abs(vals).max())
+            closed = np.sort([ideal.lam1, ideal.lam2] + [ideal.lam_rest] * (n - 2))
+            assert closed == pytest.approx(vals, rel=0.0, abs=tol)
+            assert ideal.gap == pytest.approx(ideal.lam2 - ideal.lam_rest, rel=0.0, abs=tol)
+            assert ideal.balanced == (2 * n1 == n)
 
 
 def test_expected_similarity_unbalanced_labels_fall_back_to_dense_spectrum():
@@ -246,6 +259,31 @@ def test_sin_theta_check_is_skipped_when_the_ideal_gap_vanishes(make_dataset):
     assert rep.ok
     assert math.isnan(rep.sin_theta)
     assert rep.bound == math.inf
+
+
+def test_sin_theta_matches_a_dense_eigendecomposition_of_the_ideal(make_dataset):
+    data = make_dataset(240, 0.02, seed=5)
+    first = [np.flatnonzero(data.labels == k)[:60] for k in (1, 2)]
+    cases = [
+        ("unbalanced", np.arange(data.n), None),
+        ("balanced", np.concatenate(first), None),
+        ("one label", first[0], (0.5, 0.1)),  # no mixed triples, so no measured q
+        ("p == q", np.arange(data.n), (0.3, 0.3)),
+    ]
+    for name, idx, rates in cases:
+        points, labels = data.points[idx], data.labels[idx]
+        w, stats = lc.scan(points, 0.1, labels=labels)
+        result = lc.cluster_from_similarity(w, seed=5)
+        p_hat, q_hat = (stats.p_hat, stats.q_hat) if rates is None else rates
+        rep = lc.davis_kahan(w, labels, p_hat, q_hat, result.embedding)
+        skipped, sin_theta, gap = dense_davis_kahan(
+            w.counts, labels, p_hat, q_hat, result.embedding.u
+        )
+        assert rep.skipped == skipped, name
+        assert rep.skipped == (name in ("one label", "p == q")), name
+        if not skipped:
+            assert rep.sin_theta == pytest.approx(sin_theta, rel=0.0, abs=1e-12), name
+            assert rep.gap == pytest.approx(gap, rel=1e-12), name
 
 
 def test_sin_theta_needs_at_least_three_points():

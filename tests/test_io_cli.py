@@ -181,13 +181,20 @@ def test_params_json_rejects_bad_files(tmp_path):
     missing.write_text(json.dumps({"alpha": 1.0}))
     with pytest.raises(lc.LineClusterError, match="missing key"):
         io.read_params_json(missing)
-    # integer keys are not truncated or converted from strings
+    # integer keys are not truncated or converted from strings, and number
+    # keys are not converted from bools or strings
     good = {"alpha": 1.0, "half_length": 1.0, "sigma": 0.01, "n_points": 80, "seed": 3}
-    for key, bad in (("n_points", 80.7), ("n_points", "80"), ("seed", 1.5)):
-        not_int = tmp_path / "not_int.json"
-        not_int.write_text(json.dumps({**good, key: bad}))
-        with pytest.raises(lc.LineClusterError, match=f"bad value.*{key} must be an integer"):
-            io.read_params_json(not_int)
+    for key, bad, kind in (
+        ("n_points", 80.7, "an integer"),
+        ("n_points", "80", "an integer"),
+        ("seed", 1.5, "an integer"),
+        ("sigma", True, "a number"),
+        ("alpha", "1.0", "a number"),
+    ):
+        bad_file = tmp_path / "bad_value.json"
+        bad_file.write_text(json.dumps({**good, key: bad}))
+        with pytest.raises(lc.LineClusterError, match=f"bad value.*{key} must be {kind}"):
+            io.read_params_json(bad_file)
 
 
 def test_labels_csv_round_trip_and_errors(tmp_path):
@@ -555,6 +562,10 @@ def test_cli_tls_score_from_argument(capsys):
     assert payload["s_xy"] == 0.0
     assert payload["sigma_tls_sq"] == pytest.approx(0.06, rel=1e-13)
     assert payload["sigma_tls"] == pytest.approx(math.sqrt(0.06), rel=1e-13)
+    # a triple whose squared coordinates overflow is still scored
+    code, payload, _ = _run(capsys, ["tls-score", "--points", "0,0;1e150,0;0.5e150,0.3e150"])
+    assert code == 0
+    assert payload["sigma_tls_sq"] == pytest.approx(6e298, rel=1e-13)
 
 
 def test_cli_tls_score_from_stdin(capsys, monkeypatch):

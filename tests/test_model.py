@@ -48,6 +48,10 @@ def test_model_params_validation():
     for bad in (40.7, "12", True):
         with pytest.raises(LineClusterError, match="n_points must be an integer"):
             lc.ModelParams(seg1=seg1, seg2=seg2, sigma=0.1, n_points=bad, seed=0)
+    # nor is a seed of True silently 1, or 1.5 left to fail when sampling
+    for bad in (True, 1.5, "3"):
+        with pytest.raises(LineClusterError, match="seed must be an integer"):
+            lc.ModelParams(seg1=seg1, seg2=seg2, sigma=0.1, n_points=10, seed=bad)
 
 
 def test_segment_distance_interior_and_clamped():

@@ -77,6 +77,19 @@ def test_score_scales_quadratically_with_the_points(triple, scale):
     assert scaled == pytest.approx(scale * scale * base, rel=1e-9, abs=floor)
 
 
+def test_score_is_exact_at_extreme_scales():
+    # Scaling by 2**k is exact, and the score is taken at unit scale, so it
+    # scales by exactly 2**(2k) even where squaring the raw coordinates
+    # would overflow or lose the score to underflow.
+    triple = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.3]])
+    base = lc.sigma_tls_sq(triple)
+    assert base == pytest.approx(0.06, rel=1e-13)
+    for k in (-500, -300, 300, 500):
+        assert lc.sigma_tls_sq(np.ldexp(triple, k)) == math.ldexp(base, 2 * k)
+    for scale in (1e100, 1e-150):
+        assert lc.sigma_tls_sq(scale * triple) == pytest.approx(0.06 * scale * scale, rel=1e-13)
+
+
 def test_best_fit_line_through_centroid_of_collinear_points():
     line = lc.best_fit_line([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
     assert line.point == pytest.approx((1.0, 0.0))
