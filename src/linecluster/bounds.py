@@ -14,17 +14,20 @@ all bound probabilities) and every function validates its domain, raising
     segments), the geometric driver of the q upper bound.
   * ``tail_chi2`` / ``cdf_rayleigh`` / ``tail_binomial``: standard tail
     helpers in the exact parametrizations the guarantees use.
-  * ``expected_similarity``: the population similarity matrix W* whose
-    entries depend only on label agreement, with its spectrum in closed form
-    for every label split. W* + w_in I has rank 2 and its range is spanned
-    by the two label indicators, so the spectrum is that of the 2x2 block
-    [[w_in n1, w_out n2], [w_out n1, w_in n2]] shifted by -w_in, plus
-    -w_in for all remaining eigenvalues. For balanced labels this is
-    lam1 = (w_in + w_out) n/2 - w_in, lam2 = (w_in - w_out) n/2 - w_in and
-    spectral gap lam2 - lam_rest = n (n - 2) (p - q) / 4.
+  * ``expected_similarity``: the population similarity matrix W* as the
+    two values its entries take by label agreement, and its spectrum in
+    closed form for every label split. W* + w_in I has rank 2 and its
+    range is spanned by the two label indicators, so the spectrum is that
+    of the 2x2 block [[w_in n1, w_out n2], [w_out n1, w_in n2]] shifted by
+    -w_in, plus -w_in for all remaining eigenvalues. For balanced labels
+    this is lam1 = (w_in + w_out) n/2 - w_in, lam2 = (w_in - w_out) n/2
+    - w_in and spectral gap lam2 - lam_rest = n (n - 2) (p - q) / 4.
   * ``davis_kahan``: the sin-Theta misalignment of an observed embedding
     against the idealized one (the normalized label indicators, W*'s exact
-    top-two eigenspace), with its 2 ||W - W*||_F / gap bound.
+    top-two eigenspace), with its 2 ||W - W*||_F / gap bound. No n x n
+    array is built: with S_same and S_x W's ordered off-diagonal sums over
+    equal-label and unequal-label pairs, ||W - W*||_F^2 = sum W^2
+    - 2 (w_in S_same + w_out S_x) + w_in^2 (n1^2 + n2^2 - n) + 2 w_out^2 n1 n2.
 """
 
 from __future__ import annotations
@@ -34,9 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validate import as_labels
+from ._validate import as_int, as_labels
 from .errors import LineClusterError, OutOfValidityError
-from .hypergraph import SimilarityMatrix
+from .hypergraph import SimilarityMatrix, _label_sums
 from .spectral import SpectralEmbedding
 
 __all__ = [
@@ -134,7 +137,8 @@ def disc_intersect_upper(t: float, sigma: float, ell: float) -> float:
 
 def tail_chi2(k: int, theta: float) -> float:
     """Chernoff tail of chi-square: P(X >= k theta) <= exp(-(k/2)(theta-1-log theta))."""
-    if int(k) < 1:
+    k = as_int(k, "k")
+    if k < 1:
         raise LineClusterError(f"degrees of freedom k must be >= 1, got {k}")
     if not (theta > 1.0) or not math.isfinite(theta):
         raise OutOfValidityError(f"chi-square tail bound needs theta > 1, got {theta}")
@@ -163,25 +167,22 @@ def tail_binomial(mu: float, delta: float) -> float:
     return min(1.0, 2.0 * math.exp(-delta * delta * mu / 3.0))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ExpectedSimilarity:
-    """Population similarity matrix and its spectrum.
+    """W*, 0 on the diagonal, ``w_in`` within and ``w_out`` across labels, and its spectrum.
 
     ``lam1 >= lam2`` are the two informative eigenvalues (those of the label
     indicators' span) and ``lam_rest`` the common value of all others (nan
     for n < 3); ``gap = lam2 - lam_rest``. The closed forms hold for every
     label split. When p < q the gap is negative: lam2 then lies below the
-    bulk. ``balanced`` records whether the two labels are equally frequent.
-    """
+    bulk. No n x n array of W* is built."""
 
-    matrix: np.ndarray
     w_in: float
     w_out: float
     lam1: float
     lam2: float
     lam_rest: float
     gap: float
-    balanced: bool
 
 
 def expected_similarity(n: int, p: float, q: float, z) -> ExpectedSimilarity:
@@ -193,18 +194,15 @@ def expected_similarity(n: int, p: float, q: float, z) -> ExpectedSimilarity:
     latter evaluated as n1 n2 (w_in^2 - w_out^2) / (half + root) to avoid
     cancellation; for balanced labels the gap is n (n - 2)(p - q)/4.
     """
-    if int(n) < 2:
+    n = as_int(n, "n")
+    if n < 2:
         raise LineClusterError(f"need n >= 2, got {n}")
     for name, v in (("p", p), ("q", q)):
         if not (0.0 <= v <= 1.0):
             raise LineClusterError(f"{name} must lie in [0, 1], got {v}")
-    labels = as_labels(z, int(n))
+    labels = as_labels(z, n)
     w_in = (n - 2) * (p + q) / 2.0
     w_out = (n - 2) * q
-    same = labels[:, None] == labels[None, :]
-    matrix = np.where(same, w_in, w_out)
-    np.fill_diagonal(matrix, 0.0)
-
     n1 = int(np.count_nonzero(labels == 1))
     n2 = n - n1
     # Eigenvalues half +- root of the 2x2 action of W* + w_in I on the
@@ -214,14 +212,12 @@ def expected_similarity(n: int, p: float, q: float, z) -> ExpectedSimilarity:
     top = half + root
     gap = n1 * n2 * (w_in - w_out) * (w_in + w_out) / top if top > 0.0 else 0.0
     return ExpectedSimilarity(
-        matrix=matrix,
         w_in=float(w_in),
         w_out=float(w_out),
         lam1=float(top - w_in),
         lam2=float(gap - w_in),
         lam_rest=float(-w_in) if n >= 3 else math.nan,
         gap=float(gap),
-        balanced=(2 * n1) == n,
     )
 
 
@@ -245,34 +241,42 @@ def davis_kahan(w, z, p_hat: float, q_hat: float, embedding: SpectralEmbedding) 
     (p_hat > q_hat with both labels present) its top-two eigenspace U* is
     spanned by the normalized label indicators 1_A / sqrt(n1) and
     1_B / sqrt(n2), and the inequality is a theorem. Runs with a
-    nonpositive gap are reported as skipped.
-    """
-    mat = w.counts.astype(np.float64) if isinstance(w, SimilarityMatrix) else np.asarray(w, float)
+    nonpositive gap are reported as skipped. ||W - W*||_F follows the module
+    docstring's identity, from sums over row blocks of W, combined exactly:
+    exact for the scan's int32 counts (n^2 (n - 2)^2 < 2^53 for n <= 5000),
+    within about sqrt(eps) ||W*||_F for a float W."""
+    mat = w.counts if isinstance(w, SimilarityMatrix) else np.asarray(w, float)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise LineClusterError(f"W must be a square matrix, got shape {mat.shape}")
     n = mat.shape[0]
     if n < 3:
         raise LineClusterError(f"the sin-Theta diagnostic needs n >= 3, got {n}")
     labels = as_labels(z, n)
+    u = np.asarray(embedding.u)
+    if u.shape != (n, 2):
+        raise LineClusterError(f"the embedding must have shape ({n}, 2), got {u.shape}")
     ideal = expected_similarity(n, p_hat, q_hat, labels)
     gap = ideal.gap
-    deviation = float(np.linalg.norm(mat - ideal.matrix))
-    if gap <= 1e-12 * max(1.0, abs(ideal.lam1)):
-        return DKReport(
-            sin_theta=math.nan, bound=math.inf, gap=gap, deviation_fro=deviation, ok=True,
-            skipped=True,
-        )
-    # ||U^T U*||_F^2, with U*'s columns the normalized label indicators.
     in_a = labels == 1
-    overlap = sum(
-        float((embedding.u[rows].sum(axis=0) ** 2).sum()) / np.count_nonzero(rows)
-        for rows in (in_a, ~in_a)
-    )
+    n1 = int(np.count_nonzero(in_a))
+    step = max(1, (1 << 16) // n)
+    squares = sum(float(np.square(mat[lo:lo + step], dtype=float).sum())
+                  for lo in range(0, n, step))
+    if not math.isfinite(squares):
+        raise LineClusterError(f"W must be finite with a finite sum of squares, got {squares}")
+    same, cross = _label_sums(mat, labels)
+    from fractions import Fraction  # imported here: it loads decimal, 3 ms at startup
+    f_in, f_out = Fraction(ideal.w_in), Fraction(ideal.w_out)
+    dev_sq = (Fraction(squares) - 2 * (f_in * Fraction(same) + f_out * Fraction(cross))
+              + f_in**2 * (n1 * n1 + (n - n1) ** 2 - n) + 2 * f_out**2 * n1 * (n - n1))
+    deviation = math.sqrt(max(0, dev_sq))
+    if gap <= 1e-12 * max(1.0, abs(ideal.lam1)):
+        return DKReport(sin_theta=math.nan, bound=math.inf, gap=gap, deviation_fro=deviation,
+                        ok=True, skipped=True)
+    # ||U^T U*||_F^2, with U*'s columns the normalized label indicators.
+    overlap = sum(float((u[rows].sum(axis=0) ** 2).sum()) / np.count_nonzero(rows)
+                  for rows in (in_a, ~in_a))
     sin_theta = math.sqrt(max(0.0, 2.0 - overlap))
     bound = 2.0 * deviation / gap
-    return DKReport(
-        sin_theta=sin_theta,
-        bound=bound,
-        gap=gap,
-        deviation_fro=deviation,
-        ok=sin_theta <= bound,
-        skipped=False,
-    )
+    return DKReport(sin_theta=sin_theta, bound=bound, gap=gap, deviation_fro=deviation,
+                    ok=sin_theta <= bound, skipped=False)

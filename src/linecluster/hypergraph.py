@@ -156,6 +156,20 @@ def _pair_counts(kernel, x: np.ndarray, y: np.ndarray, t2: float, workers: int) 
     return w
 
 
+def _label_sums(w: np.ndarray, z: np.ndarray) -> tuple:
+    """W's ordered off-diagonal sums over equal-label and over unequal-label
+    pairs (2 S_in and 2 S_x for the scan's tallies; ``bounds.davis_kahan``
+    takes W's inner product with W* from them). Row i of W @ one_hot is row
+    i's W-mass on label 1 and on label 2; a row of the scan's W sums to at
+    most (n-1)(n-2) < 2**31, so int32 holds it."""
+    one_hot = (z[:, None] == np.array([1, 2])).astype(w.dtype)
+    mass = w @ one_hot
+    acc = np.int64 if np.issubdtype(w.dtype, np.integer) else np.float64
+    on_label = (mass * one_hot).sum(dtype=acc)
+    same = on_label - np.trace(w, dtype=acc)
+    return same.item(), (mass.sum(dtype=acc) - on_label).item()
+
+
 def scan(points, t: float, labels=None) -> tuple[SimilarityMatrix, HyperedgeStats | None]:
     """Score all triples against threshold ``t`` in one pass.
 
@@ -189,16 +203,10 @@ def scan(points, t: float, labels=None) -> tuple[SimilarityMatrix, HyperedgeStat
 
     stats: HyperedgeStats | None = None
     if z is not None:
-        # Row i of W @ one_hot is row i's W-mass on label 1 and on label 2;
-        # a row of W sums to at most (n-1)(n-2) < 2**31, so int32 holds it.
-        one_hot = (z[:, None] == np.array([1, 2])).astype(np.int32)
-        mass = w @ one_hot
-        same = int((mass * one_hot).sum(dtype=np.int64))  # 2 S_in
-        both = int(mass.sum(dtype=np.int64))  # 2 (S_in + S_x)
-        # (2 S_in - S_x) / 6 with S_in = same / 2 and S_x = (both - same) / 2.
-        accepted, within = both // 6, (3 * same - both) // 12
+        same, cross = _label_sums(w, z)  # 2 S_in and 2 S_x
+        accepted, within = (same + cross) // 6, (2 * same - cross) // 12
         total = math.comb(n, 3)
-        n1 = int(one_hot[:, 0].sum())
+        n1 = int(np.count_nonzero(z == 1))
         total_within = math.comb(n1, 3) + math.comb(n - n1, 3)
         stats = HyperedgeStats(
             total_triples=total,

@@ -317,10 +317,6 @@ def write_bounds_csv(path, rows: list[dict]) -> None:
     _write_table(path, BOUNDS_COLUMNS, ([row.get(col) for col in BOUNDS_COLUMNS] for row in rows))
 
 
-def sweep_row_to_strings(row: SweepRow) -> list[str]:
-    return list(map(_cell, dataclasses.astuple(row)))
-
-
 def write_sweep_csv(path, rows) -> None:
     _write_table(path, SWEEP_COLUMNS, map(dataclasses.astuple, rows))
 

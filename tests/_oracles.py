@@ -99,22 +99,26 @@ def derive_trial_seed(master_seed: int, cell_index: int, trial: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def ideal_matrix(n: int, p: float, q: float, labels) -> np.ndarray:
+    """Dense W*: (n - 2)(p + q)/2 within labels, (n - 2) q across, zero diagonal."""
+    labels = np.asarray(labels)
+    ideal = np.where(labels[:, None] == labels[None, :], (n - 2) * (p + q) / 2.0, (n - 2) * q)
+    np.fill_diagonal(ideal, 0.0)
+    return ideal
+
+
 def dense_davis_kahan(w, labels, p_hat: float, q_hat: float, u: np.ndarray):
     """The sin-Theta check by a dense eigendecomposition of W*.
 
-    W* has (n - 2)(p + q)/2 within labels, (n - 2) q across and a zero
-    diagonal. Returns (skipped, sin_theta, gap) with the library's skip rule.
+    Returns (skipped, sin_theta, gap, ||W - W*||_F) with the library's skip
+    rule.
     """
     mat = np.asarray(w, dtype=np.float64)
-    n = mat.shape[0]
-    labels = np.asarray(labels)
-    w_in = (n - 2) * (p_hat + q_hat) / 2.0
-    w_out = (n - 2) * q_hat
-    ideal = np.where(labels[:, None] == labels[None, :], w_in, w_out)
-    np.fill_diagonal(ideal, 0.0)
+    ideal = ideal_matrix(mat.shape[0], p_hat, q_hat, labels)
+    deviation = float(np.linalg.norm(mat - ideal))
     vals, vecs = np.linalg.eigh(ideal)
     gap = float(vals[-2] - vals[-3])
     if gap <= 1e-12 * max(1.0, abs(float(vals[-1]))):
-        return True, math.nan, gap
+        return True, math.nan, gap, deviation
     overlap = u.T @ vecs[:, -2:]
-    return False, math.sqrt(max(0.0, 2.0 - float((overlap**2).sum()))), gap
+    return False, math.sqrt(max(0.0, 2.0 - float((overlap**2).sum()))), gap, deviation

@@ -25,7 +25,7 @@ from linecluster import io
 from linecluster import montecarlo as mc
 from linecluster.cli import cli_dispatch
 
-from _oracles import brute_force_tls_min, derive_trial_seed
+from _oracles import brute_force_tls_min, derive_trial_seed, ideal_matrix
 
 CROSS = lc.standard_cross(math.pi / 2.0, 1.0)
 
@@ -167,7 +167,7 @@ def test_criterion_05_similarity_spectrum_formulas_match_dense_solver(rng):
         q = float(rng.uniform(0.0, 0.4))
         labels = np.repeat([1, 2], n // 2)
         ideal = lc.expected_similarity(n, p, q, labels)
-        vals = np.linalg.eigvalsh(ideal.matrix)
+        vals = np.linalg.eigvalsh(ideal_matrix(n, p, q, labels))
         worst = max(
             worst,
             abs(vals[-1] - ideal.lam1),

@@ -1,6 +1,7 @@
 """Closed-form probability bounds, the idealized spectrum, and sin-Theta checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import linecluster as lc
 
-from _oracles import dense_davis_kahan
+from _oracles import dense_davis_kahan, ideal_matrix
 
 # ---------------------------------------------------------------------------
 # frozen values (independently computed with 40-digit quadrature/arithmetic)
@@ -84,6 +85,12 @@ def test_bound_domain_violations_raise():
         lc.tail_chi2(3, 1.0)
     with pytest.raises(lc.LineClusterError):
         lc.tail_chi2(0, 2.0)
+    # k is a count: 2.5 and True are refused, not evaluated as 2.5 and 1.
+    for k in (2.5, True):
+        with pytest.raises(lc.LineClusterError) as info:
+            lc.tail_chi2(k, 2.0)
+        assert not isinstance(info.value, lc.OutOfValidityError)
+    assert lc.tail_chi2(np.int64(3), 2.0) == lc.tail_chi2(3, 2.0)
     with pytest.raises(lc.OutOfValidityError):
         lc.tail_binomial(300.0, 1.5)
     with pytest.raises(lc.LineClusterError):
@@ -170,12 +177,12 @@ def test_expected_similarity_perfect_acceptance_spectrum():
     assert ideal.w_in == 1.0 and ideal.w_out == 0.0
     assert (ideal.lam1, ideal.lam2, ideal.lam_rest) == (1.0, 1.0, -1.0)
     assert ideal.gap == 2.0
-    assert ideal.balanced
     wanted = np.array(
         [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=float
     )
-    assert np.array_equal(ideal.matrix, wanted)
-    assert np.linalg.eigvalsh(ideal.matrix) == pytest.approx([-1, -1, 1, 1])
+    dense = ideal_matrix(4, 1.0, 0.0, [1, 1, 2, 2])
+    assert np.array_equal(dense, wanted)
+    assert np.linalg.eigvalsh(dense) == pytest.approx([-1, -1, 1, 1])
 
 
 def test_expected_similarity_frozen_six_point_gap():
@@ -193,7 +200,7 @@ def test_expected_similarity_closed_form_matches_dense_eigendecomposition(n):
     p, q = 0.7, 0.25
     labels = np.repeat([1, 2], n // 2)
     ideal = lc.expected_similarity(n, p, q, labels)
-    vals = np.linalg.eigvalsh(ideal.matrix)
+    vals = np.linalg.eigvalsh(ideal_matrix(n, p, q, labels))
     assert vals[-1] == pytest.approx(ideal.lam1, rel=1e-12)
     assert vals[-2] == pytest.approx(ideal.lam2, rel=1e-12)
     assert vals[:-2] == pytest.approx(np.full(n - 2, ideal.lam_rest), rel=1e-12)
@@ -204,18 +211,16 @@ def test_expected_similarity_closed_form_matches_dense_eigendecomposition(n):
         labels = np.repeat([1, 2], [n1, n - n1])
         for p, q in ((0.7, 0.25), (0.2, 0.6), (0.4, 0.4)):
             ideal = lc.expected_similarity(n, p, q, labels)
-            vals = np.linalg.eigvalsh(ideal.matrix)
+            vals = np.linalg.eigvalsh(ideal_matrix(n, p, q, labels))
             tol = 1e-12 * float(np.abs(vals).max())
             closed = np.sort([ideal.lam1, ideal.lam2] + [ideal.lam_rest] * (n - 2))
             assert closed == pytest.approx(vals, rel=0.0, abs=tol)
             assert ideal.gap == pytest.approx(ideal.lam2 - ideal.lam_rest, rel=0.0, abs=tol)
-            assert ideal.balanced == (2 * n1 == n)
 
 
 def test_expected_similarity_unbalanced_labels_fall_back_to_dense_spectrum():
     ideal = lc.expected_similarity(5, 0.9, 0.1, [1, 1, 1, 2, 2])
-    assert not ideal.balanced
-    vals = np.linalg.eigvalsh(ideal.matrix)
+    vals = np.linalg.eigvalsh(ideal_matrix(5, 0.9, 0.1, [1, 1, 1, 2, 2]))
     assert ideal.lam1 == pytest.approx(vals[-1])
     assert ideal.lam2 == pytest.approx(vals[-2])
     assert ideal.gap == pytest.approx(vals[-2] - vals[-3])
@@ -230,6 +235,11 @@ def test_expected_similarity_validation():
         lc.expected_similarity(4, 0.5, -0.1, [1, 1, 2, 2])
     with pytest.raises(lc.LengthMismatchError):
         lc.expected_similarity(4, 0.5, 0.1, [1, 2])
+    # n is a count: 4.5 is refused, not used in w_in next to four labels.
+    for n in (4.5, True):
+        with pytest.raises(lc.LineClusterError):
+            lc.expected_similarity(n, 0.5, 0.1, [1, 1, 2, 2])
+    assert lc.expected_similarity(np.int64(4), 0.5, 0.1, [1, 1, 2, 2]).w_in == 0.6
 
 
 # ---------------------------------------------------------------------------
@@ -270,22 +280,71 @@ def test_sin_theta_matches_a_dense_eigendecomposition_of_the_ideal(make_dataset)
         ("one label", first[0], (0.5, 0.1)),  # no mixed triples, so no measured q
         ("p == q", np.arange(data.n), (0.3, 0.3)),
     ]
+    runs = []
     for name, idx, rates in cases:
         points, labels = data.points[idx], data.labels[idx]
         w, stats = lc.scan(points, 0.1, labels=labels)
         result = lc.cluster_from_similarity(w, seed=5)
         p_hat, q_hat = (stats.p_hat, stats.q_hat) if rates is None else rates
-        rep = lc.davis_kahan(w, labels, p_hat, q_hat, result.embedding)
-        skipped, sin_theta, gap = dense_davis_kahan(
-            w.counts, labels, p_hat, q_hat, result.embedding.u
+        runs.append((name, w, w.counts, labels, p_hat, q_hat, result.embedding))
+    # A raw float array whose diagonal is not zero: it counts in ||W - W*||_F.
+    _, w, counts, labels, p_hat, q_hat, embedding = runs[1]
+    raw = counts * 0.75 + np.diag(np.linspace(0.5, 3.0, w.n))
+    runs.append(("raw float", raw, raw, labels, p_hat, q_hat, embedding))
+    for name, w, dense_w, labels, p_hat, q_hat, embedding in runs:
+        rep = lc.davis_kahan(w, labels, p_hat, q_hat, embedding)
+        skipped, sin_theta, gap, deviation = dense_davis_kahan(
+            dense_w, labels, p_hat, q_hat, embedding.u
         )
         assert rep.skipped == skipped, name
         assert rep.skipped == (name in ("one label", "p == q")), name
+        assert rep.deviation_fro == pytest.approx(deviation, rel=1e-12), name
         if not skipped:
             assert rep.sin_theta == pytest.approx(sin_theta, rel=0.0, abs=1e-12), name
             assert rep.gap == pytest.approx(gap, rel=1e-12), name
+    # W = W*: the deviation vanishes up to the identity's cancellation, whose
+    # absolute error is about sqrt(eps) ||W*||_F (at most 4.4e-8 ||W*||_F on
+    # 600 random float W* up to n = 700, above 1e-9 on half of them).
+    ideal = ideal_matrix(labels.size, p_hat, q_hat, labels)
+    rep = lc.davis_kahan(ideal, labels, p_hat, q_hat, embedding)
+    assert rep.deviation_fro <= 1e-6 * np.linalg.norm(ideal)
 
 
 def test_sin_theta_needs_at_least_three_points():
     with pytest.raises(lc.LineClusterError):
         lc.davis_kahan(np.zeros((2, 2)), [1, 2], 0.5, 0.1, None)
+
+
+def test_sin_theta_refuses_a_malformed_w_or_embedding(make_dataset):
+    data = make_dataset(60, 0.02, seed=3)
+    w, stats = lc.scan(data.points, 0.1, labels=data.labels)
+    embedding = lc.cluster_from_similarity(w, seed=3).embedding
+    with pytest.raises(lc.LineClusterError, match="square"):
+        lc.davis_kahan(w.counts[:, :-1], data.labels, stats.p_hat, stats.q_hat, embedding)
+    for bad_entry in (math.nan, math.inf):
+        raw = w.counts.astype(float)
+        raw[0, 1] = bad_entry
+        with pytest.raises(lc.LineClusterError, match="finite"):
+            lc.davis_kahan(raw, data.labels, stats.p_hat, stats.q_hat, embedding)
+    for u in (embedding.u[:-1], embedding.u[:, :1], embedding.u.T):
+        bad = lc.SpectralEmbedding(u=u, eigenvalues=embedding.eigenvalues)
+        with pytest.raises(lc.LineClusterError, match="embedding"):
+            lc.davis_kahan(w, data.labels, stats.p_hat, stats.q_hat, bad)
+
+
+def test_sin_theta_builds_no_n_by_n_array():
+    n = 2000
+    rng = np.random.default_rng(11)
+    counts = np.triu(rng.integers(0, n - 2, size=(n, n), dtype=np.int32), 1)
+    w = lc.SimilarityMatrix(n=n, counts=counts + counts.T)
+    labels = np.repeat(np.array([1, 2], dtype=np.int8), n // 2)
+    embedding = lc.SpectralEmbedding(u=rng.standard_normal((n, 2)), eigenvalues=(2.0, 1.0))
+    tracemalloc.start()
+    try:
+        rep = lc.davis_kahan(w, labels, 0.6, 0.2, embedding)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not rep.skipped and rep.deviation_fro > 0.0
+    # One float64 copy of W alone would be n^2 * 8 B = 30.5 MiB.
+    assert peak < 4 * 2**20

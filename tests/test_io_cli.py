@@ -440,7 +440,7 @@ def test_bounds_csv_renders_optional_monte_carlo_columns(tmp_path):
     assert lines[2] == "b,t=0.1,0.75,,,"
 
 
-def test_sweep_rows_render_sanitized_errors_and_nan_metrics():
+def test_sweep_rows_render_sanitized_errors_and_nan_metrics(tmp_path):
     row = lc.SweepRow(
         n=4, sigma=0.05, t=math.nan, trial=0, seed=99, ham_star=math.nan,
         rate=math.nan, exact=False, runtime_ms=math.nan, p_hat=math.nan,
@@ -448,7 +448,15 @@ def test_sweep_rows_render_sanitized_errors_and_nan_metrics():
         center_err_1=math.nan, center_err_2=math.nan,
         error="Boom: a, b\nand more",
     )
-    rendered = io.sweep_row_to_strings(row)
+
+    def rendered_cells(sweep_row):
+        path = tmp_path / "sweep.csv"
+        io.write_sweep_csv(path, [sweep_row])
+        lines = path.read_text().splitlines()
+        assert len(lines) == 2
+        return lines[1].split(",")
+
+    rendered = rendered_cells(row)
     assert rendered[io.SWEEP_COLUMNS.index("error")] == "Boom: a; b and more"
     assert rendered[io.SWEEP_COLUMNS.index("ham_star")] == "nan"
     assert rendered[io.SWEEP_COLUMNS.index("exact")] == "0"
@@ -459,7 +467,7 @@ def test_sweep_rows_render_sanitized_errors_and_nan_metrics():
     short = lc.SweepRow(n=4, sigma=0.05, t=math.nan, trial=0, seed=99,
                         error="Boom: a, b\nand more")
     assert short == row
-    assert io.sweep_row_to_strings(short) == rendered
+    assert rendered_cells(short) == rendered
 
 
 def test_sweep_csv_bytes_are_pinned(tmp_path):
