@@ -20,8 +20,11 @@ W as int64, which only the numpy encoder takes (``write np``); it checks
 that the two files have the same bytes. It then times the eigensolver,
 ``linecluster.top2_eigen`` (``eigen``), next to a dense
 ``numpy.linalg.eigh`` of W as float64 (``eigh``), and checks that their two
-largest eigenvalues agree to 1e-9 relative. The script exits 1 if the
-kernels, the two files or the eigenvalues disagree.
+largest eigenvalues agree to 1e-9 relative, and times k-means,
+``linecluster.kmeans2_rows`` with seed 0 on the rows of that embedding
+(``kmeans``). So each pipeline layer but sampling and line fitting is timed.
+The script exits 1 if the kernels, the two files or the eigenvalues
+disagree.
 
 Usage::
 
@@ -94,7 +97,7 @@ def main(argv: list[str] | None = None) -> int:
     seg1, seg2 = lc.standard_cross(math.pi / 2.0, 1.0)
     header = (f"{'n':>6} {'triples':>14} {'compiled':>14} {'numpy':>12} {'speedup':>9}  identical"
               f" {'exact':>7} {'peak':>5} {'write C':>12} {'write np':>12}  bytes  {'eigen':>12}"
-              f" {'eigh':>12}  eigenvalues")
+              f" {'eigh':>12}  eigenvalues {'kmeans':>12}")
     print(header, "-" * len(header), sep="\n")
     agree = True
     same_bytes = True
@@ -122,10 +125,12 @@ def main(argv: list[str] | None = None) -> int:
                             lambda: np.linalg.eigh(np.asarray(sim.counts, dtype=np.float64))[0])
         close = np.allclose(emb.eigenvalues, vals[[-1, -2]], rtol=1e-9, atol=0.0)
         eigen_agree &= close
+        kmeans, _ = _best(args.repeats, lambda: lc.kmeans2_rows(emb.u, 0))
         print(f"{n:>6} {math.comb(n, 3):>14,} {fast:>12.4f} s {slow:>10.4f} s {verdict:<20}"
               f" {exact} {peak:>5.2f} {write_c:>10.4f} s {write_np:>10.4f} s"
               f"  {'same ' if same_file else 'DIFFER'}"
-              f" {eigen:>10.4f} s {dense:>10.4f} s  {'agree' if close else 'DIFFER'}")
+              f" {eigen:>10.4f} s {dense:>10.4f} s  {'agree ' if close else 'DIFFER'}"
+              f"      {kmeans:>10.4f} s")
     tmp.cleanup()
     if not agree:
         print("error: the kernels disagree on the similarity matrix", file=sys.stderr)

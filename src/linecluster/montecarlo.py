@@ -3,7 +3,9 @@
 Each validator draws from the exact generative object its bound speaks
 about and returns a binomial point estimate with its standard error, so
 callers can make 3-standard-error comparisons against the theory value.
-A sample count below 1 raises ``LineClusterError``.
+Every sample, triple or trial count and the chi-square's ``k`` must be an
+integer of at least 1 (numpy integers included); anything else raises
+``LineClusterError``.
 All sampling is deterministic in (seed, domain); see ``linecluster._rng``.
 """
 
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import DOMAIN_MC, generator
+from ._validate import as_int
 from .errors import LineClusterError
 from .mle import mle_recover
 from .model import ModelParams, sample_glmm, standard_cross
@@ -30,9 +33,12 @@ class MCResult:
     n: int
 
 
-def _check_samples(n: int) -> None:
+def _count(value, name: str, what: str = "Monte-Carlo sample count") -> int:
+    """``value`` as an int of at least 1, or ``LineClusterError``."""
+    n = as_int(value, name)
     if n < 1:
-        raise LineClusterError(f"Monte-Carlo sample count must be at least 1, got {n}")
+        raise LineClusterError(f"{what} must be at least 1, got {n}")
+    return n
 
 
 def _binomial(hits: int, n: int) -> MCResult:
@@ -58,7 +64,7 @@ def triple_scores(triples: np.ndarray) -> np.ndarray:
 
 def mc_within_miss(t: float, sigma: float, ell: float, n_triples: int, seed: int) -> MCResult:
     """P(score >= t^2) for triples drawn from a single noisy segment."""
-    _check_samples(n_triples)
+    n_triples = _count(n_triples, "n_triples")
     if not (0.0 < ell < math.inf):
         raise LineClusterError(f"ell must be positive and finite, got {ell}")
     rng = generator(seed, DOMAIN_MC)
@@ -79,7 +85,7 @@ def mc_hyperedge_rates(
     consecutive, independent triples; estimates are conditional on the
     triple's label composition (all-same vs. mixed).
     """
-    _check_samples(n_triples)
+    n_triples = _count(n_triples, "n_triples")
     seg1, seg2 = standard_cross(alpha, 0.5 * ell)
     params = ModelParams(seg1=seg1, seg2=seg2, sigma=sigma, n_points=3 * n_triples, seed=seed)
     ds = sample_glmm(params)
@@ -98,7 +104,8 @@ def mc_hyperedge_rates(
 
 def mc_chi2_tail(k: int, theta: float, n_samples: int, seed: int) -> MCResult:
     """P(chi2_k >= k * theta) by direct simulation."""
-    _check_samples(n_samples)
+    k = _count(k, "k", "degrees of freedom k")
+    n_samples = _count(n_samples, "n_samples")
     rng = generator(seed, DOMAIN_MC)
     x = rng.chisquare(df=k, size=n_samples)
     return _binomial(int(np.count_nonzero(x >= k * theta)), n_samples)
@@ -106,7 +113,7 @@ def mc_chi2_tail(k: int, theta: float, n_samples: int, seed: int) -> MCResult:
 
 def mc_rayleigh_cdf(t: float, scale: float, n_samples: int, seed: int) -> MCResult:
     """P(Rayleigh(scale) <= t) by direct simulation."""
-    _check_samples(n_samples)
+    n_samples = _count(n_samples, "n_samples")
     rng = generator(seed, DOMAIN_MC)
     x = scale * np.sqrt((rng.standard_normal(n_samples) ** 2) + (rng.standard_normal(n_samples) ** 2))
     return _binomial(int(np.count_nonzero(x <= t)), n_samples)
@@ -114,7 +121,8 @@ def mc_rayleigh_cdf(t: float, scale: float, n_samples: int, seed: int) -> MCResu
 
 def mc_binomial_tail(mu: float, delta: float, n_trials: int, n_samples: int, seed: int) -> MCResult:
     """P(|X - mu| >= delta mu) for X ~ Binomial(n_trials, mu / n_trials)."""
-    _check_samples(n_samples)
+    n_trials = _count(n_trials, "n_trials", "n_trials")
+    n_samples = _count(n_samples, "n_samples")
     if not (0.0 < mu < n_trials):
         raise LineClusterError(f"need 0 < mu < n_trials, got mu = {mu}, n_trials = {n_trials}")
     rng = generator(seed, DOMAIN_MC)
@@ -124,7 +132,7 @@ def mc_binomial_tail(mu: float, delta: float, n_trials: int, n_samples: int, see
 
 def mc_mle_error(alpha: float, ell: float, sigma: float, n_samples: int, seed: int) -> MCResult:
     """Empirical misclassification rate of the oracle classifier."""
-    _check_samples(n_samples)
+    n_samples = _count(n_samples, "n_samples")
     seg1, seg2 = standard_cross(alpha, 0.5 * ell)
     params = ModelParams(seg1=seg1, seg2=seg2, sigma=sigma, n_points=n_samples, seed=seed)
     ds = sample_glmm(params)

@@ -26,7 +26,10 @@ Conventions, fixed so every backend and rerun agrees:
   * each eigenvector's entry of largest absolute value is made positive;
   * k-means uses k-means++ seeding, 10 restarts, at most 100 Lloyd steps,
     relative inertia tolerance 1e-9, and repairs an emptied cluster by
-    reassigning the point farthest from its center;
+    reassigning the point farthest from its center; the 10 starts are drawn
+    first and the restarts' Lloyd steps run in lockstep on the coordinate
+    columns, with the sums in the order of one restart at a time (see
+    ``kmeans2_rows``), so the labels do not depend on how restarts are run;
   * the cluster whose center is lexicographically smaller is labeled 1;
   * an all-zero W carries no information: the embedding degenerates to the
     first two standard basis vectors and ``cluster`` returns all labels 1
@@ -193,38 +196,78 @@ def _orthogonalize(v: np.ndarray, basis: np.ndarray) -> np.ndarray | None:
     return v / rest
 
 
-def _kmeans_pp_init(rows: np.ndarray, rng) -> np.ndarray:
-    n = rows.shape[0]
+def _kmeans_pp_init(x: np.ndarray, y: np.ndarray, rng) -> tuple[int, int]:
+    """Row indices of one k-means++ start: a uniform first row, then a row
+    drawn with probability proportional to its squared distance from it."""
+    n = x.shape[0]
     first = int(rng.integers(n))
-    d2 = ((rows - rows[first]) ** 2).sum(axis=1)
+    d2 = (x - x[first]) ** 2 + (y - y[first]) ** 2
     total = float(d2.sum())
     if total <= 0.0:
         second = int(rng.integers(n))
     else:
         second = int(rng.choice(n, p=d2 / total))
-    return np.stack([rows[first], rows[second]])
+    return first, second
 
 
-def _lloyd(rows: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    n = rows.shape[0]
-    inertia = math.inf
-    assign = np.zeros(n, dtype=np.int64)
-    for _ in range(_KMEANS_MAX_ITER):
-        d2 = ((rows[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        assign = np.argmin(d2, axis=1)
-        for k in range(2):
-            if not np.any(assign == k):
-                far = int(np.argmax(d2[np.arange(n), assign]))
-                assign[far] = k
-        new_centers = np.stack([rows[assign == k].mean(axis=0) for k in range(2)])
-        new_inertia = float(((rows - new_centers[assign]) ** 2).sum())
-        improved = inertia - new_inertia
-        centers = new_centers
-        if improved <= _KMEANS_TOL * max(1.0, abs(inertia)) and math.isfinite(inertia):
-            inertia = new_inertia
-            break
+def _lloyd_lockstep(x: np.ndarray, y: np.ndarray, cx: np.ndarray, cy: np.ndarray):
+    """Lloyd steps for R restarts at once from the (R, 2) start centers
+    ``(cx, cy)``; a restart leaves the block when its step meets the
+    stopping test. Returns the (R, n) assignments (True for cluster 1), the
+    final (R, 2) center columns and the (R,) inertias."""
+    restarts, n = cx.shape[0], x.shape[0]
+    out_assign = np.empty((restarts, n), dtype=bool)
+    out_cx, out_cy, out_inertia = np.empty((restarts, 2)), np.empty((restarts, 2)), np.empty(restarts)
+    live = np.arange(restarts)
+    inertia = np.full(restarts, math.inf)
+    # bincount weights: the columns once per restart, so the first k * n
+    # entries serve any k live restarts.
+    x_all, y_all = np.tile(x, restarts), np.tile(y, restarts)
+    offsets = 2 * np.arange(restarts)[:, None]
+    sq = np.empty((restarts, n, 2))  # squared residuals, interleaved as (x, y)
+    for step in range(_KMEANS_MAX_ITER):
+        k = live.size
+        d = x - cx[:, :, None]  # (k, 2, n): squared distance to each center
+        d *= d
+        dy = y - cy[:, :, None]
+        dy *= dy
+        d += dy
+        assign = d[:, 1] < d[:, 0]  # argmin: a tie stays in cluster 0
+        ones = np.count_nonzero(assign, axis=1)
+        for r, count in enumerate(ones.tolist()):
+            # An emptied cluster takes the point farthest from its center.
+            if count == n:
+                assign[r, np.argmax(d[r, 1])] = False
+                ones[r] -= 1
+            elif count == 0:
+                assign[r, np.argmax(d[r, 0])] = True
+                ones[r] += 1
+        idx = (assign + offsets[:k]).ravel()
+        counts = np.empty((k, 2))
+        counts[:, 0] = n - ones
+        counts[:, 1] = ones
+        # bincount adds in index order: the order of the boolean-mask mean.
+        cx = np.bincount(idx, weights=x_all[:k * n], minlength=2 * k).reshape(k, 2) / counts
+        cy = np.bincount(idx, weights=y_all[:k * n], minlength=2 * k).reshape(k, 2) / counts
+        block = sq[:k]
+        np.subtract(x, cx.take(idx).reshape(k, n), out=block[:, :, 0])
+        np.subtract(y, cy.take(idx).reshape(k, n), out=block[:, :, 1])
+        block *= block
+        # Each row's pairwise sum of its own 2n interleaved squares.
+        new_inertia = block.reshape(k, 2 * n).sum(axis=1)
+        last = step == _KMEANS_MAX_ITER - 1
+        done = np.array([last or (math.isfinite(old) and old - new <= _KMEANS_TOL * max(1.0, abs(old)))
+                         for old, new in zip(inertia.tolist(), new_inertia.tolist())])
         inertia = new_inertia
-    return assign, centers, inertia
+        if done.any():
+            out = live[done]
+            out_assign[out], out_cx[out], out_cy[out], out_inertia[out] = \
+                assign[done], cx[done], cy[done], inertia[done]
+            keep = ~done
+            live, cx, cy, inertia = live[keep], cx[keep], cy[keep], inertia[keep]
+            if live.size == 0:
+                break
+    return out_assign, out_cx, out_cy, out_inertia
 
 
 def kmeans2_rows(u, seed: int) -> tuple[np.ndarray, float, np.ndarray, bool]:
@@ -234,24 +277,37 @@ def kmeans2_rows(u, seed: int) -> tuple[np.ndarray, float, np.ndarray, bool]:
     values in {1, 2}, label 1 belongs to the lexicographically smaller
     center, and ``degenerate`` flags identical rows (single natural
     cluster; everything is labeled 1).
+
+    The 10 k-means++ starts are drawn first, in one stream; the Lloyd steps
+    then run for all restarts at once on the coordinate columns, a restart
+    leaving the block at the step that meets its stopping test, and the
+    first restart of least inertia wins. Labels and inertia are bit for bit
+    those of running the restarts one after another with ``argmin`` and
+    boolean-mask means, because each sum keeps that order: a point's
+    distance is dx^2 + dy^2, a center is its cluster's coordinates added in
+    row order (``np.bincount``, not a pairwise ``sum``), and an inertia is
+    the pairwise ``sum`` of the restart's own (n, 2) squared residuals. The
+    centers can differ only in the sign of an exact zero, as each bincount
+    sum starts at +0.0.
     """
     rows = as_points(u, min_n=2)
     n = rows.shape[0]
     if np.all(rows == rows[0]):
         return np.ones(n, dtype=np.int8), 0.0, np.stack([rows[0], rows[0]]), True
+    x, y = np.ascontiguousarray(rows[:, 0]), np.ascontiguousarray(rows[:, 1])
     rng = generator(seed, DOMAIN_KMEANS)
-    best: tuple[float, np.ndarray, np.ndarray] | None = None
-    for _ in range(_KMEANS_RESTARTS):
-        centers0 = _kmeans_pp_init(rows, rng)
-        assign, centers, inertia = _lloyd(rows, centers0)
-        if best is None or inertia < best[0]:
-            best = (inertia, assign, centers)
-    inertia, assign, centers = best
+    starts = np.array([_kmeans_pp_init(x, y, rng) for _ in range(_KMEANS_RESTARTS)])
+    assign, cx, cy, inertias = _lloyd_lockstep(x, y, x[starts], y[starts])
+    best = 0
+    for r in range(1, _KMEANS_RESTARTS):
+        if inertias[r] < inertias[best]:
+            best = r
+    centers = np.column_stack((cx[best], cy[best]))
     order = sorted(range(2), key=lambda k: (centers[k, 0], centers[k, 1]))
     labels = np.empty(n, dtype=np.int8)
     for new_label, k in enumerate(order, start=1):
-        labels[assign == k] = new_label
-    return labels, float(inertia), centers[order], False
+        labels[assign[best] == k] = new_label
+    return labels, float(inertias[best]), centers[order], False
 
 
 def cluster_from_similarity(w: SimilarityMatrix, seed: int) -> ClusterResult:

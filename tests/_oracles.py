@@ -122,3 +122,73 @@ def dense_davis_kahan(w, labels, p_hat: float, q_hat: float, u: np.ndarray):
         return True, math.nan, gap, deviation
     overlap = u.T @ vecs[:, -2:]
     return False, math.sqrt(max(0.0, 2.0 - float((overlap**2).sum()))), gap, deviation
+
+
+def _reference_pp_init(rows: np.ndarray, rng) -> np.ndarray:
+    n = rows.shape[0]
+    first = int(rng.integers(n))
+    d2 = ((rows - rows[first]) ** 2).sum(axis=1)
+    total = float(d2.sum())
+    if total <= 0.0:
+        second = int(rng.integers(n))
+    else:
+        second = int(rng.choice(n, p=d2 / total))
+    return np.stack([rows[first], rows[second]])
+
+
+def _reference_lloyd(rows: np.ndarray, centers: np.ndarray, trace: dict):
+    n = rows.shape[0]
+    inertia = math.inf
+    assign = np.zeros(n, dtype=np.int64)
+    for _ in range(100):
+        d2 = ((rows[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        assign = np.argmin(d2, axis=1)
+        trace["steps"] += 1
+        trace["ties"] += int(np.count_nonzero(d2[:, 0] == d2[:, 1]))
+        for k in range(2):
+            if not np.any(assign == k):
+                far = int(np.argmax(d2[np.arange(n), assign]))
+                assign[far] = k
+                trace["repairs"] += 1
+        new_centers = np.stack([rows[assign == k].mean(axis=0) for k in range(2)])
+        new_inertia = float(((rows - new_centers[assign]) ** 2).sum())
+        improved = inertia - new_inertia
+        centers = new_centers
+        if improved <= 1e-9 * max(1.0, abs(inertia)) and math.isfinite(inertia):
+            inertia = new_inertia
+            break
+        inertia = new_inertia
+    return assign, centers, inertia
+
+
+def reference_kmeans2(u, seed: int, traces: list | None = None):
+    """``kmeans2_rows`` as it was before its restarts ran in lockstep: each of
+    the 10 k-means++ restarts runs its own Lloyd loop on the (n, 2) rows
+    (argmin over a broadcast distance array, boolean-mask means). Returns
+    ``(labels, inertia, centers, degenerate)`` like ``kmeans2_rows``.
+
+    ``traces``, if given, receives one dict per restart: its Lloyd steps, the
+    points at exactly equal distance from both centers summed over the steps
+    (``ties``) and its empty-cluster repairs."""
+    from linecluster._rng import DOMAIN_KMEANS, generator
+
+    rows = np.ascontiguousarray(u, dtype=np.float64)
+    n = rows.shape[0]
+    if np.all(rows == rows[0]):
+        return np.ones(n, dtype=np.int8), 0.0, np.stack([rows[0], rows[0]]), True
+    rng = generator(seed, DOMAIN_KMEANS)
+    best = None
+    for _ in range(10):
+        centers0 = _reference_pp_init(rows, rng)
+        trace = {"steps": 0, "ties": 0, "repairs": 0}
+        assign, centers, inertia = _reference_lloyd(rows, centers0, trace)
+        if traces is not None:
+            traces.append(trace)
+        if best is None or inertia < best[0]:
+            best = (inertia, assign, centers)
+    inertia, assign, centers = best
+    order = sorted(range(2), key=lambda k: (centers[k, 0], centers[k, 1]))
+    labels = np.empty(n, dtype=np.int8)
+    for new_label, k in enumerate(order, start=1):
+        labels[assign == k] = new_label
+    return labels, float(inertia), centers[order], False

@@ -591,10 +591,11 @@ def test_bench_scan_compares_both_kernels_in_process(capsys):
     header, _, *rows = capsys.readouterr().out.splitlines()
     verdict = "yes" if shutil.which("cc") is not None else "not compared"
     assert [row.split()[0] for row in rows] == ["40", "60"]
-    # The scan verdict, the two writers' verdict, then the eigen and eigh
-    # timings and their verdict.
-    assert all(f" {verdict} " in row and " same " in row and row.endswith(" agree")
-               for row in rows)
+    # The scan verdict, the two writers' verdict, the eigen and eigh timings
+    # and their verdict, then the k-means timing.
+    assert header.split()[-2:] == ["eigenvalues", "kmeans"]
+    assert all(f" {verdict} " in row and " same " in row and row.split()[-3] == "agree"
+               and row.endswith(" s") and float(row.split()[-2]) > 0.0 for row in rows)
     # Next to the scan verdict, the share of triples the C kernel's exact
     # path decided: a fraction, or "-" when no kernel was compared.
     assert header.split()[6] == "exact"

@@ -71,3 +71,25 @@ def test_oracle_error_validator_matches_the_closed_form_integral():
 def test_binomial_tail_validator_domain():
     with pytest.raises(lc.LineClusterError):
         mc.mc_binomial_tail(3000.0, 0.1, 300, 100, seed=0)  # mu >= n_trials
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda k: mc.mc_chi2_tail(k, 2.0, 100, seed=0),
+        lambda n: mc.mc_chi2_tail(3, 2.0, n, seed=0),
+        lambda n: mc.mc_rayleigh_cdf(0.05, 0.01, n, seed=0),
+        lambda n: mc.mc_within_miss(0.05, 0.01, 2.0, n, seed=0),
+        lambda n: mc.mc_hyperedge_rates(0.05, 0.01, math.pi / 2.0, 2.0, n, seed=0),
+        lambda n: mc.mc_binomial_tail(3.0, 0.5, 300, n, seed=0),
+        lambda n: mc.mc_binomial_tail(0.5, 0.5, n, 100, seed=0),
+        lambda n: mc.mc_mle_error(math.pi / 2.0, 2.0, 0.05, n, seed=0),
+    ],
+    ids=["chi2 k", "chi2 samples", "rayleigh samples", "within-miss triples",
+         "hyperedge triples", "binomial samples", "binomial trials", "oracle-error samples"],
+)
+def test_validators_refuse_a_count_that_is_not_a_positive_integer(call):
+    for bad in (2.5, True, 0, -3, "5", None):
+        with pytest.raises(lc.LineClusterError):
+            call(bad)
+    call(np.int64(200))  # numpy integers are accepted

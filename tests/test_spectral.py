@@ -10,7 +10,7 @@ from linecluster.errors import LineClusterError, SizeTooSmallError
 from linecluster import spectral
 from linecluster.spectral import _fix_signs, kmeans2_rows
 
-from _oracles import brute_force_kmeans2
+from _oracles import brute_force_kmeans2, reference_kmeans2
 
 
 def test_complete_count_matrix_has_known_spectrum():
@@ -243,6 +243,70 @@ def test_kmeans_is_deterministic_in_the_seed(rng):
     out1 = kmeans2_rows(rows, 11)
     out2 = kmeans2_rows(rows, 11)
     assert np.array_equal(out1[0], out2[0]) and out1[1] == out2[1]
+
+
+def _assert_same_as_sequential_restarts(rows, seed, traces=None):
+    got = kmeans2_rows(rows, seed)
+    want = reference_kmeans2(rows, seed, traces)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+    # Centers by value, not bytes: each center sum starts at +0.0 in
+    # bincount, while a mean may start from its first entry, so a coordinate
+    # whose entries are all -0.0 may differ in the sign of its zero.
+    assert np.array_equal(got[2], want[2])
+    assert got[3] == want[3]
+
+
+@pytest.mark.parametrize("n", [150, 300])
+def test_kmeans_matches_sequential_restarts_bit_for_bit_on_scan_embeddings(make_dataset, n):
+    for data_seed in (0, 1):
+        u = lc.top2_eigen(lc.scan(make_dataset(n, 0.01, data_seed).points, 0.05)[0]).u
+        for seed in (0, 1):
+            _assert_same_as_sequential_restarts(u, seed)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_kmeans_matches_sequential_restarts_bit_for_bit_on_random_rows(rng, scale):
+    steps = set()
+    for trial in range(15):
+        rows = rng.normal(size=(int(rng.integers(3, 250)), 2)) * scale
+        rows[: rows.shape[0] // 2, 0] += 2.0 * scale
+        traces = []
+        _assert_same_as_sequential_restarts(rows, trial, traces)
+        steps.update(t["steps"] for t in traces)
+    assert len(steps) > 1  # restarts leave the lockstep block at different steps
+
+
+def test_kmeans_matches_sequential_restarts_bit_for_bit_on_edge_cases(rng):
+    # Duplicated rows: few distinct points, each repeated.
+    for trial in range(6):
+        _assert_same_as_sequential_restarts(np.repeat(rng.normal(size=(3, 2)), 7, axis=0), trial)
+    # Squared distances that underflow to 0 put every point at equal
+    # distance from both centers, so cluster 1 is emptied and repaired.
+    traces = []
+    _assert_same_as_sequential_restarts(rng.normal(size=(30, 2)) * 1e-200, 0, traces)
+    assert all(t["repairs"] > 0 for t in traces)
+    # a^2 underflows to 0 but (2a)^2 does not: a start at (0, 0) and (a, 0)
+    # puts (-a, 0) strictly nearer center 0, so the repair's choice of the
+    # farthest point depends on which distance it reads.
+    a = 1.5e-162
+    traces = []
+    for seed in range(4):
+        _assert_same_as_sequential_restarts(np.array([[0.0, 0.0], [a, 0.0], [-a, 0.0]]), seed, traces)
+    assert sum(t["repairs"] for t in traces) > 0
+    # A grid has points at exactly equal distance from both centers, which
+    # stay in cluster 0; its restarts also take different numbers of steps.
+    grid = np.array([(i, j) for i in range(-2, 3) for j in range(-2, 3)], dtype=np.float64)
+    traces = []
+    _assert_same_as_sequential_restarts(grid, 0, traces)
+    assert sum(t["ties"] for t in traces) > 0
+    assert len({t["steps"] for t in traces}) > 1
+    # n = 2.
+    _assert_same_as_sequential_restarts(np.array([[0.0, 0.0], [1.0, 1.0]]), 0)
+    # A cluster whose x entries are all -0.0 (the case the centers are
+    # compared by value for).
+    rows = np.array([[-0.0, 0.0], [-0.0, 1.0], [-0.0, 2.0], [5.0, 0.0], [5.0, 1.0], [5.0, 2.0]])
+    _assert_same_as_sequential_restarts(rows, 0)
 
 
 def test_ideal_two_block_embedding_recovers_the_split_exactly():
