@@ -26,11 +26,10 @@ import numpy as np
 
 from . import __version__, bounds, io, metrics, montecarlo
 from .errors import LineClusterError, OutOfValidityError
-from .hypergraph import scan
 from .mle import mle_recover, perr_exact
 from .model import LabeledDataset, ModelParams, sample_glmm, standard_cross
 from .recovery import angle_error, center_error, recover_lines
-from .spectral import cluster_from_similarity
+from .spectral import cluster
 from .sweep import SweepConfig, run_sweep
 from .threshold import autocluster
 from .tls import scatter, sigma_tls_sq
@@ -125,23 +124,22 @@ def _cmd_tls_score(args) -> dict:
 
 def _cmd_cluster(args) -> dict:
     points, labels = io.read_points_csv(args.infile)
-    sim, stats = scan(points, args.t, labels)
-    res = cluster_from_similarity(sim, args.seed)
+    res = cluster(points, args.t, args.seed, labels)
     payload = {
-        "n": sim.n,
+        "n": res.similarity.n,
         "t": args.t,
         "seed": args.seed,
-        "backend": sim.backend,
+        "backend": res.similarity.backend,
         "eigenvalues": res.embedding.eigenvalues if res.embedding else None,
         "kmeans_inertia": res.kmeans_inertia,
         "degenerate": res.degenerate,
     }
     if labels is not None:
-        payload.update(_rates(res.labels, labels), p_hat=stats.p_hat, q_hat=stats.q_hat)
+        payload.update(_rates(res.labels, labels), p_hat=res.stats.p_hat, q_hat=res.stats.q_hat)
     _write_labels(args, payload, res.labels)
     if args.out:
         payload["w_out"] = _artifact(args.out, "similarity.csv")
-        io.write_similarity_csv(payload["w_out"], sim.counts)
+        io.write_similarity_csv(payload["w_out"], res.similarity.counts)
     return payload
 
 
@@ -293,13 +291,14 @@ def _cmd_bounds(args) -> tuple[dict, int]:
 def _cmd_sweep(args) -> dict:
     config = SweepConfig.from_json(args.config)
     rows = run_sweep(config)
+    ran = [r for r in rows if not r.error]  # a failed trial's nan rate would make any median nan
     payload = {
         "algorithm": config.algorithm,
         "trials": config.trials,
         "rows": len(rows),
-        "failed_rows": sum(1 for r in rows if r.error),
-        "exact_fraction": float(np.mean([r.exact for r in rows])),
-        "median_rate": float(np.median([r.rate for r in rows])),
+        "failed_rows": len(rows) - len(ran),
+        "exact_fraction": float(np.mean([r.exact for r in ran])) if ran else math.nan,
+        "median_rate": float(np.median([r.rate for r in ran])) if ran else math.nan,
     }
     if args.out:
         payload["out"] = _artifact(args.out, "sweep.csv")
@@ -307,6 +306,7 @@ def _cmd_sweep(args) -> dict:
     return payload
 
 
+@functools.cache  # built once per process: cli_dispatch parses with it on every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="linecluster",

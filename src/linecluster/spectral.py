@@ -39,14 +39,14 @@ Conventions, fixed so every backend and rerun agrees:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._rng import DOMAIN_EIG, DOMAIN_KMEANS, generator
 from ._validate import as_points
 from .errors import LineClusterError, SizeTooSmallError
-from .hypergraph import SimilarityMatrix, scan
+from .hypergraph import HyperedgeStats, SimilarityMatrix, scan
 
 _KMEANS_RESTARTS = 10
 _KMEANS_MAX_ITER = 100
@@ -70,13 +70,21 @@ class SpectralEmbedding:
 
 @dataclass(frozen=True, eq=False)
 class ClusterResult:
-    """Labels in {1, 2} plus the clustering diagnostics that produced them."""
+    """Labels in {1, 2} plus the clustering diagnostics that produced them.
+
+    ``cluster`` fills in its scan's output: ``similarity``, the W that was
+    clustered, so that the result keeps W's n x n int32 counts alive, and
+    ``stats``, the acceptance tallies, when true labels were given. Both are
+    None otherwise (``cluster_from_similarity``, ``mle_recover``).
+    """
 
     labels: np.ndarray  # (n,) int8
     embedding: SpectralEmbedding | None
     kmeans_inertia: float | None
     centers: np.ndarray | None  # (2, 2): row k is the center of label k+1
     degenerate: bool = False
+    similarity: SimilarityMatrix | None = None
+    stats: HyperedgeStats | None = None
 
 
 def _as_matrix(w) -> np.ndarray:
@@ -311,7 +319,11 @@ def kmeans2_rows(u, seed: int) -> tuple[np.ndarray, float, np.ndarray, bool]:
 
 
 def cluster_from_similarity(w: SimilarityMatrix, seed: int) -> ClusterResult:
-    """Spectral clustering of an already-built similarity matrix."""
+    """Spectral clustering of the scan's similarity matrix ``w``."""
+    if not isinstance(w, SimilarityMatrix):
+        raise LineClusterError(
+            f"cluster_from_similarity needs the scan's SimilarityMatrix, got {type(w).__name__}"
+        )
     embedding = top2_eigen(w)
     if not w.counts.any():
         return ClusterResult(
@@ -331,6 +343,9 @@ def cluster_from_similarity(w: SimilarityMatrix, seed: int) -> ClusterResult:
     )
 
 
-def cluster(points, t: float, seed: int) -> ClusterResult:
-    """Full pipeline: similarity matrix at threshold ``t``, embedding, k-means."""
-    return cluster_from_similarity(scan(points, t)[0], seed)
+def cluster(points, t: float, seed: int, labels=None) -> ClusterResult:
+    """The pipeline: the triple scan at threshold ``t``, its similarity
+    matrix W, the top-two eigenvectors and 2-means. The result carries W and,
+    when true ``labels`` are given, the scan's acceptance tallies."""
+    sim, stats = scan(points, t, labels)
+    return replace(cluster_from_similarity(sim, seed), similarity=sim, stats=stats)

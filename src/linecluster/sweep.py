@@ -6,12 +6,13 @@ are independent of execution order and a rerun with the same config file
 reproduces every row byte-for-byte (the ``runtime_ms`` column excepted).
 
 The per-trial pipeline depends on ``algorithm``:
-  * ``spectral``: sample, scan at the fixed cell threshold (also collecting
-    the within/mixed acceptance rates), embed, k-means;
-  * ``autocluster``: sample, pick the threshold from sampled triples, then
-    cluster the untouched (rest) points in one labeled scan (the t column
-    reports the selected t*; p_hat and q_hat cover the rest points only,
-    and stay nan when t* = 0);
+  * ``spectral``: sample, then ``spectral.cluster`` at the fixed cell
+    threshold, whose labeled scan also collects the within/mixed acceptance
+    rates;
+  * ``autocluster``: sample, then ``threshold.autocluster``, which picks the
+    threshold from sampled triples and runs ``spectral.cluster`` on the
+    untouched (rest) points (the t column reports the selected t*; p_hat
+    and q_hat cover the rest points only, and stay nan when t* = 0);
   * ``oracle``: classify with the exact component densities (t, p_hat and
     q_hat are not applicable and render as nan).
 
@@ -32,12 +33,11 @@ import numpy as np
 from ._rng import _check_seed
 from ._validate import as_float, as_int
 from .errors import ClusterTooSmallError, LineClusterError
-from .hypergraph import scan
 from .metrics import align_swap, report
 from .mle import mle_recover
 from .model import ModelParams, sample_glmm, standard_cross
 from .recovery import angle_error, center_error, recover_lines
-from .spectral import cluster_from_similarity
+from .spectral import cluster
 from .threshold import autocluster
 
 _ALGORITHMS = ("spectral", "autocluster", "oracle")
@@ -178,28 +178,21 @@ def _run_trial(config: SweepConfig, n: int, sig: float, t_cell: float, trial: in
     seg1, seg2 = standard_cross(config.alpha, 0.5 * config.ell)
     params = ModelParams(seg1=seg1, seg2=seg2, sigma=sig, n_points=n, seed=run_seed)
     ds = sample_glmm(params)
-    t_used = math.nan
-    p_hat = math.nan
-    q_hat = math.nan
     start = time.perf_counter()
     if config.algorithm == "spectral":
-        sim, stats = scan(ds.points, t_cell, ds.labels)
-        res = cluster_from_similarity(sim, run_seed)
-        labels_hat = res.labels
-        t_used = t_cell
-        p_hat, q_hat = stats.p_hat, stats.q_hat
+        res, t_used = cluster(ds.points, t_cell, run_seed, ds.labels), t_cell
     elif config.algorithm == "autocluster":
         res = autocluster(ds.points, config.m, config.theta, run_seed, ds.labels)
-        labels_hat = res.labels
         t_used = res.choice.t_star
-        if t_used > 0.0:
-            p_hat, q_hat = res.stats.p_hat, res.stats.q_hat
     else:  # oracle
-        labels_hat = mle_recover(ds).labels
+        res, t_used = mle_recover(ds), math.nan
     runtime_ms = (time.perf_counter() - start) * 1000.0
+    # The scan's tallies, where a scan ran at a positive threshold (not for
+    # the oracle, nor for an autocluster t* = 0).
+    p_hat, q_hat = (res.stats.p_hat, res.stats.q_hat) if t_used > 0.0 else (math.nan, math.nan)
 
-    rep = report(labels_hat, ds.labels)
-    sin1, sin2, cen1, cen2 = _line_errors(ds.points, labels_hat, ds.labels, seg1, seg2)
+    rep = report(res.labels, ds.labels)
+    sin1, sin2, cen1, cen2 = _line_errors(ds.points, res.labels, ds.labels, seg1, seg2)
     return SweepRow(
         n=n,
         sigma=sig,

@@ -13,10 +13,10 @@ comparison, F_M(t) = #{ s_i <= t } / M, while hyperedge acceptance is
 strict (score < t^2): the CDF *includes* ties so the mass at t* is counted,
 whereas acceptance treats t as an open upper bound.
 
-``autocluster`` runs the full pipeline with the selected threshold on the
-points not touched by the sample; the touched nodes (union of sampled
-triples) receive independent uniform labels, as their scores were consumed
-by selection.
+``autocluster`` runs the full pipeline (``spectral.cluster``) with the
+selected threshold on the points not touched by the sample; the touched
+nodes (union of sampled triples) receive independent uniform labels, as
+their scores were consumed by selection.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ import numpy as np
 from ._rng import DOMAIN_ASSIGN, DOMAIN_TRIPLES, generator
 from ._validate import as_labels, as_points
 from .errors import EmptySampleError, LineClusterError, SampleExhaustsNodesError
-from .hypergraph import HyperedgeStats, scan
-from .spectral import ClusterResult, cluster_from_similarity
+from .spectral import ClusterResult, cluster
 from .tls import _triple_scores, _unit_scale
 
 
@@ -58,15 +57,14 @@ class AutoClusterResult(ClusterResult):
     """Cluster labels for all n points plus the threshold-selection record.
 
     Points in ``rest_indices`` were clustered at ``choice.t_star``; the
-    ``sample.touched_nodes`` got independent uniform labels. ``stats`` holds
-    the scan's acceptance tallies over the rest points when true labels
-    were given, else None.
+    ``sample.touched_nodes`` got independent uniform labels. The inherited
+    ``similarity`` and ``stats`` are those of the scan of the rest points
+    alone (``stats`` only when true labels were given).
     """
 
     sample: TripleSample = None  # type: ignore[assignment]
     choice: ThresholdChoice = None  # type: ignore[assignment]
     rest_indices: np.ndarray = None  # type: ignore[assignment]
-    stats: HyperedgeStats | None = None
 
 
 def empirical_cdf(scores, t: float) -> float:
@@ -125,10 +123,10 @@ def autocluster(points, m: int, theta: float, seed: int, labels=None) -> AutoClu
     """Select a threshold from sampled triples, then cluster the rest.
 
     The sampled (touched) nodes are labeled uniformly at random; the
-    remaining points are clustered spectrally at the selected threshold.
-    With true ``labels``, the same scan also tallies the rest points'
-    within/mixed acceptance (``stats``). Raises ``SampleExhaustsNodesError``
-    when fewer than 3 points remain.
+    remaining points go through ``spectral.cluster`` at the selected
+    threshold. With true ``labels``, the same scan also tallies the rest
+    points' within/mixed acceptance (``stats``). Raises
+    ``SampleExhaustsNodesError`` when fewer than 3 points remain.
     """
     pts = as_points(points, min_n=3)
     n = pts.shape[0]
@@ -147,8 +145,7 @@ def autocluster(points, m: int, theta: float, seed: int, labels=None) -> AutoClu
     # scale, so on points whose largest coordinate is below 2**-536 it does
     # not square to 0, and triples scoring exactly 0 are accepted.)
     t_run = choice.t_star if choice.t_star > 0.0 else math.ulp(0.0)
-    sim, stats = scan(pts[rest], t_run, z[rest] if z is not None else None)
-    sub = cluster_from_similarity(sim, seed)
+    sub = cluster(pts[rest], t_run, seed, z[rest] if z is not None else None)
 
     labels_hat = np.empty(n, dtype=np.int8)
     labels_hat[rest] = sub.labels
@@ -162,8 +159,9 @@ def autocluster(points, m: int, theta: float, seed: int, labels=None) -> AutoClu
         kmeans_inertia=sub.kmeans_inertia,
         centers=sub.centers,
         degenerate=sub.degenerate,
+        similarity=sub.similarity,
+        stats=sub.stats,
         sample=sample,
         choice=choice,
         rest_indices=rest,
-        stats=stats,
     )

@@ -60,11 +60,12 @@ def _run_regime(n: int, sigma: float, t: float, trials: int):
         seed = derive_trial_seed(0, 0, trial)
         data = _dataset(n, sigma, seed)
         start = time.perf_counter()
-        w, stats = lc.scan(data.points, t, data.labels)
-        result = lc.cluster_from_similarity(w, seed)
+        result = lc.cluster(data.points, t, seed, data.labels)
         rep = lc.report(result.labels, data.labels)
         pipeline_seconds += time.perf_counter() - start
-        dk = lc.davis_kahan(w, data.labels, stats.p_hat, stats.q_hat, result.embedding)
+        stats = result.stats
+        dk = lc.davis_kahan(result.similarity, data.labels, stats.p_hat, stats.q_hat,
+                            result.embedding)
         runs.append(
             PipelineTrial(
                 ham_star=rep.ham_star, rate=rep.rate, dk_ok=dk.ok, dk_skipped=dk.skipped

@@ -841,6 +841,25 @@ def test_cli_sweep_runs_a_config_file(capsys, tmp_path):
             ]
 
 
+def test_cli_sweep_summary_covers_the_trials_that_ran(capsys, tmp_path):
+    # The n = 3 cell's trials all fail (the sample exhausts the points); the
+    # summary figures come from the three n = 200 trials alone.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n_points": [3, 200], "sigma": [0.01], "t": "auto",
+                                  "algorithm": "autocluster", "trials": 3, "seed": 1}))
+    code, payload, _ = _run(capsys, ["sweep", "--config", str(config)])
+    assert code == 0
+    assert (payload["rows"], payload["failed_rows"]) == (6, 3)
+    assert payload["median_rate"] == 0.195
+    assert payload["exact_fraction"] == 0.0
+    # With no trial run, neither figure exists.
+    config.write_text(json.dumps({"n_points": [3], "sigma": [0.01], "t": "auto",
+                                  "algorithm": "autocluster", "trials": 2}))
+    code, payload, _ = _run(capsys, ["sweep", "--config", str(config)])
+    assert code == 0 and payload["failed_rows"] == 2
+    assert payload["median_rate"] == "nan" and payload["exact_fraction"] == "nan"
+
+
 def test_cli_exit_codes(capsys, tmp_path):
     code, _, err = _run(capsys, ["cluster", "--in", str(tmp_path / "nope.csv"), "--t", "0.1"])
     assert code == 1

@@ -106,6 +106,7 @@ def test_recover_labels_every_point_with_the_true_parameters(make_dataset):
     assert result.labels.dtype == np.int8
     assert set(np.unique(result.labels).tolist()) <= {1, 2}
     assert result.embedding is None
+    assert result.similarity is None and result.stats is None  # no scan ran
     assert not result.degenerate
     # deterministic: no RNG anywhere in the oracle path
     assert np.array_equal(result.labels, lc.mle_recover(data).labels)

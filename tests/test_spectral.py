@@ -334,6 +334,23 @@ def test_cluster_from_all_zero_similarity_is_degenerate(make_dataset):
 
 def test_full_pipeline_recovers_a_clean_cross(make_dataset):
     ds = make_dataset(120, 1e-4, 9)
-    res = lc.cluster(ds.points, 5e-3, 9)
-    assert lc.report(res.labels, ds.labels).ham_star == 0
-    assert res.embedding.u.shape == (120, 2)
+    # The entry point is the scan followed by cluster_from_similarity, and
+    # carries the scan's W and, with true labels, its tallies.
+    for labels in (None, ds.labels):
+        res = lc.cluster(ds.points, 5e-3, 9, labels)
+        assert lc.report(res.labels, ds.labels).ham_star == 0
+        assert res.embedding.u.shape == (120, 2)
+        sim, stats = lc.scan(ds.points, 5e-3, labels)
+        ref = lc.cluster_from_similarity(sim, 9)
+        assert res.similarity.counts.tobytes() == sim.counts.tobytes()
+        assert res.similarity.counts.dtype == np.int32 and res.similarity.n == 120
+        assert res.stats == stats and (res.stats is None) == (labels is None)
+        assert np.array_equal(res.labels, ref.labels)
+        assert res.embedding.eigenvalues == ref.embedding.eigenvalues
+        assert res.kmeans_inertia == ref.kmeans_inertia
+        assert ref.similarity is None and ref.stats is None
+
+
+def test_cluster_from_similarity_refuses_a_plain_array():
+    with pytest.raises(LineClusterError, match="SimilarityMatrix"):
+        lc.cluster_from_similarity(np.ones((4, 4)) - np.eye(4), 0)

@@ -259,6 +259,7 @@ def test_autocluster_with_labels_tallies_the_rest_set_without_changing_the_resul
     assert np.array_equal(plain.labels, labeled.labels)
     assert plain.choice == labeled.choice
     assert labeled.stats.total_triples == math.comb(labeled.rest_indices.size, 3)
+    assert plain.similarity.n == labeled.similarity.n == labeled.rest_indices.size
     with pytest.raises(lc.LineClusterError):
         lc.autocluster(data.points, m=20, theta=0.25, seed=6, labels=data.labels[:-1])
 
