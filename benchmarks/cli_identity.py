@@ -1,6 +1,6 @@
 """Byte-identity digests of the CLI, for comparing two source trees.
 
-The script runs a fixed set of 22 ``linecluster`` commands, each as a fresh
+The script runs a fixed set of 25 ``linecluster`` commands, each as a fresh
 ``python -m linecluster`` process with ``PYTHONPATH`` set to the given
 ``src/`` directory, one after another in the given output directory, and
 prints one sha256 per command for its stdout, its stderr, its exit code and
@@ -21,6 +21,11 @@ Carlo, with a failing check (exit 1) and without Monte Carlo; a
 trial runs; ``tls-score`` from ``--points`` and from stdin; a missing input
 file (exit 1), a missing ``--in`` (exit 2) and ``gen --n 0`` (exit 1). The
 dataset has 200 points, so the first ``cluster`` scan builds the C kernel.
+Three more commands cross the block boundaries of the sampler, the oracle
+and the Monte-Carlo validators: ``gen --n 70000`` (nine sampling chunks),
+``oracle`` on that file (five classification blocks) and the README
+``bounds`` example at its default 200 000 samples (thirteen scoring blocks
+of triples).
 The kernel cache is a fresh directory inside the output directory, so every
 run picks its scan kernels the same way, and nothing is written under
 ``$HOME``.
@@ -87,6 +92,12 @@ COMMANDS = (
     ("missing-file", ["cluster", "--in", "missing.csv", "--t", "0.05"], None, None),
     ("missing-in", ["cluster", "--t", "0.05"], None, None),
     ("gen-zero", ["gen", "--sigma", "0.02", "--n", "0", "--seed", "1", "--out", "g0"], "g0", None),
+    ("gen-large", ["gen", "--sigma", "0.05", "--n", "70000", "--seed", "8", "--out", "big"],
+     "big", None),
+    ("oracle-large", ["oracle", "--in", "big/points.csv", "--params", "big/params.json",
+                      "--out", "o_big"], "o_big", None),
+    ("bounds-readme", ["bounds", "--t", "0.05", "--sigma", "0.01", "--mc", "--out", "b_readme"],
+     "b_readme", None),
 )
 
 

@@ -12,7 +12,11 @@ the along-line coordinate and d_perp for the orthogonal distance,
     f(x) = exp(-d_perp^2 / (2 sigma^2))
            * [Phi((h-s0)/sigma) - Phi((-h-s0)/sigma)] / (2 h sigma sqrt(2 pi)),
 
-evaluated in log space with stable tail branches. The separated form stays
+evaluated in log space with stable tail branches; each point's branch is
+evaluated on the points that take it only, not all four on every point.
+``mle_recover`` classifies in blocks of 16 384 points (``_BLOCK``), so the
+dozen temporaries of the two log densities stay in a 2 MB L2 cache; the
+labels do not depend on the block size. The separated form stays
 exact when sigma is orders of magnitude below the node spacing (where
 quadrature collapses to zero between nodes); the two routes agree to
 machine precision wherever quadrature is trustworthy, and tests pin that.
@@ -49,6 +53,7 @@ from .spectral import ClusterResult
 _MIN_NODES = 16
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _TAYLOR_WIDTH = 1e-7
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -104,22 +109,32 @@ def density(d: MixtureDensity, x) -> float:
 
 
 def _log_interval_mass(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """log(Phi(b) - Phi(a)) elementwise for a < b, stable in both tails."""
+    """log(Phi(b) - Phi(a)) elementwise for a < b, stable in both tails.
+
+    Each element takes one branch, evaluated on the elements that take it
+    only: Taylor where b - a < 1e-7, else the right tail where a > 0, the
+    left tail where b < 0, and the direct difference otherwise (nan too).
+    """
     from scipy.special import log_ndtr, ndtr
 
+    out = np.empty(a.shape)
+    taylor = b - a < _TAYLOR_WIDTH
+    right = ~taylor & (a > 0.0)
+    left = ~taylor & ~right & (b < 0.0)
+    direct = ~(taylor | right | left)
     with np.errstate(all="ignore"):
-        direct = np.log(ndtr(b) - ndtr(a))
-        mid = 0.5 * (a + b)
-        taylor = np.log(b - a) - 0.5 * mid * mid - _LOG_SQRT_2PI
-        right = log_ndtr(-a) + np.log(-np.expm1(log_ndtr(-b) - log_ndtr(-a)))
-        left = log_ndtr(b) + np.log(-np.expm1(log_ndtr(a) - log_ndtr(b)))
-    out = np.where(a > 0.0, right, np.where(b < 0.0, left, direct))
-    return np.where(b - a < _TAYLOR_WIDTH, taylor, out)
+        ta, tb = a[taylor], b[taylor]
+        mid = 0.5 * (ta + tb)
+        out[taylor] = np.log(tb - ta) - 0.5 * mid * mid - _LOG_SQRT_2PI
+        ra, rb = log_ndtr(-a[right]), log_ndtr(-b[right])
+        out[right] = ra + np.log(-np.expm1(rb - ra))
+        la, lb = log_ndtr(a[left]), log_ndtr(b[left])
+        out[left] = lb + np.log(-np.expm1(la - lb))
+        out[direct] = np.log(ndtr(b[direct]) - ndtr(a[direct]))
+    return out
 
 
-def log_density(d: MixtureDensity, points) -> np.ndarray:
-    """Exact separated-form log density, vectorized over an (n, 2) array."""
-    pts = as_points(points)
+def _log_density(d: MixtureDensity, pts: np.ndarray) -> np.ndarray:
     seg = d.segment
     sigma = d.sigma
     h = seg.half_length
@@ -133,6 +148,11 @@ def log_density(d: MixtureDensity, points) -> np.ndarray:
     return -d_perp_sq / (2.0 * sigma * sigma) + log_mass - (
         math.log(2.0 * h * sigma) + _LOG_SQRT_2PI
     )
+
+
+def log_density(d: MixtureDensity, points) -> np.ndarray:
+    """Exact separated-form log density, vectorized over an (n, 2) array."""
+    return _log_density(d, as_points(points))
 
 
 def mle_classify(x, d1: MixtureDensity, d2: MixtureDensity) -> int:
@@ -152,9 +172,13 @@ def mle_recover(dataset: LabeledDataset) -> ClusterResult:
     params = dataset.params
     d1 = MixtureDensity(segment=params.seg1, sigma=params.sigma)
     d2 = MixtureDensity(segment=params.seg2, sigma=params.sigma)
-    lf1 = log_density(d1, dataset.points)
-    lf2 = log_density(d2, dataset.points)
-    labels = np.where(lf1 > lf2, 1, 2).astype(np.int8)
+    pts = as_points(dataset.points)
+    labels = np.empty(pts.shape[0], dtype=np.int8)
+    for lo in range(0, pts.shape[0], _BLOCK):
+        block = pts[lo:lo + _BLOCK]
+        lf1 = _log_density(d1, block)
+        lf2 = _log_density(d2, block)
+        labels[lo:lo + _BLOCK] = np.where(lf1 > lf2, 1, 2)
     return ClusterResult(
         labels=labels, embedding=None, kmeans_inertia=None, centers=None, degenerate=False
     )

@@ -16,6 +16,11 @@ two segments of length ``2 h`` meeting at the origin at angle ``alpha``.
 Sampling is deterministic in the seed and *chunk-stable*: point ``i`` always
 consumes the same four 64-bit Philox words (see ``_rng.block_words``), so the
 first ``k`` points of a size-N draw equal the full draw of size ``k``.
+It draws in chunks of 8 192 points (``_CHUNK_POINTS``): a chunk's 256 KiB of
+words and its 64 KiB temporaries stay in a 2 MB L2 cache, and each point's
+segment (center, direction, half-length) is picked by its label with
+``np.where``, so every point takes one pass with no gather or scatter.
+The chunk size does not change the draw.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from ._rng import DOMAIN_MODEL, block_words, uniform_from_word, uniform_open_clo
 from ._validate import as_int
 from .errors import InvalidAngleError, LineClusterError
 
-_CHUNK_POINTS = 1 << 16
+_CHUNK_POINTS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -123,17 +128,19 @@ def _sample_chunk(params: ModelParams, start: int, count: int) -> tuple[np.ndarr
     u1 = uniform_open_closed(words[:, 2])
     u2 = uniform_from_word(words[:, 3])
     radius = np.sqrt(-2.0 * np.log(u1))
-    y0 = radius * np.cos(2.0 * np.pi * u2)
-    y1 = radius * np.sin(2.0 * np.pi * u2)
+    angle = 2.0 * np.pi * u2
+    y0 = radius * np.cos(angle)
+    y1 = radius * np.sin(angle)
 
+    first = labels == 1
+    seg1, seg2 = params.seg1, params.seg2
+    s = offs * np.where(first, seg1.half_length, seg2.half_length)
     pts = np.empty((count, 2), dtype=np.float64)
-    for lab, seg in ((1, params.seg1), (2, params.seg2)):
-        mask = labels == lab
-        s = offs[mask] * seg.half_length
-        pts[mask, 0] = seg.center[0] + s * seg.direction[0]
-        pts[mask, 1] = seg.center[1] + s * seg.direction[1]
-    pts[:, 0] += params.sigma * y0
-    pts[:, 1] += params.sigma * y1
+    for axis, noise in ((0, y0), (1, y1)):
+        col = np.where(first, seg1.center[axis], seg2.center[axis])
+        col += s * np.where(first, seg1.direction[axis], seg2.direction[axis])
+        col += params.sigma * noise
+        pts[:, axis] = col
     return pts, labels
 
 

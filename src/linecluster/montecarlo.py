@@ -6,7 +6,19 @@ callers can make 3-standard-error comparisons against the theory value.
 Every sample, triple or trial count and the chi-square's ``k`` must be an
 integer of at least 1 (numpy integers included); anything else raises
 ``LineClusterError``.
+Every other parameter follows ``bounds``' rules and is checked before any
+draw: t > 0 and sigma >= 0, both finite, for the triple validators (the
+Rayleigh t only finite), scale >= 0 and finite, theta and delta finite.
 All sampling is deterministic in (seed, domain); see ``linecluster._rng``.
+
+The two triple validators draw all their points first, with the same
+generator calls as one (n, 3, 2) stack would need, and then score and count
+in blocks of 16 384 triples (``_BLOCK``): a block's six coordinate columns
+and the score's temporaries, 128 KiB each, stay in a 2 MB L2 cache, where
+whole-sample temporaries of 200 000 triples would each take 1.6 MB. Each
+element goes through the same operations as in one whole-sample pass, so
+every count is the same bit for bit; blocks only change where the
+temporaries live.
 """
 
 from __future__ import annotations
@@ -18,10 +30,13 @@ import numpy as np
 
 from ._rng import DOMAIN_MC, generator
 from ._validate import as_int
+from .bounds import BoundInputs
 from .errors import LineClusterError
 from .mle import mle_recover
 from .model import ModelParams, sample_glmm, standard_cross
 from .tls import _triple_scores
+
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -39,6 +54,13 @@ def _count(value, name: str, what: str = "Monte-Carlo sample count") -> int:
     if n < 1:
         raise LineClusterError(f"{what} must be at least 1, got {n}")
     return n
+
+
+def _finite(value: float, name: str, at_least: float = -math.inf) -> None:
+    """``LineClusterError`` unless ``value`` is finite and at least ``at_least``."""
+    if not (math.isfinite(value) and value >= at_least):
+        bound = "" if at_least == -math.inf else f" and >= {at_least:g}"
+        raise LineClusterError(f"{name} must be finite{bound}, got {value}")
 
 
 def _binomial(hits: int, n: int) -> MCResult:
@@ -65,15 +87,19 @@ def triple_scores(triples: np.ndarray) -> np.ndarray:
 def mc_within_miss(t: float, sigma: float, ell: float, n_triples: int, seed: int) -> MCResult:
     """P(score >= t^2) for triples drawn from a single noisy segment."""
     n_triples = _count(n_triples, "n_triples")
-    if not (0.0 < ell < math.inf):
-        raise LineClusterError(f"ell must be positive and finite, got {ell}")
+    BoundInputs(t=t, sigma=sigma, ell=ell)
     rng = generator(seed, DOMAIN_MC)
     h = 0.5 * ell
     u = rng.uniform(-h, h, size=(n_triples, 3))
-    pts = np.stack([u, np.zeros_like(u)], axis=2)
-    pts += sigma * rng.standard_normal((n_triples, 3, 2))
-    scores = triple_scores(pts)
-    return _binomial(int(np.count_nonzero(scores >= t * t)), n_triples)
+    noise = rng.standard_normal((n_triples, 3, 2))
+    misses = 0
+    for lo in range(0, n_triples, _BLOCK):
+        ub, nb = u[lo:lo + _BLOCK], noise[lo:lo + _BLOCK]
+        cols = []
+        for k in range(3):  # point k of each triple: (u_k, 0.0) plus sigma times its noise pair
+            cols += [ub[:, k] + sigma * nb[:, k, 0], 0.0 + sigma * nb[:, k, 1]]
+        misses += int(np.count_nonzero(_triple_scores(*cols) >= t * t))
+    return _binomial(misses, n_triples)
 
 
 def mc_hyperedge_rates(
@@ -86,26 +112,31 @@ def mc_hyperedge_rates(
     triple's label composition (all-same vs. mixed).
     """
     n_triples = _count(n_triples, "n_triples")
+    BoundInputs(t=t, sigma=sigma, ell=ell)
     seg1, seg2 = standard_cross(alpha, 0.5 * ell)
     params = ModelParams(seg1=seg1, seg2=seg2, sigma=sigma, n_points=3 * n_triples, seed=seed)
     ds = sample_glmm(params)
     pts = ds.points.reshape(n_triples, 3, 2)
     labs = ds.labels.reshape(n_triples, 3)
-    accepted = triple_scores(pts) < t * t
-    within_mask = (labs[:, 0] == labs[:, 1]) & (labs[:, 1] == labs[:, 2])
-    n_within = int(np.count_nonzero(within_mask))
+    n_within = within_hits = accepted_hits = 0
+    for lo in range(0, n_triples, _BLOCK):
+        pb, lb = pts[lo:lo + _BLOCK], labs[lo:lo + _BLOCK]
+        accepted = _triple_scores(*(pb[:, k, d] for k in range(3) for d in (0, 1))) < t * t
+        within = (lb[:, 0] == lb[:, 1]) & (lb[:, 1] == lb[:, 2])
+        n_within += int(np.count_nonzero(within))
+        within_hits += int(np.count_nonzero(accepted & within))
+        accepted_hits += int(np.count_nonzero(accepted))
     n_between = n_triples - n_within
     if n_within == 0 or n_between == 0:
         raise LineClusterError("sample contains no triples of one composition; increase n_triples")
-    within = _binomial(int(np.count_nonzero(accepted & within_mask)), n_within)
-    between = _binomial(int(np.count_nonzero(accepted & ~within_mask)), n_between)
-    return within, between
+    return _binomial(within_hits, n_within), _binomial(accepted_hits - within_hits, n_between)
 
 
 def mc_chi2_tail(k: int, theta: float, n_samples: int, seed: int) -> MCResult:
     """P(chi2_k >= k * theta) by direct simulation."""
     k = _count(k, "k", "degrees of freedom k")
     n_samples = _count(n_samples, "n_samples")
+    _finite(theta, "theta")
     rng = generator(seed, DOMAIN_MC)
     x = rng.chisquare(df=k, size=n_samples)
     return _binomial(int(np.count_nonzero(x >= k * theta)), n_samples)
@@ -114,6 +145,8 @@ def mc_chi2_tail(k: int, theta: float, n_samples: int, seed: int) -> MCResult:
 def mc_rayleigh_cdf(t: float, scale: float, n_samples: int, seed: int) -> MCResult:
     """P(Rayleigh(scale) <= t) by direct simulation."""
     n_samples = _count(n_samples, "n_samples")
+    _finite(t, "t")
+    _finite(scale, "scale", 0.0)
     rng = generator(seed, DOMAIN_MC)
     x = scale * np.sqrt((rng.standard_normal(n_samples) ** 2) + (rng.standard_normal(n_samples) ** 2))
     return _binomial(int(np.count_nonzero(x <= t)), n_samples)
@@ -125,6 +158,7 @@ def mc_binomial_tail(mu: float, delta: float, n_trials: int, n_samples: int, see
     n_samples = _count(n_samples, "n_samples")
     if not (0.0 < mu < n_trials):
         raise LineClusterError(f"need 0 < mu < n_trials, got mu = {mu}, n_trials = {n_trials}")
+    _finite(delta, "delta")
     rng = generator(seed, DOMAIN_MC)
     x = rng.binomial(n_trials, mu / n_trials, size=n_samples)
     return _binomial(int(np.count_nonzero(np.abs(x - mu) >= delta * mu)), n_samples)

@@ -192,3 +192,25 @@ def reference_kmeans2(u, seed: int, traces: list | None = None):
     for new_label, k in enumerate(order, start=1):
         labels[assign == k] = new_label
     return labels, float(inertia), centers[order], False
+
+
+_TAYLOR_WIDTH = 1e-7
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def reference_log_interval_mass(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """log(Phi(b) - Phi(a)) with all four branches evaluated on every element.
+
+    The oracle's earlier evaluation, kept verbatim: the library now evaluates
+    each element's branch only, and must agree with this bit for bit.
+    """
+    from scipy.special import log_ndtr, ndtr
+
+    with np.errstate(all="ignore"):
+        direct = np.log(ndtr(b) - ndtr(a))
+        mid = 0.5 * (a + b)
+        taylor = np.log(b - a) - 0.5 * mid * mid - _LOG_SQRT_2PI
+        right = log_ndtr(-a) + np.log(-np.expm1(log_ndtr(-b) - log_ndtr(-a)))
+        left = log_ndtr(b) + np.log(-np.expm1(log_ndtr(a) - log_ndtr(b)))
+    out = np.where(a > 0.0, right, np.where(b < 0.0, left, direct))
+    return np.where(b - a < _TAYLOR_WIDTH, taylor, out)

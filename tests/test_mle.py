@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 import linecluster as lc
+from linecluster import mle
+
+from _oracles import reference_log_interval_mass
 
 
 def _densities(cross, sigma):
@@ -63,6 +66,44 @@ def test_density_normalizes_to_one(cross):
         np.trapezoid(vals.reshape(X.shape), grid, axis=1), grid, axis=0
     )
     assert total == pytest.approx(1.0, abs=2e-4)
+
+
+def test_branch_only_interval_mass_matches_the_all_branch_reference():
+    """Every branch, each on its own points and mixed in one array, bit for bit."""
+    lows = np.concatenate([-np.logspace(-12, 3, 61), [0.0], np.logspace(-12, 3, 61)])
+    widths = np.concatenate([np.logspace(-15, -7.001, 25), [1e-7], np.logspace(-6.9, 3.5, 40)])
+    a, width = (v.ravel() for v in np.meshgrid(lows, widths))
+    b = a + width
+    branches = {
+        "taylor": b - a < 1e-7,
+        "right": (b - a >= 1e-7) & (a > 0.0),
+        "left": (b - a >= 1e-7) & (b < 0.0),
+        "direct": (b - a >= 1e-7) & (a <= 0.0) & (b >= 0.0),
+    }
+    assert all(mask.sum() >= 100 for mask in branches.values())
+    assert np.abs(a).max() == 1e3
+    got = mle._log_interval_mass(a, b)
+    want = reference_log_interval_mass(a, b)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    for mask in branches.values():  # a branch alone, as a block holding only it
+        assert np.array_equal(mle._log_interval_mass(a[mask], b[mask]).view(np.int64),
+                              want[mask].view(np.int64))
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_blocked_oracle_matches_the_all_branch_reference_at_block_edges(offset, monkeypatch):
+    """n at the classification block size and one either side; points reach
+    past the segment ends, so the tail branches run inside the blocks."""
+    seg1 = lc.Segment(center=(0.0, 0.0), direction=(1.0, 0.0), half_length=0.5)
+    seg2 = lc.Segment(center=(0.1, 0.2), direction=(0.0, 1.0), half_length=0.8)
+    params = lc.ModelParams(seg1=seg1, seg2=seg2, sigma=0.3, n_points=mle._BLOCK + offset, seed=5)
+    ds = lc.sample_glmm(params)
+    got = lc.mle_recover(ds).labels
+    d1, d2 = (lc.MixtureDensity(segment=s, sigma=0.3) for s in (seg1, seg2))
+    monkeypatch.setattr(mle, "_log_interval_mass", reference_log_interval_mass)
+    want = np.where(lc.log_density(d1, ds.points) > lc.log_density(d2, ds.points), 1, 2)
+    assert got.dtype == np.int8 and got.shape == (params.n_points,)
+    assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

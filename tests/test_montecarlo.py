@@ -7,6 +7,7 @@ import pytest
 
 import linecluster as lc
 from linecluster import montecarlo as mc
+from linecluster._rng import DOMAIN_MC, generator
 
 
 def test_vectorized_scores_match_the_scalar_route(rng):
@@ -36,6 +37,68 @@ def test_validators_are_deterministic_in_the_seed():
     x = mc.mc_chi2_tail(3, 2.0, 5000, seed=4)
     y = mc.mc_chi2_tail(3, 2.0, 5000, seed=4)
     assert x == y
+
+
+@pytest.mark.parametrize("n", [mc._BLOCK - 1, mc._BLOCK, mc._BLOCK + 1, 2 * mc._BLOCK + 1])
+def test_blocked_triple_validators_match_one_full_stack_at_block_edges(n):
+    """The triple validators score in blocks; scoring the whole (n, 3, 2)
+    stack at once, as one array, must give the same counts."""
+    t, sigma, ell, seed = 0.02, 0.01, 2.0, 3
+    rng = generator(seed, DOMAIN_MC)
+    u = rng.uniform(-0.5 * ell, 0.5 * ell, size=(n, 3))
+    pts = np.stack([u, np.zeros_like(u)], axis=2)
+    pts += sigma * rng.standard_normal((n, 3, 2))
+    misses = int(np.count_nonzero(mc.triple_scores(pts) >= t * t))
+    assert 0 < misses < n
+    assert mc.mc_within_miss(t, sigma, ell, n, seed) == mc._binomial(misses, n)
+
+    seg1, seg2 = lc.standard_cross(math.pi / 2.0, 0.5 * ell)
+    ds = lc.sample_glmm(lc.ModelParams(seg1, seg2, sigma, n_points=3 * n, seed=seed))
+    accepted = mc.triple_scores(ds.points.reshape(n, 3, 2)) < t * t
+    labs = ds.labels.reshape(n, 3)
+    within = (labs[:, 0] == labs[:, 1]) & (labs[:, 1] == labs[:, 2])
+    wanted = (mc._binomial(int(np.count_nonzero(accepted & within)), int(within.sum())),
+              mc._binomial(int(np.count_nonzero(accepted & ~within)), int((~within).sum())))
+    assert mc.mc_hyperedge_rates(t, sigma, math.pi / 2.0, ell, n, seed) == wanted
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: mc.mc_within_miss(0.05, math.nan, 2.0, 1000, 0),
+        lambda: mc.mc_within_miss(0.05, -0.01, 2.0, 1000, 0),
+        lambda: mc.mc_within_miss(math.nan, 0.01, 2.0, 1000, 0),
+        lambda: mc.mc_within_miss(0.0, 0.01, 2.0, 1000, 0),
+        lambda: mc.mc_within_miss(math.inf, 0.01, 2.0, 1000, 0),
+        lambda: mc.mc_within_miss(0.05, 0.01, math.nan, 1000, 0),
+        lambda: mc.mc_hyperedge_rates(math.nan, 0.01, math.pi / 2.0, 2.0, 1000, 0),
+        lambda: mc.mc_hyperedge_rates(-0.05, 0.01, math.pi / 2.0, 2.0, 1000, 0),
+        lambda: mc.mc_hyperedge_rates(0.05, math.inf, math.pi / 2.0, 2.0, 1000, 0),
+        lambda: mc.mc_rayleigh_cdf(0.05, -1.0, 1000, 0),
+        lambda: mc.mc_rayleigh_cdf(0.05, math.nan, 1000, 0),
+        lambda: mc.mc_rayleigh_cdf(0.05, math.inf, 1000, 0),
+        lambda: mc.mc_rayleigh_cdf(math.nan, 0.01, 1000, 0),
+        lambda: mc.mc_chi2_tail(3, math.nan, 1000, 0),
+        lambda: mc.mc_chi2_tail(3, math.inf, 1000, 0),
+        lambda: mc.mc_binomial_tail(300.0, math.nan, 1000, 1000, 0),
+        lambda: mc.mc_binomial_tail(300.0, -math.inf, 1000, 1000, 0),
+    ],
+    ids=["within sigma nan", "within sigma < 0", "within t nan", "within t = 0", "within t inf",
+         "within ell nan", "hyperedge t nan", "hyperedge t < 0", "hyperedge sigma inf",
+         "rayleigh scale < 0", "rayleigh scale nan", "rayleigh scale inf", "rayleigh t nan",
+         "chi2 theta nan", "chi2 theta inf", "binomial delta nan", "binomial delta -inf"],
+)
+def test_validators_refuse_invalid_parameters_before_drawing(call):
+    with pytest.raises(lc.LineClusterError):
+        call()
+
+
+def test_validators_accept_the_edges_of_their_parameter_domains():
+    # sigma = 0 and scale = 0 are noiseless draws; a negative Rayleigh t is P = 0
+    assert mc.mc_within_miss(0.05, 0.0, 2.0, 100, 0).estimate == 0.0
+    assert mc.mc_rayleigh_cdf(0.05, 0.0, 100, 0).estimate == 1.0
+    assert mc.mc_rayleigh_cdf(-1.0, 0.01, 100, 0).estimate == 0.0
+    assert mc.mc_chi2_tail(3, 0.0, 100, 0).estimate == 1.0
 
 
 def test_binomial_standard_error_formula():
