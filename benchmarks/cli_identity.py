@@ -25,7 +25,8 @@ Three more commands cross the block boundaries of the sampler, the oracle
 and the Monte-Carlo validators: ``gen --n 70000`` (nine sampling chunks),
 ``oracle`` on that file (five classification blocks) and the README
 ``bounds`` example at its default 200 000 samples (thirteen scoring blocks
-of triples).
+of triples in ``mc_within_miss``, 25 sampler chunks in
+``mc_hyperedge_rates``).
 The kernel cache is a fresh directory inside the output directory, so every
 run picks its scan kernels the same way, and nothing is written under
 ``$HOME``.

@@ -13,7 +13,6 @@ from __future__ import annotations
 __version__ = "0.1.0"
 
 from .bounds import (
-    BoundInputs,
     DKReport,
     ExpectedSimilarity,
     between_accept_lower,
@@ -44,7 +43,6 @@ from .hypergraph import (
     HyperedgeStats,
     SimilarityMatrix,
     active_backend,
-    hyperedge_probabilities,
     scan,
 )
 from .metrics import RecoveryReport, align_swap, ham_star, report
@@ -70,7 +68,6 @@ from .spectral import (
     ClusterResult,
     SpectralEmbedding,
     cluster,
-    cluster_from_similarity,
     kmeans2_rows,
     top2_eigen,
 )

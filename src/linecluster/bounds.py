@@ -4,7 +4,9 @@ These are the finite-sample inequalities the clustering guarantee rests on;
 each is exposed as an executable function so Monte-Carlo experiments can
 check them (`linecluster.montecarlo`). Values are clamped to [0, 1] (they
 all bound probabilities) and every function validates its domain, raising
-``OutOfValidityError`` outside it.
+``OutOfValidityError`` outside it. The three bounds in (t, sigma, ell) and
+the two triple validators first refuse, with ``LineClusterError``, a t or
+ell that is not positive and finite and a sigma that is not finite and >= 0.
 
   * ``within_miss_upper``: P(single-component triple rejected at t),
     exp(-(3/2)(r - 1 - log r)) with r = t^2 / (3 sigma^2), valid r > 1.
@@ -43,7 +45,6 @@ from .hypergraph import SimilarityMatrix, _label_sums
 from .spectral import SpectralEmbedding
 
 __all__ = [
-    "BoundInputs",
     "ExpectedSimilarity",
     "DKReport",
     "within_miss_upper",
@@ -58,21 +59,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BoundInputs:
-    """Parameter bundle for evaluating the acceptance-probability bounds."""
-
-    t: float
-    sigma: float
-    ell: float
-
-    def __post_init__(self) -> None:
-        if not (self.t > 0.0) or not math.isfinite(self.t):
-            raise LineClusterError(f"t must be positive and finite, got {self.t}")
-        if not (self.sigma >= 0.0) or not math.isfinite(self.sigma):
-            raise LineClusterError(f"sigma must be finite and >= 0, got {self.sigma}")
-        if not (self.ell > 0.0) or not math.isfinite(self.ell):
-            raise LineClusterError(f"ell must be positive and finite, got {self.ell}")
+def _check_geometry(t: float, sigma: float, ell: float) -> None:
+    """``LineClusterError`` unless t > 0, sigma >= 0 and ell > 0, all finite."""
+    if not (t > 0.0) or not math.isfinite(t):
+        raise LineClusterError(f"t must be positive and finite, got {t}")
+    if not (sigma >= 0.0) or not math.isfinite(sigma):
+        raise LineClusterError(f"sigma must be finite and >= 0, got {sigma}")
+    if not (ell > 0.0) or not math.isfinite(ell):
+        raise LineClusterError(f"ell must be positive and finite, got {ell}")
 
 
 def _clamp01(v: float) -> float:
@@ -101,15 +95,13 @@ def between_accept_lower(t: float, sigma: float, ell: float) -> float:
     (t sqrt(2)/ell - t^2/(2 ell^2)) * (1 - exp(-t^2 / (8 sigma^2))); the
     geometric factor must be nonnegative (t <= 2 sqrt(2) ell).
     """
-    params = BoundInputs(t=t, sigma=sigma, ell=ell)
-    base = params.t * math.sqrt(2.0) / params.ell - (params.t * params.t) / (2.0 * params.ell**2)
+    _check_geometry(t, sigma, ell)
+    base = t * math.sqrt(2.0) / ell - (t * t) / (2.0 * ell**2)
     if base < 0.0:
         raise OutOfValidityError(
             f"between-acceptance lower bound needs t <= 2 sqrt(2) ell, got t = {t}, ell = {ell}"
         )
-    damp = 1.0 if params.sigma == 0.0 else 1.0 - math.exp(
-        -(params.t * params.t) / (8.0 * params.sigma * params.sigma)
-    )
+    damp = 1.0 if sigma == 0.0 else 1.0 - math.exp(-(t * t) / (8.0 * sigma * sigma))
     return _clamp01(base * damp)
 
 
@@ -119,20 +111,20 @@ def between_accept_upper(t: float, sigma: float, ell: float) -> float:
     Valid while t + sigma < ell / e (past that the envelope is not
     monotone and the derivation fails).
     """
-    params = BoundInputs(t=t, sigma=sigma, ell=ell)
-    u = params.t + params.sigma
-    if not (u < params.ell / math.e):
+    _check_geometry(t, sigma, ell)
+    u = t + sigma
+    if not (u < ell / math.e):
         raise OutOfValidityError(
             f"between-acceptance upper bound needs t + sigma < ell/e = {ell / math.e:.6g}, "
             f"got {u:.6g}"
         )
-    return _clamp01(4.0 * u * math.log(params.ell / u))
+    return _clamp01(4.0 * u * math.log(ell / u))
 
 
 def disc_intersect_upper(t: float, sigma: float, ell: float) -> float:
     """Upper bound 7 (t + sigma/ell) on the two-segment disc-hit probability."""
-    params = BoundInputs(t=t, sigma=sigma, ell=ell)
-    return _clamp01(7.0 * (params.t + params.sigma / params.ell))
+    _check_geometry(t, sigma, ell)
+    return _clamp01(7.0 * (t + sigma / ell))
 
 
 def tail_chi2(k: int, theta: float) -> float:

@@ -6,6 +6,9 @@ below ``t**2``. Projecting to pairs gives the similarity matrix
     W[i, j] = #{ k : {i, j, k} is a hyperedge },
 
 a symmetric integer matrix with zero diagonal and entries at most n - 2.
+Scores are >= 0 and acceptance is strict, so t = 0 is the empty
+hypergraph: when t**2 is 0 at unit scale, ``scan`` returns the all-zero W
+without running a kernel. A negative, NaN or infinite t is refused.
 
 Two interchangeable scan kernels accept the same triples: a vectorized numpy
 fallback, which evaluates the one score expression
@@ -182,8 +185,8 @@ def scan(points, t: float, labels=None) -> tuple[SimilarityMatrix, HyperedgeStat
         raise LineClusterError(
             f"n = {n} exceeds the supported maximum {MAX_POINTS} (the scan is O(n^3))"
         )
-    if not (t > 0.0) or not math.isfinite(t):
-        raise LineClusterError(f"threshold t must be positive and finite, got {t}")
+    if not (t >= 0.0) or not math.isfinite(t):
+        raise LineClusterError(f"threshold t must be finite and >= 0, got {t}")
     z = as_labels(labels, n) if labels is not None else None
     # Scan at unit scale, so that no score overflows or underflows because of
     # the units of the input alone.
@@ -198,7 +201,8 @@ def scan(points, t: float, labels=None) -> tuple[SimilarityMatrix, HyperedgeStat
         kernel, backend, workers = _compiled.scan_triples, "compiled", min(thread_count(), _cpus())
     else:
         kernel, backend, workers = _scan_numpy.scan_triples, "numpy", 1
-    w = _pair_counts(kernel, x, y, t2, workers)
+    # Scores are >= 0 and acceptance is strict, so t2 = 0 accepts nothing.
+    w = _pair_counts(kernel, x, y, t2, workers) if t2 > 0.0 else np.zeros((n, n), dtype=np.int32)
     sim = SimilarityMatrix(n=n, counts=w, backend=backend)
 
     stats: HyperedgeStats | None = None
@@ -218,11 +222,3 @@ def scan(points, t: float, labels=None) -> tuple[SimilarityMatrix, HyperedgeStat
         )
     return sim, stats
 
-
-def hyperedge_probabilities(points, labels, t: float) -> HyperedgeStats:
-    """Empirical within/mixed acceptance rates at threshold ``t``."""
-    if labels is None:
-        raise LineClusterError("hyperedge_probabilities requires true labels")
-    stats = scan(points, t, labels)[1]
-    assert stats is not None
-    return stats

@@ -11,14 +11,19 @@ draw: t > 0 and sigma >= 0, both finite, for the triple validators (the
 Rayleigh t only finite), scale >= 0 and finite, theta and delta finite.
 All sampling is deterministic in (seed, domain); see ``linecluster._rng``.
 
-The two triple validators draw all their points first, with the same
-generator calls as one (n, 3, 2) stack would need, and then score and count
-in blocks of 16 384 triples (``_BLOCK``): a block's six coordinate columns
-and the score's temporaries, 128 KiB each, stay in a 2 MB L2 cache, where
-whole-sample temporaries of 200 000 triples would each take 1.6 MB. Each
-element goes through the same operations as in one whole-sample pass, so
-every count is the same bit for bit; blocks only change where the
-temporaries live.
+The two triple validators draw, score and count in blocks, so no
+whole-sample array of noise or points is held. ``mc_within_miss`` draws
+all its uniforms first, then each block's (16 384, 3, 2) normals
+(``_BLOCK``) in turn, which continues the generator's stream as one
+(n, 3, 2) draw would; a block's six coordinate columns and the score's
+temporaries, 128 KiB each, stay in a 2 MB L2 cache, where whole-sample
+temporaries of 200 000 triples would each take 1.6 MB.
+``mc_hyperedge_rates`` scores the sampler's chunks of 3 * 8 192 points
+(``model._sample_chunk``) as 8 192 consecutive triples each; the sampler
+is chunk-stable, so these are the points of one ``sample_glmm`` draw of
+3 n points. Each element goes through the same operations as in one
+whole-sample pass, so every count is the same bit for bit; blocks only
+change where the arrays live.
 """
 
 from __future__ import annotations
@@ -30,10 +35,10 @@ import numpy as np
 
 from ._rng import DOMAIN_MC, generator
 from ._validate import as_int
-from .bounds import BoundInputs
+from .bounds import _check_geometry
 from .errors import LineClusterError
 from .mle import mle_recover
-from .model import ModelParams, sample_glmm, standard_cross
+from .model import _CHUNK_POINTS, ModelParams, _sample_chunk, sample_glmm, standard_cross
 from .tls import _triple_scores
 
 _BLOCK = 1 << 14
@@ -68,33 +73,17 @@ def _binomial(hits: int, n: int) -> MCResult:
     return MCResult(estimate=p, se=math.sqrt(p * (1.0 - p) / n), n=n)
 
 
-def triple_scores(triples: np.ndarray) -> np.ndarray:
-    """Vectorized TLS scores for an (m, 3, 2) stack of triples.
-
-    Scored as given, not at unit scale as ``sigma_tls_sq`` and the scan are:
-    the validators draw triples at ordinary scales, where no square over- or
-    underflows and both ways agree bit for bit, and unit-scaling a stack of
-    200 000 triples makes scoring it about 1.5 times as slow.
-    """
-    tri = np.asarray(triples, dtype=np.float64)
-    if tri.ndim != 3 or tri.shape[1:] != (3, 2):
-        raise LineClusterError(f"expected shape (m, 3, 2), got {tri.shape}")
-    x = tri[:, :, 0]
-    y = tri[:, :, 1]
-    return _triple_scores(x[:, 0], y[:, 0], x[:, 1], y[:, 1], x[:, 2], y[:, 2])
-
-
 def mc_within_miss(t: float, sigma: float, ell: float, n_triples: int, seed: int) -> MCResult:
     """P(score >= t^2) for triples drawn from a single noisy segment."""
     n_triples = _count(n_triples, "n_triples")
-    BoundInputs(t=t, sigma=sigma, ell=ell)
+    _check_geometry(t, sigma, ell)
     rng = generator(seed, DOMAIN_MC)
     h = 0.5 * ell
     u = rng.uniform(-h, h, size=(n_triples, 3))
-    noise = rng.standard_normal((n_triples, 3, 2))
     misses = 0
     for lo in range(0, n_triples, _BLOCK):
-        ub, nb = u[lo:lo + _BLOCK], noise[lo:lo + _BLOCK]
+        ub = u[lo:lo + _BLOCK]
+        nb = rng.standard_normal((ub.shape[0], 3, 2))  # goes on where the last block stopped
         cols = []
         for k in range(3):  # point k of each triple: (u_k, 0.0) plus sigma times its noise pair
             cols += [ub[:, k] + sigma * nb[:, k, 0], 0.0 + sigma * nb[:, k, 1]]
@@ -112,15 +101,13 @@ def mc_hyperedge_rates(
     triple's label composition (all-same vs. mixed).
     """
     n_triples = _count(n_triples, "n_triples")
-    BoundInputs(t=t, sigma=sigma, ell=ell)
+    _check_geometry(t, sigma, ell)
     seg1, seg2 = standard_cross(alpha, 0.5 * ell)
     params = ModelParams(seg1=seg1, seg2=seg2, sigma=sigma, n_points=3 * n_triples, seed=seed)
-    ds = sample_glmm(params)
-    pts = ds.points.reshape(n_triples, 3, 2)
-    labs = ds.labels.reshape(n_triples, 3)
     n_within = within_hits = accepted_hits = 0
-    for lo in range(0, n_triples, _BLOCK):
-        pb, lb = pts[lo:lo + _BLOCK], labs[lo:lo + _BLOCK]
+    for start in range(0, 3 * n_triples, 3 * _CHUNK_POINTS):
+        pts, labs = _sample_chunk(params, start, min(3 * _CHUNK_POINTS, 3 * n_triples - start))
+        pb, lb = pts.reshape(-1, 3, 2), labs.reshape(-1, 3)
         accepted = _triple_scores(*(pb[:, k, d] for k in range(3) for d in (0, 1))) < t * t
         within = (lb[:, 0] == lb[:, 1]) & (lb[:, 1] == lb[:, 2])
         n_within += int(np.count_nonzero(within))

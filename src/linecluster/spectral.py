@@ -1,9 +1,12 @@
 """Spectral community recovery from the pair-similarity matrix.
 
-The embedding is the pair of eigenvectors of W for the two *largest
-algebraic* eigenvalues; points are clustered by k-means (K = 2) on the rows
-of the n x 2 embedding. The eigenpairs come from a block Lanczos solve with
-block size 2 and full reorthogonalization, the one path at every n:
+``cluster`` is the package's one pipeline: the triple scan (``scan``), the
+top-two eigenvectors of its W (``top2_eigen``) and 2-means on their rows
+(``kmeans2_rows``). The embedding is the pair of eigenvectors of W for the
+two *largest algebraic* eigenvalues; points are clustered by k-means
+(K = 2) on the rows of the n x 2 embedding. The eigenpairs come from a
+block Lanczos solve with block size 2 and full reorthogonalization, the one
+path at every n:
 
   * the start block is two Gaussian vectors from the ``DOMAIN_EIG`` stream
     with seed 0, so the solve is a fixed function of W (not the all-ones
@@ -39,7 +42,7 @@ Conventions, fixed so every backend and rerun agrees:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,8 +77,8 @@ class ClusterResult:
 
     ``cluster`` fills in its scan's output: ``similarity``, the W that was
     clustered, so that the result keeps W's n x n int32 counts alive, and
-    ``stats``, the acceptance tallies, when true labels were given. Both are
-    None otherwise (``cluster_from_similarity``, ``mle_recover``).
+    ``stats``, the acceptance tallies, when true labels were given.
+    ``mle_recover`` runs no scan and leaves both None.
     """
 
     labels: np.ndarray  # (n,) int8
@@ -318,34 +321,23 @@ def kmeans2_rows(u, seed: int) -> tuple[np.ndarray, float, np.ndarray, bool]:
     return labels, float(inertias[best]), centers[order], False
 
 
-def cluster_from_similarity(w: SimilarityMatrix, seed: int) -> ClusterResult:
-    """Spectral clustering of the scan's similarity matrix ``w``."""
-    if not isinstance(w, SimilarityMatrix):
-        raise LineClusterError(
-            f"cluster_from_similarity needs the scan's SimilarityMatrix, got {type(w).__name__}"
-        )
-    embedding = top2_eigen(w)
-    if not w.counts.any():
-        return ClusterResult(
-            labels=np.ones(w.n, dtype=np.int8),
-            embedding=embedding,
-            kmeans_inertia=0.0,
-            centers=None,
-            degenerate=True,
-        )
-    labels, inertia, centers, degenerate = kmeans2_rows(embedding.u, seed)
+def cluster(points, t: float, seed: int, labels=None) -> ClusterResult:
+    """The pipeline: the triple scan at threshold ``t``, its similarity
+    matrix W, the top-two eigenvectors and 2-means. The result carries W and,
+    when true ``labels`` are given, the scan's acceptance tallies. An
+    all-zero W (t = 0, say) labels every point 1 with ``degenerate`` set."""
+    sim, stats = scan(points, t, labels)
+    embedding = top2_eigen(sim)
+    if sim.counts.any():
+        labels_hat, inertia, centers, degenerate = kmeans2_rows(embedding.u, seed)
+    else:
+        labels_hat, inertia, centers, degenerate = np.ones(sim.n, dtype=np.int8), 0.0, None, True
     return ClusterResult(
-        labels=labels,
+        labels=labels_hat,
         embedding=embedding,
         kmeans_inertia=inertia,
         centers=centers,
         degenerate=degenerate,
+        similarity=sim,
+        stats=stats,
     )
-
-
-def cluster(points, t: float, seed: int, labels=None) -> ClusterResult:
-    """The pipeline: the triple scan at threshold ``t``, its similarity
-    matrix W, the top-two eigenvectors and 2-means. The result carries W and,
-    when true ``labels`` are given, the scan's acceptance tallies."""
-    sim, stats = scan(points, t, labels)
-    return replace(cluster_from_similarity(sim, seed), similarity=sim, stats=stats)

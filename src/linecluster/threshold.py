@@ -16,7 +16,9 @@ whereas acceptance treats t as an open upper bound.
 ``autocluster`` runs the full pipeline (``spectral.cluster``) with the
 selected threshold on the points not touched by the sample; the touched
 nodes (union of sampled triples) receive independent uniform labels, as
-their scores were consumed by selection.
+their scores were consumed by selection. t* = 0 (a sampled triple exactly
+collinear) is passed to the scan as it is: it accepts no triple at any
+scale, so the rest points get the degenerate all-1 labeling.
 """
 
 from __future__ import annotations
@@ -138,14 +140,7 @@ def autocluster(points, m: int, theta: float, seed: int, labels=None) -> AutoClu
             f"sample touched {sample.touched_nodes.size} of {n} nodes; "
             f"only {rest.size} points remain to cluster"
         )
-    # t* can be exactly 0 on noiseless data (collinear sampled triples).
-    # Acceptance is strict, so a zero threshold accepts nothing; the smallest
-    # positive double squares to 0 and reproduces that behavior while
-    # satisfying the scan's t > 0 contract. (The scan squares it at unit
-    # scale, so on points whose largest coordinate is below 2**-536 it does
-    # not square to 0, and triples scoring exactly 0 are accepted.)
-    t_run = choice.t_star if choice.t_star > 0.0 else math.ulp(0.0)
-    sub = cluster(pts[rest], t_run, seed, z[rest] if z is not None else None)
+    sub = cluster(pts[rest], choice.t_star, seed, z[rest] if z is not None else None)
 
     labels_hat = np.empty(n, dtype=np.int8)
     labels_hat[rest] = sub.labels

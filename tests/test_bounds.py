@@ -104,8 +104,9 @@ def test_bound_domain_violations_raise():
             lc.cdf_rayleigh(1.0, scale)
         assert not isinstance(info.value, lc.OutOfValidityError)
     for bad in ((0.0, 0.1, 2.0), (0.1, -1.0, 2.0), (0.1, 0.1, 0.0)):
-        with pytest.raises(lc.LineClusterError):
-            lc.BoundInputs(*bad)
+        with pytest.raises(lc.LineClusterError) as info:
+            lc.disc_intersect_upper(*bad)
+        assert not isinstance(info.value, lc.OutOfValidityError)
 
 
 @given(
@@ -249,8 +250,8 @@ def test_expected_similarity_validation():
 
 def test_sin_theta_inequality_holds_on_a_pipeline_run(make_dataset):
     data = make_dataset(200, 0.02, seed=9)
-    w, stats = lc.scan(data.points, 0.1, labels=data.labels)
-    result = lc.cluster_from_similarity(w, seed=9)
+    result = lc.cluster(data.points, 0.1, 9, data.labels)
+    w, stats = result.similarity, result.stats
     rep = lc.davis_kahan(w, data.labels, stats.p_hat, stats.q_hat, result.embedding)
     assert not rep.skipped
     assert rep.ok
@@ -262,9 +263,8 @@ def test_sin_theta_inequality_holds_on_a_pipeline_run(make_dataset):
 
 def test_sin_theta_check_is_skipped_when_the_ideal_gap_vanishes(make_dataset):
     data = make_dataset(200, 0.02, seed=9)
-    w, _ = lc.scan(data.points, 0.1, labels=data.labels)
-    result = lc.cluster_from_similarity(w, seed=9)
-    rep = lc.davis_kahan(w, data.labels, 0.3, 0.3, result.embedding)  # p == q
+    result = lc.cluster(data.points, 0.1, 9, data.labels)
+    rep = lc.davis_kahan(result.similarity, data.labels, 0.3, 0.3, result.embedding)  # p == q
     assert rep.skipped
     assert rep.ok
     assert math.isnan(rep.sin_theta)
@@ -283,8 +283,8 @@ def test_sin_theta_matches_a_dense_eigendecomposition_of_the_ideal(make_dataset)
     runs = []
     for name, idx, rates in cases:
         points, labels = data.points[idx], data.labels[idx]
-        w, stats = lc.scan(points, 0.1, labels=labels)
-        result = lc.cluster_from_similarity(w, seed=5)
+        result = lc.cluster(points, 0.1, 5, labels)
+        w, stats = result.similarity, result.stats
         p_hat, q_hat = (stats.p_hat, stats.q_hat) if rates is None else rates
         runs.append((name, w, w.counts, labels, p_hat, q_hat, result.embedding))
     # A raw float array whose diagonal is not zero: it counts in ||W - W*||_F.
@@ -317,8 +317,8 @@ def test_sin_theta_needs_at_least_three_points():
 
 def test_sin_theta_refuses_a_malformed_w_or_embedding(make_dataset):
     data = make_dataset(60, 0.02, seed=3)
-    w, stats = lc.scan(data.points, 0.1, labels=data.labels)
-    embedding = lc.cluster_from_similarity(w, seed=3).embedding
+    result = lc.cluster(data.points, 0.1, 3, data.labels)
+    w, stats, embedding = result.similarity, result.stats, result.embedding
     with pytest.raises(lc.LineClusterError, match="square"):
         lc.davis_kahan(w.counts[:, :-1], data.labels, stats.p_hat, stats.q_hat, embedding)
     for bad_entry in (math.nan, math.inf):

@@ -555,10 +555,13 @@ def test_scan_validates_inputs(make_dataset):
     ds = make_dataset(10, 0.01, 1)
     with pytest.raises(SizeTooSmallError):
         lc.scan(ds.points[:2], 0.1)
-    with pytest.raises(LineClusterError):
-        lc.scan(ds.points, 0.0)
-    with pytest.raises(LineClusterError):
-        lc.scan(ds.points, math.nan)
+    # t = 0 is the empty hypergraph; a negative, NaN or infinite t is refused.
+    sim, stats = lc.scan(ds.points, 0.0, ds.labels)
+    assert sim.counts.shape == (10, 10) and not sim.counts.any()
+    assert stats.accepted_triples == 0 and stats.p_hat == 0.0
+    for bad in (-0.1, -math.ulp(0.0), math.nan, math.inf):
+        with pytest.raises(LineClusterError):
+            lc.scan(ds.points, bad)
     with pytest.raises(LineClusterError):
         lc.scan(np.full((5, 2), np.inf), 0.1)
     big = np.zeros((5001, 2))
@@ -573,13 +576,6 @@ def test_backend_name_is_reported(make_dataset):
     # Once the kernel is loaded, small scans run it too, and say so.
     sim, _ = lc.scan(make_dataset(12, 0.01, 1).points, 0.05)
     assert sim.backend == active_backend()
-
-
-def test_hyperedge_probabilities_match_a_labeled_scan(make_dataset):
-    ds = make_dataset(35, 0.04, 6)
-    stats = lc.hyperedge_probabilities(ds.points, ds.labels, 0.06)
-    _, stats2 = lc.scan(ds.points, 0.06, ds.labels)
-    assert stats == stats2
 
 
 def test_bench_scan_compares_both_kernels_in_process(capsys):

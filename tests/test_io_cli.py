@@ -644,6 +644,20 @@ def test_cli_cluster_on_unlabeled_data_omits_the_truth_metrics(capsys, tmp_path)
     assert "p_hat" not in payload
 
 
+def test_cli_cluster_at_a_zero_threshold_is_degenerate(capsys, tmp_path):
+    d, _ = _gen(capsys, tmp_path, n=30, sigma=0.01, seed=2)
+    out = tmp_path / "run"
+    code, payload, _ = _run(capsys, ["cluster", "--in", str(d / "points.csv"), "--t", "0",
+                                     "--out", str(out)])
+    assert code == 0
+    assert payload["degenerate"] is True and payload["eigenvalues"] == [0.0, 0.0]
+    assert (payload["p_hat"], payload["q_hat"]) == (0.0, 0.0)
+    assert (out / "labels.csv").read_text().splitlines()[1:] == [f"{i},1" for i in range(30)]
+    assert len((out / "similarity.csv").read_text().splitlines()) == 1  # the header alone
+    code, _, err = _run(capsys, ["cluster", "--in", str(d / "points.csv"), "--t", "-0.1"])
+    assert code == 1 and "threshold t must be finite and >= 0" in err
+
+
 def test_cli_cluster_reports_the_kernel_its_scan_ran(capsys, tmp_path, monkeypatch):
     path = tmp_path / "plain.csv"
     io.write_points_csv(path, np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [0.5, -0.5]]))

@@ -8,21 +8,22 @@ import pytest
 import linecluster as lc
 from linecluster import montecarlo as mc
 from linecluster._rng import DOMAIN_MC, generator
+from linecluster.tls import _triple_scores
+
+
+def _scores(triples):
+    """Scores of an (m, 3, 2) stack, by the validators' one score expression."""
+    return _triple_scores(*(triples[:, k, d] for k in range(3) for d in (0, 1)))
 
 
 def test_vectorized_scores_match_the_scalar_route(rng):
+    # The validators score coordinate columns as drawn; sigma_tls_sq scores
+    # one triple at unit scale. At ordinary scales both agree bit for bit.
     triples = rng.uniform(-2.0, 2.0, size=(500, 3, 2))
-    vectorized = mc.triple_scores(triples)
+    vectorized = _scores(triples)
     scalar = np.array([lc.sigma_tls_sq(t) for t in triples])
     assert np.array_equal(vectorized, scalar)  # one score expression serves both
     assert (vectorized >= 0.0).all()
-
-
-def test_vectorized_scores_validate_their_shape():
-    with pytest.raises(lc.LineClusterError):
-        mc.triple_scores(np.zeros((5, 2, 2)))
-    with pytest.raises(lc.LineClusterError):
-        mc.triple_scores(np.zeros((3, 2)))
 
 
 def test_validators_are_deterministic_in_the_seed():
@@ -48,13 +49,13 @@ def test_blocked_triple_validators_match_one_full_stack_at_block_edges(n):
     u = rng.uniform(-0.5 * ell, 0.5 * ell, size=(n, 3))
     pts = np.stack([u, np.zeros_like(u)], axis=2)
     pts += sigma * rng.standard_normal((n, 3, 2))
-    misses = int(np.count_nonzero(mc.triple_scores(pts) >= t * t))
+    misses = int(np.count_nonzero(_scores(pts) >= t * t))
     assert 0 < misses < n
     assert mc.mc_within_miss(t, sigma, ell, n, seed) == mc._binomial(misses, n)
 
     seg1, seg2 = lc.standard_cross(math.pi / 2.0, 0.5 * ell)
     ds = lc.sample_glmm(lc.ModelParams(seg1, seg2, sigma, n_points=3 * n, seed=seed))
-    accepted = mc.triple_scores(ds.points.reshape(n, 3, 2)) < t * t
+    accepted = _scores(ds.points.reshape(n, 3, 2)) < t * t
     labs = ds.labels.reshape(n, 3)
     within = (labs[:, 0] == labs[:, 1]) & (labs[:, 1] == labs[:, 2])
     wanted = (mc._binomial(int(np.count_nonzero(accepted & within)), int(within.sum())),

@@ -187,8 +187,8 @@ HELD_OUT_CELLS = [(500, 0.02, 0.1), (300, 0.01, 0.05), (500, 0.03, 0.15), (800, 
 @pytest.mark.parametrize("n, sigma, t", HELD_OUT_CELLS)
 def test_labels_match_the_dense_eigh_pipeline_on_held_out_seeds(make_dataset, n, sigma, t):
     for seed in (1000, 1001):
-        w = lc.scan(make_dataset(n, sigma, seed).points, t)[0]
-        res = lc.cluster_from_similarity(w, seed)
+        res = lc.cluster(make_dataset(n, sigma, seed).points, t, seed)
+        w = res.similarity
         vals, vecs = np.linalg.eigh(np.asarray(w.counts, dtype=np.float64))
         dense_u = _fix_signs(np.column_stack([vecs[:, -1], vecs[:, -2]]))
         labels, inertia, _, _ = kmeans2_rows(dense_u, seed)
@@ -324,33 +324,31 @@ def test_ideal_two_block_embedding_recovers_the_split_exactly():
 
 def test_cluster_from_all_zero_similarity_is_degenerate(make_dataset):
     ds = make_dataset(12, 0.3, 1)
-    sim, _ = lc.scan(ds.points, 1e-12)
-    assert not sim.counts.any()
-    res = lc.cluster_from_similarity(sim, 0)
-    assert res.degenerate
-    assert np.all(res.labels == 1)
-    assert res.centers is None and res.kmeans_inertia == 0.0
+    for t in (1e-12, 0.0):
+        res = lc.cluster(ds.points, t, 0)
+        assert not res.similarity.counts.any()
+        assert res.degenerate
+        assert np.all(res.labels == 1)
+        assert res.centers is None and res.kmeans_inertia == 0.0
+        assert res.embedding.eigenvalues == (0.0, 0.0)
 
 
 def test_full_pipeline_recovers_a_clean_cross(make_dataset):
     ds = make_dataset(120, 1e-4, 9)
-    # The entry point is the scan followed by cluster_from_similarity, and
-    # carries the scan's W and, with true labels, its tallies.
+    # The entry point is the scan, the top-two eigenvectors and 2-means on
+    # the same W, and carries the scan's W and, with true labels, its tallies.
     for labels in (None, ds.labels):
         res = lc.cluster(ds.points, 5e-3, 9, labels)
         assert lc.report(res.labels, ds.labels).ham_star == 0
         assert res.embedding.u.shape == (120, 2)
         sim, stats = lc.scan(ds.points, 5e-3, labels)
-        ref = lc.cluster_from_similarity(sim, 9)
+        embedding = lc.top2_eigen(sim)
+        ref_labels, inertia, centers, degenerate = kmeans2_rows(embedding.u, 9)
         assert res.similarity.counts.tobytes() == sim.counts.tobytes()
         assert res.similarity.counts.dtype == np.int32 and res.similarity.n == 120
         assert res.stats == stats and (res.stats is None) == (labels is None)
-        assert np.array_equal(res.labels, ref.labels)
-        assert res.embedding.eigenvalues == ref.embedding.eigenvalues
-        assert res.kmeans_inertia == ref.kmeans_inertia
-        assert ref.similarity is None and ref.stats is None
-
-
-def test_cluster_from_similarity_refuses_a_plain_array():
-    with pytest.raises(LineClusterError, match="SimilarityMatrix"):
-        lc.cluster_from_similarity(np.ones((4, 4)) - np.eye(4), 0)
+        assert res.embedding.u.tobytes() == embedding.u.tobytes()
+        assert res.embedding.eigenvalues == embedding.eigenvalues
+        assert np.array_equal(res.labels, ref_labels)
+        assert res.kmeans_inertia == inertia and res.centers.tobytes() == centers.tobytes()
+        assert res.degenerate is degenerate is False

@@ -103,7 +103,7 @@ def test_autocluster_trials_scan_once_and_report_the_rest_set_rates(monkeypatch,
     rest = res.rest_indices
     assert calls[0] == rest.size
     assert res.choice.t_star == row.t
-    assert res.stats == lc.hyperedge_probabilities(ds.points[rest], ds.labels[rest], row.t)
+    assert res.stats == lc.scan(ds.points[rest], row.t, ds.labels[rest])[1]
     assert (row.p_hat, row.q_hat) == (res.stats.p_hat, res.stats.q_hat)
 
 

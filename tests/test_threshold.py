@@ -190,6 +190,21 @@ def test_threshold_and_labels_follow_an_exact_power_of_two_rescaling(make_datase
     assert np.array_equal(scaled.labels, base.labels)
 
 
+@pytest.mark.parametrize("seed", [0, 2])
+def test_a_zero_threshold_accepts_nothing_at_every_scale(seed):
+    # Two exact lattices on the axes: on these seeds a sampled triple is
+    # collinear and t* = 0, which must accept no triple at 2**-600 either.
+    k = np.arange(1, 101) / 8
+    points = np.concatenate([np.column_stack([k, 0 * k]), np.column_stack([0 * k, k])])
+    base = lc.autocluster(points, m=30, theta=0.25, seed=seed)
+    scaled = lc.autocluster(np.ldexp(points, -600), m=30, theta=0.25, seed=seed)
+    for res in (base, scaled):
+        assert res.choice.t_star == 0.0
+        assert not res.similarity.counts.any()
+        assert res.degenerate and np.all(res.labels[res.rest_indices] == 1)
+    assert np.array_equal(scaled.labels, base.labels)
+
+
 # ---------------------------------------------------------------------------
 # autocluster
 # ---------------------------------------------------------------------------
