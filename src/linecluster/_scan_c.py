@@ -34,8 +34,9 @@ vectorized, and the dynamic loader picks one by cpuid. ``-march=native``
 is not used because the library's name does not depend on the CPU, so a
 cache shared between hosts could hand a CPU instructions it lacks. The kernel
 runs without the GIL (ctypes releases it), so ``hypergraph.scan`` runs
-disjoint outer-index ranges on several threads, at most one per CPU, each
-into a private buffer (see ``hypergraph``).
+disjoint outer-index ranges at once, each into a private buffer: the calling
+thread one, the workers of one process-wide pool the others, at most one
+thread per CPU in all (see ``hypergraph``).
 
 The same library exports ``encode_upper_csv``, which renders rows of
 ``similarity.csv`` into a caller's buffer; ``io.write_similarity_csv`` runs

@@ -42,7 +42,8 @@ def as_labels(labels, n: int | None = None) -> np.ndarray:
         raise LineClusterError(f"labels must be one-dimensional, got shape {arr.shape}")
     if n is not None and arr.shape[0] != n:
         raise LengthMismatchError(f"expected {n} labels, got {arr.shape[0]}")
-    if arr.size and not np.isin(arr, (1, 2)).all():
-        bad = arr[~np.isin(arr, (1, 2))][0]
+    valid = (arr == 1) | (arr == 2)
+    if not valid.all():
+        bad = arr[~valid][0]
         raise BadLabelError(f"labels must take values in {{1, 2}}, found {bad!r}")
     return arr.astype(np.int8, copy=False)

@@ -22,11 +22,14 @@ the scan warns once and uses numpy. No option picks the kernel, and
 ``SimilarityMatrix.backend`` names the kernel that ran.
 
 The C kernel runs on min(``thread_count()``, CPUs) threads, numpy on one.
-Each thread scans one contiguous outer-index range of about equal triple
-mass into its own n x n int32 buffer; integer counts summed over disjoint
-ranges make W independent of kernel and thread count. Both kernels write
-only the strict upper triangle, so W is symmetrized in place by row blocks,
-and the peak is one n^2 * 4 B buffer per thread.
+A scan cuts the outer indices into that many contiguous ranges of about
+equal triple mass, each scanned into its own n x n int32 buffer: the calling
+thread scans the first, and one process-wide pool of worker threads, started
+on the first scan that needs it and reused by every later one, scans the
+rest. Integer counts summed over disjoint ranges, in range order, make W
+independent of kernel and thread count. Both kernels write only the strict
+upper triangle, so W is symmetrized in place by row blocks, and the peak is
+one n^2 * 4 B buffer per range.
 
 Labels never reach a kernel: the acceptance tallies of ``HyperedgeStats``
 follow from W, the pair projection of the hypergraph, and the labels in
@@ -42,11 +45,10 @@ single call within practical time and memory.
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,8 +139,41 @@ class HyperedgeStats:
         return self.accepted_between / self.total_between if self.total_between else math.nan
 
 
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    """After ``os.fork``, in the child, where the parent's workers do not run."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _workers() -> ThreadPoolExecutor:
+    """The process's scan pool: one worker per CPU but the caller's, counted
+    when the pool is made. Workers start as scans need them, wait idle
+    between scans and exit with the interpreter."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max(1, _cpus() - 1), thread_name_prefix="linecluster-scan")
+        return _pool
+
+
 def _pair_counts(kernel, x: np.ndarray, y: np.ndarray, t2: float, workers: int) -> np.ndarray:
-    """W by ``kernel`` on at most ``workers`` threads, one range and buffer each."""
+    """W by ``kernel`` over at most ``workers`` outer-index ranges, one buffer each.
+
+    The calling thread scans the first range and ``_workers`` the others, so
+    a scan of one range touches no pool. The pool is made by the first scan
+    of two or more ranges and serves every later one, from any thread; a
+    child made by ``os.fork`` forgets its parent's and makes its own. The
+    call returns, or raises the first error in range order, only once every
+    range is done.
+    """
     n = x.shape[0]
     mass = np.cumsum([(n - 1 - i) * (n - 2 - i) // 2 for i in range(n)])
     cuts = [0, *np.searchsorted(mass, mass[-1] * np.arange(1, workers) / workers).tolist(), n]
@@ -148,9 +183,14 @@ def _pair_counts(kernel, x: np.ndarray, y: np.ndarray, t2: float, workers: int) 
         kernel(x, y, t2, lo, hi, w_part.reshape(-1))
         return w_part
 
-    ranges = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
-    with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-        w = functools.reduce(operator.iadd, pool.map(run, *zip(*ranges)))  # drops each part added
+    first, *rest = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
+    parts = [_workers().submit(run, lo, hi) for lo, hi in rest]
+    try:
+        w = run(*first)
+    finally:
+        wait(parts)
+    while parts:
+        w += parts.pop(0).result()  # freed before the mirror below copies a block
     # Rows [lo, hi) add columns [lo, hi) of rows [0, hi), which no earlier
     # block touched; numpy copies that overlapping operand, so keep it small.
     step = max(1, (1 << 16) // n)

@@ -4,8 +4,11 @@ import math
 import os
 import re
 import shutil
+import signal
 import subprocess
+import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -446,6 +449,23 @@ def test_scan_peak_memory_is_one_buffer_per_worker(make_dataset, monkeypatch, co
     assert peaks[0] <= 1.05 * peaks[1]
 
 
+@needs_cc
+def test_scan_drops_each_part_before_w_is_made_symmetric(make_dataset, monkeypatch, compiled):
+    # At n = 200 one row block mirrors all of W, a copy of one buffer, so a
+    # part kept alive past the sum would raise the peak to three buffers.
+    n = 200
+    ds = make_dataset(n, 0.02, 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setenv("LINECLUSTER_THREADS", "2")
+    tracemalloc.start()
+    try:
+        lc.scan(ds.points, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * n * n * 4
+
+
 def test_thread_count_refuses_a_non_integer_setting(monkeypatch):
     # Called directly: a scan below BUILD_MIN_N runs numpy and never reads it.
     monkeypatch.setenv("LINECLUSTER_THREADS", "abc")
@@ -488,37 +508,134 @@ def test_scan_runs_no_more_threads_than_cpus(make_dataset, monkeypatch, compiled
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setenv("LINECLUSTER_THREADS", "64")
     assert thread_count() == 64
-    workers, pools, ranges = [], [], []
-    pair_counts, pool_class = hypergraph._pair_counts, hypergraph.ThreadPoolExecutor
-
-    def record_workers(kernel, x, y, t2, count):
-        workers.append(count)
-        return pair_counts(kernel, x, y, t2, count)
-
-    class RecordingPool(pool_class):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
+    ranges, starts = [], []
+    thread_start = threading.Thread.start
 
     def record_range(x, y, t2, lo, hi, w):
-        ranges.append((lo, hi))
+        ranges.append((lo, hi, threading.get_ident()))
         return type(compiled).scan_triples(compiled, x, y, t2, lo, hi, w)
 
-    monkeypatch.setattr(hypergraph, "_pair_counts", record_workers)
-    monkeypatch.setattr(hypergraph, "ThreadPoolExecutor", RecordingPool)
+    def record_start(thread):
+        starts.append(thread.name)
+        thread_start(thread)
+
+    def scan_ranges():
+        ranges.clear()
+        sim, _ = lc.scan(ds.points, 0.07)
+        assert sim.backend == "compiled"
+        got = sorted(ranges)
+        # Contiguous ranges that cover every index, the first on the caller's thread.
+        assert got[0][0] == 0 and got[-1][1] == ds.n
+        assert all(hi == lo for (_, hi, _), (lo, _, _) in zip(got, got[1:]))
+        assert got[0][2] == threading.get_ident()
+        return sim, {ident for _, _, ident in got}
+
     monkeypatch.setattr(compiled, "scan_triples", record_range)
-    sim, _ = lc.scan(ds.points, 0.07)
-    assert sim.backend == "compiled"
-    # A pool of two threads runs two contiguous ranges that cover every index.
-    assert workers == [2] and pools == [2]
-    (a, b), (c, d) = sorted(ranges)
-    assert a == 0 and b == c and d == ds.n
-    # LINECLUSTER_THREADS still lowers the count.
+    monkeypatch.setattr(threading.Thread, "start", record_start)
+    sim, idents = scan_ranges()
+    # Two CPUs: two ranges on two threads, the caller's and one worker.
+    assert len(ranges) == 2 and len(idents) == 2
+    # Later scans reuse the pool's workers and start no thread.
+    started = len(starts)
+    for _ in range(2):
+        assert len(scan_ranges()[1]) == 2
+    assert len(starts) == started
+    # LINECLUSTER_THREADS still lowers the count: one range, on the caller's thread.
     monkeypatch.setenv("LINECLUSTER_THREADS", "1")
-    lc.scan(ds.points, 0.07)
-    assert workers == [2, 1] and pools == [2, 1]
+    assert scan_ranges()[1] == {threading.get_ident()} and len(ranges) == 1
     monkeypatch.undo()
     assert np.array_equal(sim.counts, lc.scan(ds.points, 0.07)[0].counts)
+
+
+@needs_cc
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_a_forked_child_scans_with_workers_of_its_own(make_dataset, monkeypatch, compiled):
+    ds = make_dataset(150, 0.02, 6)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setenv("LINECLUSTER_THREADS", "2")
+    expected = lc.scan(ds.points, 0.07)[0].counts  # leaves the parent's pool with a worker
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads running
+        pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            status = 0 if np.array_equal(lc.scan(ds.points, 0.07)[0].counts, expected) else 3
+        finally:
+            os._exit(status)
+    deadline = time.monotonic() + 60
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child's scan did not finish in 60 s")
+    assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+@needs_cc
+def test_concurrent_scans_each_get_their_own_w(make_dataset, monkeypatch, compiled):
+    sets = [make_dataset(160, 0.02, seed).points for seed in (7, 8, 9)]
+    monkeypatch.setenv("LINECLUSTER_THREADS", "1")
+    expected = [lc.scan(points, 0.07)[0].counts for points in sets]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setenv("LINECLUSTER_THREADS", "3")
+    barrier = threading.Barrier(len(sets))
+    results = [[] for _ in sets]
+
+    def scan_repeatedly(points, out):
+        barrier.wait(timeout=30)
+        for _ in range(20):
+            out.append(lc.scan(points, 0.07)[0].counts)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=scan_repeatedly, args=args)
+                   for args in zip(sets, results)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for got, want in zip(results, expected):
+        assert len(got) == 20 and all(np.array_equal(w, want) for w in got)
+
+
+@pytest.mark.parametrize("failing", ["first", "last"])
+def test_a_failed_range_raises_after_the_other_ranges_return(failing):
+    # The caller's range or a worker's fails at once; the two others take 0.1 s.
+    n, done = 60, []
+
+    def kernel(x, y, t2, lo, hi, w):
+        if (lo == 0) if failing == "first" else (hi == n):
+            raise MemoryError("no room for this range")
+        time.sleep(0.1)
+        done.append(lo)
+
+    coords = np.zeros(n)
+    with pytest.raises(MemoryError, match="no room for this range"):
+        hypergraph._pair_counts(kernel, coords, coords, 1.0, 3)
+    assert len(done) == 2
+
+
+@needs_cc
+def test_a_fresh_interpreter_exits_after_a_pooled_scan(compiled):
+    code = ("import os, sys, threading\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "os.environ['LINECLUSTER_THREADS'] = '2'\n"
+            "import numpy as np, linecluster as lc\n"
+            "sim, _ = lc.scan(np.random.default_rng(0).random((200, 2)), 0.05)\n"
+            "names = [thread.name for thread in threading.enumerate()]\n"
+            "if sim.backend != 'compiled' or not any('linecluster-scan' in n for n in names):\n"
+            "    sys.exit(f'no pooled scan: {sim.backend}, {names}')\n")
+    src = str(Path(lc.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_thread_count_defaults_to_the_cpu_affinity_set(monkeypatch):

@@ -1,5 +1,7 @@
 """Swap-invariant recovery metrics."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -70,3 +72,12 @@ def test_length_and_value_validation():
         lc.ham_star([1, 3], [1, 2])
     with pytest.raises(lc.BadLabelError):
         lc.ham_star([1, 2], [0, 2])
+
+
+@pytest.mark.parametrize("bad", [0, 3, 1.5, math.nan, "1"])
+def test_bad_label_message_names_the_first_bad_value(bad):
+    # Good labels first and a second bad value last; next to strings every
+    # entry is a string, so "1" is then the first bad value.
+    with pytest.raises(lc.BadLabelError) as info:
+        lc.ham_star([1, 2, bad, 7], [1, 2, 1, 2])
+    assert str(info.value) == f"labels must take values in {{1, 2}}, found {np.asarray([bad])[0]!r}"
