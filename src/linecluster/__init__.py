@@ -8,8 +8,6 @@ an exact-density oracle classifier, the closed-form probability bounds with
 Monte-Carlo validators, and a sweep/CLI layer for experiments.
 """
 
-from __future__ import annotations
-
 __version__ = "0.1.0"
 
 from .bounds import (
@@ -27,9 +25,7 @@ from .bounds import (
 )
 from .errors import (
     BadLabelError,
-    CirclesNotExteriorError,
     ClusterTooSmallError,
-    DegenerateTripleError,
     EmptySampleError,
     InvalidAngleError,
     LengthMismatchError,
@@ -51,7 +47,6 @@ from .mle import (
     MixtureDensity,
     density,
     log_density,
-    mle_classify,
     mle_recover,
     perr_exact,
 )
@@ -60,7 +55,6 @@ from .model import (
     ModelParams,
     Segment,
     sample_glmm,
-    segment_distance,
     standard_cross,
 )
 from .recovery import LineEstimate, angle_error, center_error, recover_lines
@@ -78,19 +72,9 @@ from .threshold import (
     TripleSample,
     autocluster,
     choose_order_stat,
-    empirical_cdf,
     sample_triples,
     select_threshold,
 )
-from .tls import (
-    CommonTangents,
-    FittedLine,
-    ScatterSummary,
-    TangentLine,
-    best_fit_line,
-    common_tangents,
-    scatter,
-    sigma_tls_sq,
-)
+from .tls import ScatterSummary, scatter, sigma_tls_sq
 
 __all__ = [name for name in dir() if not name.startswith("_")]

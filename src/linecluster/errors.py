@@ -16,20 +16,12 @@ class InvalidAngleError(LineClusterError):
     """Cross opening angle outside (0, pi), or a non-positive half-length."""
 
 
-class DegenerateTripleError(LineClusterError):
-    """All three points of a triple coincide; no line direction is defined."""
-
-
-class CirclesNotExteriorError(LineClusterError):
-    """Common tangents requested for circles that overlap or touch."""
-
-
 class SizeTooSmallError(LineClusterError):
     """Fewer points than the operation needs (e.g. n < 3 for triple scans)."""
 
 
 class EmptySampleError(LineClusterError):
-    """An empirical CDF or threshold rule was given zero scores."""
+    """The threshold rule was given zero scores or zero triples to sample."""
 
 
 class SampleExhaustsNodesError(LineClusterError):

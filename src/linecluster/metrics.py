@@ -29,30 +29,32 @@ class RecoveryReport:
     n: int
 
 
-def ham_star(z_hat, z) -> int:
-    """Swap-minimal Hamming distance between two {1,2} label vectors."""
+def _mismatches(z_hat, z) -> tuple[np.ndarray, int]:
+    """``z_hat`` as validated labels, and its Hamming distance to ``z``."""
     a = as_labels(z_hat)
     b = as_labels(z)
     if a.shape[0] != b.shape[0]:
         raise LengthMismatchError(f"label vectors differ in length: {a.shape[0]} vs {b.shape[0]}")
-    direct = int(np.count_nonzero(a != b))
+    return a, int(np.count_nonzero(a != b))
+
+
+def ham_star(z_hat, z) -> int:
+    """Swap-minimal Hamming distance between two {1,2} label vectors."""
+    a, direct = _mismatches(z_hat, z)
     return min(direct, a.shape[0] - direct)
 
 
 def report(z_hat, z) -> RecoveryReport:
     """Full recovery report for one labeling against the truth."""
-    d = ham_star(z_hat, z)
-    n = int(np.asarray(z).shape[0])
+    a, direct = _mismatches(z_hat, z)
+    n = a.shape[0]
+    d = min(direct, n - direct)
     return RecoveryReport(ham_star=d, rate=d / n if n else 0.0, exact=d == 0, n=n)
 
 
 def align_swap(z_hat, z) -> np.ndarray:
     """Return z_hat or its swap, whichever is Hamming-closer to z."""
-    a = as_labels(z_hat)
-    b = as_labels(z)
-    if a.shape[0] != b.shape[0]:
-        raise LengthMismatchError(f"label vectors differ in length: {a.shape[0]} vs {b.shape[0]}")
-    direct = int(np.count_nonzero(a != b))
+    a, direct = _mismatches(z_hat, z)
     if direct <= a.shape[0] - direct:
         return a.copy()
     return (3 - a).astype(np.int8)

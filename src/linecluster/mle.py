@@ -155,20 +155,8 @@ def log_density(d: MixtureDensity, points) -> np.ndarray:
     return _log_density(d, as_points(points))
 
 
-def mle_classify(x, d1: MixtureDensity, d2: MixtureDensity) -> int:
-    """Most likely component (1 or 2) for a single point; ties go to 2."""
-    if d1.sigma != d2.sigma:
-        raise LineClusterError(
-            f"the two component densities must share sigma, got {d1.sigma} and {d2.sigma}"
-        )
-    pt = np.asarray([[float(x[0]), float(x[1])]])
-    lf1 = log_density(d1, pt)[0]
-    lf2 = log_density(d2, pt)[0]
-    return 1 if lf1 > lf2 else 2
-
-
 def mle_recover(dataset: LabeledDataset) -> ClusterResult:
-    """Classify every dataset point with the true model parameters."""
+    """Classify every dataset point with the true model parameters; ties go to 2."""
     params = dataset.params
     d1 = MixtureDensity(segment=params.seg1, sigma=params.sigma)
     d2 = MixtureDensity(segment=params.seg2, sigma=params.sigma)

@@ -52,13 +52,6 @@ class Segment:
         if not math.isfinite(norm) or abs(norm - 1.0) > 1e-12:
             raise LineClusterError(f"direction must be a unit vector, got norm {norm!r}")
 
-    @property
-    def endpoints(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        cx, cy = self.center
-        dx, dy = self.direction
-        h = self.half_length
-        return (cx - h * dx, cy - h * dy), (cx + h * dx, cy + h * dy)
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -106,16 +99,6 @@ def standard_cross(alpha: float, half_length: float = 1.0) -> tuple[Segment, Seg
     seg1 = Segment(center=(0.0, 0.0), direction=(c, -s), half_length=half_length)
     seg2 = Segment(center=(0.0, 0.0), direction=(c, s), half_length=half_length)
     return seg1, seg2
-
-
-def segment_distance(p, seg: Segment) -> float:
-    """Euclidean distance from point ``p`` to the closed segment ``seg``."""
-    px, py = float(p[0]), float(p[1])
-    cx, cy = seg.center
-    vx, vy = seg.direction
-    s = (px - cx) * vx + (py - cy) * vy
-    s = max(-seg.half_length, min(seg.half_length, s))
-    return math.hypot(px - cx - s * vx, py - cy - s * vy)
 
 
 def _sample_chunk(params: ModelParams, start: int, count: int) -> tuple[np.ndarray, np.ndarray]:

@@ -22,7 +22,7 @@ import numpy as np
 from ._validate import as_labels, as_points
 from .errors import ClusterTooSmallError
 from .model import Segment
-from .tls import FittedLine, _top_eigen
+from .tls import _top_eigen
 
 _RANK_GAP_TOL = 1e-12
 
@@ -73,7 +73,7 @@ def recover_lines(points, labels_hat) -> tuple[LineEstimate, LineEstimate]:
 
 
 def _direction_of(truth) -> tuple[float, float]:
-    if isinstance(truth, (Segment, FittedLine, LineEstimate)):
+    if isinstance(truth, (Segment, LineEstimate)):
         dx, dy = truth.direction
     else:
         dx, dy = float(truth[0]), float(truth[1])
@@ -87,7 +87,7 @@ def angle_error(est: LineEstimate, truth) -> float:
     """|sin| of the angle between the estimated and reference lines.
 
     Line-valued (unsigned): invariant to flipping either direction.
-    ``truth`` may be a Segment, a fitted/estimated line, or a raw 2-vector.
+    ``truth`` may be a Segment, a LineEstimate, or a raw 2-vector.
     """
     ex, ey = _direction_of(est)
     tx, ty = _direction_of(truth)

@@ -6,12 +6,12 @@ and set the threshold to the order statistic
 
     t* = s_(k),   k = round(theta * M)   (half away from zero),
 
-so the empirical CDF satisfies F_M(t*) ~= theta. Edge rules: k < 1 uses the
+so the empirical CDF F_M(t) = #{ s_i <= t } / M satisfies F_M(t*) ~= theta;
+``choose_order_stat`` applies this rule. Edge rules: k < 1 uses the
 smallest score; k > M (impossible for theta in [0, 1], kept defensively)
-clamps to the largest with a flag. The empirical CDF uses non-strict
-comparison, F_M(t) = #{ s_i <= t } / M, while hyperedge acceptance is
-strict (score < t^2): the CDF *includes* ties so the mass at t* is counted,
-whereas acceptance treats t as an open upper bound.
+clamps to the largest with a flag. The CDF comparison is non-strict, while
+hyperedge acceptance is strict (score < t^2): the CDF *includes* ties so the
+mass at t* is counted, whereas acceptance treats t as an open upper bound.
 
 ``autocluster`` runs the full pipeline (``spectral.cluster``) with the
 selected threshold on the points not touched by the sample; the touched
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import DOMAIN_ASSIGN, DOMAIN_TRIPLES, generator
-from ._validate import as_labels, as_points
+from ._validate import as_int, as_labels, as_points
 from .errors import EmptySampleError, LineClusterError, SampleExhaustsNodesError
 from .spectral import ClusterResult, cluster
 from .tls import _triple_scores, _unit_scale
@@ -69,21 +69,15 @@ class AutoClusterResult(ClusterResult):
     rest_indices: np.ndarray = None  # type: ignore[assignment]
 
 
-def empirical_cdf(scores, t: float) -> float:
-    """F_M(t) = fraction of scores <= t (non-strict; right-continuous)."""
+def choose_order_stat(scores, theta: float) -> ThresholdChoice:
+    """Apply the k = round(theta * M) order-statistic rule to given scores."""
     arr = np.asarray(scores, dtype=np.float64)
     if arr.ndim != 1:
         raise LineClusterError(f"scores must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:
-        raise EmptySampleError("empirical CDF of an empty score sample is undefined")
-    return float(np.count_nonzero(arr <= t)) / arr.size
-
-
-def choose_order_stat(scores, theta: float) -> ThresholdChoice:
-    """Apply the k = round(theta * M) order-statistic rule to given scores."""
-    arr = np.asarray(scores, dtype=np.float64)
-    if arr.size == 0:
         raise EmptySampleError("cannot choose a threshold from zero scores")
+    if np.isnan(arr).any():
+        raise LineClusterError("scores contain NaN")
     if not (0.0 <= theta <= 1.0):
         raise LineClusterError(f"theta must lie in [0, 1], got {theta}")
     m = arr.size
@@ -95,6 +89,8 @@ def choose_order_stat(scores, theta: float) -> ThresholdChoice:
 
 def sample_triples(n: int, m: int, seed: int) -> np.ndarray:
     """M uniform triples of distinct nodes, sampled with replacement."""
+    n = as_int(n, "n")
+    m = as_int(m, "m")
     if n < 3:
         raise LineClusterError(f"sampling triples needs n >= 3 points, got {n}")
     if m < 1:

@@ -17,10 +17,6 @@ compiled scan kernel decides most triples without computing a score, by a
 filter proven to agree with this expression, and scores the rest with an
 exact path that repeats it operation for operation; so every path accepts
 the same triples, bit for bit.
-
-``common_tangents`` solves the side geometry used when reasoning about
-mixed triples: the four common tangent lines of two exterior discs centered
-on the x-axis.
 """
 
 from __future__ import annotations
@@ -30,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CirclesNotExteriorError, DegenerateTripleError, LineClusterError
+from .errors import LineClusterError
 
 
 @dataclass(frozen=True)
@@ -40,34 +36,6 @@ class ScatterSummary:
     s_xx: float
     s_xy: float
     s_yy: float
-
-    @property
-    def trace(self) -> float:
-        return self.s_xx + self.s_yy
-
-
-@dataclass(frozen=True)
-class FittedLine:
-    """A line through ``point`` with unit ``direction``."""
-
-    point: tuple[float, float]
-    direction: tuple[float, float]
-
-
-@dataclass(frozen=True)
-class TangentLine:
-    """The line y = slope * x + intercept."""
-
-    slope: float
-    intercept: float
-
-
-@dataclass(frozen=True)
-class CommonTangents:
-    """Direct (outer) and transverse (inner) tangent pairs of two discs."""
-
-    direct: tuple[TangentLine, TangentLine]
-    transverse: tuple[TangentLine, TangentLine]
 
 
 def _as_triple(triple) -> np.ndarray:
@@ -167,63 +135,3 @@ def sigma_tls_sq(triple) -> float:
     k = _unit_scale(arr)
     return math.ldexp(float(_triple_scores(*np.ldexp(arr, k).ravel().tolist())), -2 * k)
 
-
-def best_fit_line(triple) -> FittedLine:
-    """TLS line of a triple: through the centroid, along the top scatter
-    eigenvector.
-
-    Raises ``DegenerateTripleError`` when all three points coincide (the
-    scatter is exactly zero and no direction is preferred). An isotropic
-    scatter (top eigenvalue tied with the bottom one) resolves to the
-    x-axis direction.
-    """
-    arr = _as_triple(triple)
-    s = scatter(arr)
-    if s.trace == 0.0:
-        raise DegenerateTripleError("all three points coincide; the fitted line is undefined")
-    direction = _top_eigen(s.s_xx, s.s_xy, s.s_yy)[2]
-    cx = (float(arr[0, 0]) + float(arr[1, 0]) + float(arr[2, 0])) / 3.0
-    cy = (float(arr[0, 1]) + float(arr[1, 1]) + float(arr[2, 1])) / 3.0
-    return FittedLine(point=(cx, cy), direction=direction)
-
-
-def common_tangents(c1: float, r1: float, c2: float, r2: float) -> CommonTangents:
-    """The four common tangent lines of two exterior discs on the x-axis.
-
-    Disc k is centered at (c_k, 0) with radius r_k > 0; the discs must be
-    strictly exterior (|c1 - c2| > r1 + r2), otherwise
-    ``CirclesNotExteriorError`` is raised. Each returned pair is ordered
-    (positive slope first; for the slope-0 direct pair of equal radii,
-    positive intercept first).
-    """
-    for name, r in (("r1", r1), ("r2", r2)):
-        if not (r > 0.0) or not math.isfinite(r):
-            raise LineClusterError(f"{name} must be positive and finite, got {r}")
-    if not math.isfinite(c1) or not math.isfinite(c2):
-        raise LineClusterError("circle centers must be finite")
-    d = abs(c2 - c1)
-    if d <= r1 + r2:
-        raise CirclesNotExteriorError(
-            f"discs must be strictly exterior: |c1-c2| = {d} <= r1 + r2 = {r1 + r2}"
-        )
-
-    # Transverse tangents cross between the discs at the internal division
-    # point a = (r1 c2 + r2 c1) / (r1 + r2); slope from the tangency condition
-    # |m (c - a)| / sqrt(1 + m^2) = r.
-    a_t = (r1 * c2 + r2 * c1) / (r1 + r2)
-    m_t = (r1 + r2) / math.sqrt(d * d - (r1 + r2) ** 2)
-    transverse = (
-        TangentLine(slope=m_t, intercept=-m_t * a_t),
-        TangentLine(slope=-m_t, intercept=m_t * a_t),
-    )
-
-    if r1 == r2:
-        direct = (TangentLine(slope=0.0, intercept=r1), TangentLine(slope=0.0, intercept=-r1))
-    else:
-        a_d = (r1 * c2 - r2 * c1) / (r1 - r2)  # external division point
-        m_d = abs(r1 - r2) / math.sqrt(d * d - (r1 - r2) ** 2)
-        direct = (
-            TangentLine(slope=m_d, intercept=-m_d * a_d),
-            TangentLine(slope=-m_d, intercept=m_d * a_d),
-        )
-    return CommonTangents(direct=direct, transverse=transverse)

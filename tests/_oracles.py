@@ -22,6 +22,16 @@ def orthogonal_ss(centered: np.ndarray, phi: float) -> float:
     return float(r @ r)
 
 
+def segment_distance(p, seg) -> float:
+    """Euclidean distance from point ``p`` to the closed segment ``seg``."""
+    px, py = float(p[0]), float(p[1])
+    cx, cy = seg.center
+    vx, vy = seg.direction
+    s = (px - cx) * vx + (py - cy) * vy
+    s = max(-seg.half_length, min(seg.half_length, s))
+    return math.hypot(px - cx - s * vx, py - cy - s * vy)
+
+
 def brute_force_tls_min(points, grid: int = 360, refine_iters: int = 80) -> float:
     """Best-fit-line residual by angle grid search plus golden-section refine.
 

@@ -8,7 +8,7 @@ import pytest
 import linecluster as lc
 from linecluster import mle
 
-from _oracles import reference_log_interval_mass
+from _oracles import reference_log_interval_mass, segment_distance
 
 
 def _densities(cross, sigma):
@@ -127,17 +127,25 @@ def test_classification_follows_the_quadrant_rule_off_the_axes(cross, sigma):
     assert np.array_equal(labels, wanted)
 
 
+def _oracle_labels(cross, sigma, points):
+    """``mle_recover`` labels of given points under the cross at ``sigma``."""
+    points = np.asarray(points, dtype=np.float64)
+    params = lc.ModelParams(
+        seg1=cross[0], seg2=cross[1], sigma=sigma, n_points=points.shape[0], seed=0
+    )
+    labels = np.ones(points.shape[0], dtype=np.int8)
+    return lc.mle_recover(lc.LabeledDataset(points=points, labels=labels, params=params)).labels
+
+
 def test_ties_resolve_to_component_two(cross):
-    d1, d2 = _densities(cross, 0.1)
-    for p in ([0.0, 0.0], [0.0, 0.5], [0.25, 0.0], [0.0, -0.8]):
-        assert lc.mle_classify(p, d1, d2) == 2
+    points = [[0.0, 0.0], [0.0, 0.5], [0.25, 0.0], [0.0, -0.8]]
+    assert _oracle_labels(cross, 0.1, points).tolist() == [2, 2, 2, 2]
 
 
 def test_tiny_sigma_classification_is_the_nearest_line_rule(cross):
-    d1, d2 = _densities(cross, 1e-8)
-    for p in ([0.3, 0.2999], [0.3, -0.31], [-0.5, -0.499], [-0.2, 0.21]):
-        nearest = 2 if abs(p[0] - p[1]) < abs(p[0] + p[1]) else 1
-        assert lc.mle_classify(p, d1, d2) == nearest
+    points = [[0.3, 0.2999], [0.3, -0.31], [-0.5, -0.499], [-0.2, 0.21]]
+    nearest = [2 if abs(x - y) < abs(x + y) else 1 for x, y in points]
+    assert _oracle_labels(cross, 1e-8, points).tolist() == nearest
 
 
 def test_recover_labels_every_point_with_the_true_parameters(make_dataset):
@@ -208,8 +216,8 @@ def test_exact_rule_is_at_least_as_accurate_as_simple_heuristics(make_dataset, c
     points, truth = data.points, data.labels
     err_mle = float(np.mean(lc.mle_recover(data).labels != truth))
 
-    d1 = np.array([lc.segment_distance(p, seg1) for p in points])
-    d2 = np.array([lc.segment_distance(p, seg2) for p in points])
+    d1 = np.array([segment_distance(p, seg1) for p in points])
+    d2 = np.array([segment_distance(p, seg2) for p in points])
     nearest_segment = np.where(d1 < d2, 1, 2)
 
     n1 = np.array([-seg1.direction[1], seg1.direction[0]])
@@ -276,9 +284,3 @@ def test_perr_angle_and_length_validation():
         with pytest.raises(lc.LineClusterError):
             lc.perr_exact(math.pi / 2.0, ell, 0.1)
 
-
-def test_classify_rejects_mismatched_noise_levels(cross):
-    d1 = lc.MixtureDensity(segment=cross[0], sigma=0.1)
-    d2 = lc.MixtureDensity(segment=cross[1], sigma=0.2)
-    with pytest.raises(lc.LineClusterError):
-        lc.mle_classify([0.1, 0.2], d1, d2)

@@ -6,6 +6,8 @@ import pytest
 import linecluster as lc
 from linecluster.errors import InvalidAngleError, LineClusterError
 
+from _oracles import segment_distance
+
 
 def test_standard_cross_geometry_at_right_angle():
     seg1, seg2 = lc.standard_cross(math.pi / 2.0, 1.0)
@@ -14,8 +16,10 @@ def test_standard_cross_geometry_at_right_angle():
     assert seg1.direction == pytest.approx((r, -r))
     assert seg2.direction == pytest.approx((r, r))
     assert seg1.half_length == 1.0 == seg2.half_length
-    (a1, b1) = seg1.endpoints
-    assert a1 == pytest.approx((-r, r)) and b1 == pytest.approx((r, -r))
+    # Endpoints are center -/+ h * direction.
+    for seg, (a, b) in ((seg1, ((-r, r), (r, -r))), (seg2, ((-r, -r), (r, r)))):
+        c, v = np.asarray(seg.center), seg.half_length * np.asarray(seg.direction)
+        assert tuple(c - v) == pytest.approx(a) and tuple(c + v) == pytest.approx(b)
 
 
 def test_standard_cross_opening_angle_is_the_requested_one():
@@ -56,9 +60,9 @@ def test_model_params_validation():
 
 def test_segment_distance_interior_and_clamped():
     seg = lc.Segment(center=(0.0, 0.0), direction=(1.0, 0.0), half_length=1.0)
-    assert lc.segment_distance((0.5, 2.0), seg) == pytest.approx(2.0)
-    assert lc.segment_distance((3.0, 0.0), seg) == pytest.approx(2.0)  # clamps to (1, 0)
-    assert lc.segment_distance((-2.0, 1.0), seg) == pytest.approx(math.sqrt(2.0))
+    assert segment_distance((0.5, 2.0), seg) == pytest.approx(2.0)
+    assert segment_distance((3.0, 0.0), seg) == pytest.approx(2.0)  # clamps to (1, 0)
+    assert segment_distance((-2.0, 1.0), seg) == pytest.approx(math.sqrt(2.0))
 
 
 def test_sampling_is_deterministic_in_the_seed(make_dataset):
@@ -90,7 +94,7 @@ def test_noiseless_points_lie_on_their_assigned_segment(make_dataset, cross):
     seg1, seg2 = cross
     for p, z in zip(ds.points, ds.labels):
         seg = seg1 if z == 1 else seg2
-        assert lc.segment_distance(p, seg) < 1e-12
+        assert segment_distance(p, seg) < 1e-12
 
 
 def test_labels_are_roughly_balanced(make_dataset):

@@ -34,10 +34,14 @@ def test_noiseless_clusters_are_fit_exactly():
 
 
 def test_direction_sign_normalization_prefers_positive_first_coordinate():
-    pts = _line_points((0.0, 0.0), (-0.6, -0.8))
-    est, _ = lc.recover_lines(np.vstack([pts, [[5.0, 5.0], [5.1, 5.0]]]), [1] * 40 + [2, 2])
-    assert est.direction == pytest.approx((0.6, 0.8), abs=1e-12)
-    assert est.direction[0] > 0
+    r = math.sqrt(0.5)
+    # The first nonzero coordinate is made positive: the second one decides
+    # for a vertical line.
+    cases = (((-0.6, -0.8), (0.6, 0.8)), ((-r, -r), (r, r)), ((0.0, -1.0), (0.0, 1.0)))
+    for direction, wanted in cases:
+        pts = _line_points((0.0, 0.0), direction)
+        est, _ = lc.recover_lines(np.vstack([pts, [[5.0, 5.0], [5.1, 5.0]]]), [1] * 40 + [2, 2])
+        assert est.direction == pytest.approx(wanted, abs=1e-12)
 
 
 def test_covariance_uses_the_one_over_n_normalization(rng):
@@ -79,6 +83,17 @@ def test_cluster_covariance_matches_the_segment_population_limit(make_dataset):
         assert est.bottom_eigenvalue == pytest.approx(sigma**2, abs=0.001)
         assert lc.angle_error(est, seg) <= 2e-3
         assert lc.center_error(est, seg.center) <= 0.02
+
+
+def test_direction_of_a_triple_is_its_tls_line(rng):
+    """The fitted line of a 3-point cluster leaves exactly the TLS residual."""
+    filler = np.array([[50.0, 0.0], [51.0, 0.0]])
+    for _ in range(50):
+        triple = rng.normal(size=(3, 2))
+        est, _ = lc.recover_lines(np.vstack([triple, filler]), [1, 1, 1, 2, 2])
+        normal = np.array([-est.direction[1], est.direction[0]])
+        resid = float((((triple - np.asarray(est.center)) @ normal) ** 2).sum())
+        assert resid == pytest.approx(lc.sigma_tls_sq(triple), rel=1e-9, abs=1e-12)
 
 
 def test_rank_deficient_flag_on_isotropic_and_degenerate_clusters():

@@ -10,45 +10,6 @@ from hypothesis.extra import numpy as hnp
 
 import linecluster as lc
 
-finite_scores = hnp.arrays(
-    np.float64,
-    st.integers(min_value=1, max_value=40),
-    elements=st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
-)
-
-
-# ---------------------------------------------------------------------------
-# empirical_cdf
-# ---------------------------------------------------------------------------
-
-
-def test_empirical_cdf_counts_ties_as_included():
-    scores = [1.0, 2.0, 3.0, 4.0]
-    assert lc.empirical_cdf(scores, 2.0) == 0.5  # the tie at 2.0 is counted
-    assert lc.empirical_cdf(scores, 1.999) == 0.25
-    assert lc.empirical_cdf(scores, 0.0) == 0.0
-    assert lc.empirical_cdf(scores, 4.0) == 1.0
-    assert lc.empirical_cdf(scores, 100.0) == 1.0
-
-
-@given(finite_scores, st.floats(min_value=-1.0, max_value=2e6, allow_nan=False))
-def test_empirical_cdf_is_a_right_continuous_step_function(scores, t):
-    value = lc.empirical_cdf(scores, t)
-    assert 0.0 <= value <= 1.0
-    k = round(value * scores.size)
-    assert value == k / scores.size  # multiple of 1/M
-    assert lc.empirical_cdf(scores, float(np.max(scores))) == 1.0
-    # monotone: a larger argument never lowers the CDF
-    assert lc.empirical_cdf(scores, t + 1.0) >= value
-
-
-def test_empirical_cdf_rejects_empty_and_misshapen_input():
-    with pytest.raises(lc.EmptySampleError):
-        lc.empirical_cdf([], 1.0)
-    with pytest.raises(lc.LineClusterError):
-        lc.empirical_cdf([[1.0, 2.0]], 1.0)
-
-
 # ---------------------------------------------------------------------------
 # choose_order_stat
 # ---------------------------------------------------------------------------
@@ -92,6 +53,10 @@ def test_order_stat_validation():
     for theta in (-0.1, 1.1):
         with pytest.raises(lc.LineClusterError):
             lc.choose_order_stat([1.0], theta)
+    with pytest.raises(lc.LineClusterError, match="one-dimensional"):
+        lc.choose_order_stat([[0.1, 0.2], [0.3, 0.4]], 0.5)
+    with pytest.raises(lc.LineClusterError, match="NaN"):
+        lc.choose_order_stat([0.1, math.nan, 0.2], 1.0)
 
 
 @given(
@@ -108,7 +73,7 @@ def test_order_stat_tracks_theta_on_distinct_scores(scores, theta):
     m = scores.size
     assert 1 <= choice.k <= m
     # With distinct scores exactly k of them sit at or below t*.
-    assert lc.empirical_cdf(scores, choice.t_star) == choice.k / m
+    assert int(np.count_nonzero(scores <= choice.t_star)) == choice.k
     if not choice.clamped:
         assert abs(choice.k - theta * m) <= 0.5
 
@@ -145,6 +110,15 @@ def test_sample_triples_validation():
         lc.sample_triples(2, 5, seed=0)
     with pytest.raises(lc.EmptySampleError):
         lc.sample_triples(10, 0, seed=0)
+    # n and m must be integers: 2.5 is not silently 2, nor True 1
+    for bad in (10.0, True):
+        with pytest.raises(lc.LineClusterError, match="n must be an integer"):
+            lc.sample_triples(bad, 5, seed=0)
+    for bad in (2.5, True):
+        with pytest.raises(lc.LineClusterError, match="m must be an integer"):
+            lc.sample_triples(10, bad, seed=0)
+        with pytest.raises(lc.LineClusterError, match="m must be an integer"):
+            lc.select_threshold(np.zeros((10, 2)), bad, 0.5, seed=0)
 
 
 def test_small_samples_from_a_large_pool_are_usually_node_disjoint():
