@@ -24,9 +24,9 @@ dataset has 200 points, so the first ``cluster`` scan builds the C kernel.
 Three more commands cross the block boundaries of the sampler, the oracle
 and the Monte-Carlo validators: ``gen --n 70000`` (nine sampling chunks),
 ``oracle`` on that file (five classification blocks) and the README
-``bounds`` example at its default 200 000 samples (thirteen scoring blocks
-of triples in ``mc_within_miss``, 25 sampler chunks in
-``mc_hyperedge_rates``).
+``bounds`` example at its default 200 000 samples (49 blocks of 4 096 in
+each of ``mc_within_miss``, ``mc_chi2_tail``, ``mc_rayleigh_cdf`` and
+``mc_binomial_tail``, 25 sampler chunks in ``mc_hyperedge_rates``).
 The kernel cache is a fresh directory inside the output directory, so every
 run picks its scan kernels the same way, and nothing is written under
 ``$HOME``.

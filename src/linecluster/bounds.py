@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validate import as_int, as_labels
+from ._validate import as_float, as_int, as_labels
 from .errors import LineClusterError, OutOfValidityError
 from .hypergraph import SimilarityMatrix, _label_sums
 from .spectral import SpectralEmbedding
@@ -60,7 +60,8 @@ __all__ = [
 
 
 def _check_geometry(t: float, sigma: float, ell: float) -> None:
-    """``LineClusterError`` unless t > 0, sigma >= 0 and ell > 0, all finite."""
+    """``LineClusterError`` unless t > 0, sigma >= 0 and ell > 0, all finite numbers."""
+    t, sigma, ell = as_float(t, "t"), as_float(sigma, "sigma"), as_float(ell, "ell")
     if not (t > 0.0) or not math.isfinite(t):
         raise LineClusterError(f"t must be positive and finite, got {t}")
     if not (sigma >= 0.0) or not math.isfinite(sigma):

@@ -24,7 +24,7 @@ import numpy as np
 # so that a ``cluster``, ``autocluster`` or ``sweep`` process never loads
 # scipy (about 0.3 s and 26 MB); see ``linecluster.mle``.
 
-from . import __version__, bounds, io, metrics, montecarlo
+from . import __version__, bounds, hypergraph, io, metrics, montecarlo
 from .errors import LineClusterError, OutOfValidityError
 from .mle import mle_recover, perr_exact
 from .model import LabeledDataset, ModelParams, sample_glmm, standard_cross
@@ -237,44 +237,61 @@ def _rayleigh_agrees(est, theory: float) -> bool:
 
 def _bounds_rows(args) -> tuple[list[dict], list[str]]:
     """One row per bound, in a fixed order. A bound outside its domain goes to
-    ``skipped`` and its validator does not run; each validator seeds its own
-    generator, so that changes no other estimate. ``bounds`` and
-    ``montecarlo`` functions are looked up when called, so rebinding one works."""
+    ``skipped``, and a validator that no row needs does not run; each
+    validator seeds its own generator, so that changes no other estimate.
+    The theory values come first; then each validator runs once, side by
+    side with the others on min(``thread_count()``, CPUs) threads of the
+    scan's worker pool (``hypergraph._run_tasks``), the longest on the
+    calling thread, so the rows are the same at every thread count.
+    ``bounds`` and ``montecarlo`` functions are looked up when called, so
+    rebinding one works."""
     t, sig, ell, n_mc, seed = args.t, args.sigma, args.ell, args.mc_samples, args.seed
     k, theta, mu, delta = args.chi2_k, args.chi2_theta, args.binom_mu, args.binom_delta
     geo = f"t={t:g};sigma={sig:g};ell={ell:g}"
-    # Both between-acceptance rows check the same mixed-triple rate.
-    mixed = functools.cache(
-        lambda: montecarlo.mc_hyperedge_rates(t, sig, args.alpha, ell, n_mc, seed)[1])
+    # In the order they run: the mixed-triple rate, which both
+    # between-acceptance rows check, takes longest.
+    validators = {
+        "mixed": lambda: montecarlo.mc_hyperedge_rates(t, sig, args.alpha, ell, n_mc, seed)[1],
+        "within": lambda: montecarlo.mc_within_miss(t, sig, ell, n_mc, seed),
+        "chi2": lambda: montecarlo.mc_chi2_tail(k, theta, n_mc, seed),
+        "rayleigh": lambda: montecarlo.mc_rayleigh_cdf(t, sig, n_mc, seed),
+        "binomial": lambda: montecarlo.mc_binomial_tail(mu, delta, 1000, n_mc, seed),
+    }
     table = (
-        ("within_miss_upper", geo, lambda: bounds.within_miss_upper(t, sig),
-         lambda: montecarlo.mc_within_miss(t, sig, ell, n_mc, seed), _at_most),
+        ("within_miss_upper", geo, lambda: bounds.within_miss_upper(t, sig), "within", _at_most),
         ("between_accept_lower", geo, lambda: bounds.between_accept_lower(t, sig, ell),
-         mixed, _at_least),
+         "mixed", _at_least),
         ("between_accept_upper", geo, lambda: bounds.between_accept_upper(t, sig, ell),
-         mixed, lambda est, theory: est.estimate <= 2.0 * theory),
+         "mixed", lambda est, theory: est.estimate <= 2.0 * theory),
         ("disc_intersect_upper", geo, lambda: bounds.disc_intersect_upper(t, sig, ell),
          None, None),
         ("tail_chi2", f"k={k};theta={theta:g}", lambda: bounds.tail_chi2(k, theta),
-         lambda: montecarlo.mc_chi2_tail(k, theta, n_mc, seed), _at_most),
+         "chi2", _at_most),
         ("cdf_rayleigh", f"t={t:g};scale={sig:g}", lambda: bounds.cdf_rayleigh(t, sig),
-         lambda: montecarlo.mc_rayleigh_cdf(t, sig, n_mc, seed), _rayleigh_agrees),
+         "rayleigh", _rayleigh_agrees),
         ("tail_binomial", f"mu={mu:g};delta={delta:g}", lambda: bounds.tail_binomial(mu, delta),
-         lambda: montecarlo.mc_binomial_tail(mu, delta, 1000, n_mc, seed), _at_most),
+         "binomial", _at_most),
     )
     rows: list[dict] = []
     skipped: list[str] = []
-    for name, params, theory_of, validate, passes in table:
+    checks = []
+    for name, params, theory_of, validator, passes in table:
         try:
             theory = theory_of()
         except OutOfValidityError as exc:
             skipped.append(f"{name}: {exc}")
             continue
-        row = {"bound_name": name, "params": params, "theory": theory}
-        if args.mc and validate is not None:
-            est = validate()
-            row.update(mc_estimate=est.estimate, mc_se=est.se, **{"pass": passes(est, theory)})
-        rows.append(row)
+        rows.append({"bound_name": name, "params": params, "theory": theory})
+        if args.mc and validator is not None:
+            checks.append((rows[-1], validator, passes))
+    used = {validator for _, validator, _ in checks}
+    needed = [key for key in validators if key in used]
+    threads = min(hypergraph.thread_count(), hypergraph._cpus()) if needed else 1
+    results = hypergraph._run_tasks([validators[key] for key in needed], threads)
+    estimates = dict(zip(needed, results))
+    for row, validator, passes in checks:
+        est = estimates[validator]
+        row.update(mc_estimate=est.estimate, mc_se=est.se, **{"pass": passes(est, row["theory"])})
     return rows, skipped
 
 

@@ -26,10 +26,12 @@ A scan cuts the outer indices into that many contiguous ranges of about
 equal triple mass, each scanned into its own n x n int32 buffer: the calling
 thread scans the first, and one process-wide pool of worker threads, started
 on the first scan that needs it and reused by every later one, scans the
-rest. Integer counts summed over disjoint ranges, in range order, make W
-independent of kernel and thread count. Both kernels write only the strict
-upper triangle, so W is symmetrized in place by row blocks, and the peak is
-one n^2 * 4 B buffer per range.
+rest. The ``bounds`` command runs its Monte-Carlo validators side by side
+on the same pool, on as many threads (``_run_tasks``). Integer counts
+summed over disjoint ranges, in range order, make W independent of kernel
+and thread count. Both kernels write only the strict upper triangle, so W
+is symmetrized in place by row blocks, and the peak is one n^2 * 4 B buffer
+per range.
 
 Labels never reach a kernel: the acceptance tallies of ``HyperedgeStats``
 follow from W, the pair projection of the hypergraph, and the labels in
@@ -45,6 +47,7 @@ single call within practical time and memory.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -154,9 +157,9 @@ if hasattr(os, "register_at_fork"):
 
 
 def _workers() -> ThreadPoolExecutor:
-    """The process's scan pool: one worker per CPU but the caller's, counted
-    when the pool is made. Workers start as scans need them, wait idle
-    between scans and exit with the interpreter."""
+    """The process's worker pool: one worker per CPU but the caller's,
+    counted when the pool is made. Workers start as scans or ``bounds``
+    need them, wait idle in between and exit with the interpreter."""
     global _pool
     with _pool_lock:
         if _pool is None:
@@ -164,16 +167,45 @@ def _workers() -> ThreadPoolExecutor:
         return _pool
 
 
-def _pair_counts(kernel, x: np.ndarray, y: np.ndarray, t2: float, workers: int) -> np.ndarray:
-    """W by ``kernel`` over at most ``workers`` outer-index ranges, one buffer each.
+def _run_tasks(tasks: list, threads: int) -> list:
+    """Every task's result, in task order, from at most ``threads`` threads.
 
-    The calling thread scans the first range and ``_workers`` the others, so
-    a scan of one range touches no pool. The pool is made by the first scan
-    of two or more ranges and serves every later one, from any thread; a
-    child made by ``os.fork`` forgets its parent's and makes its own. The
-    call returns, or raises the first error in range order, only once every
-    range is done.
+    Task i runs in group min(i, threads - 1), each group's tasks one after
+    another: the calling thread runs group 0 and ``_workers`` the others, so
+    at one thread nothing touches the pool. The pool is made by the first
+    call that needs it and serves every later one, from any thread; a child
+    made by ``os.fork`` forgets its parent's and makes its own. The call
+    returns, or raises the first error in task order, only once every task
+    has returned or raised.
     """
+
+    def run(group: list) -> list:
+        outcomes = []
+        for task in group:
+            try:
+                outcomes.append((task(), None))
+            except Exception as exc:  # raised below, once every task is done
+                outcomes.append((None, exc))
+        return outcomes
+
+    cut = max(1, threads) - 1
+    first, *rest = [[task] for task in tasks[:cut]] + [tasks[cut:]]
+    futures = [_workers().submit(run, group) for group in rest if group]
+    try:
+        outcomes = run(first)
+    finally:
+        wait(futures)
+    for future in futures:
+        outcomes += future.result()
+    for _, exc in outcomes:
+        if exc is not None:
+            raise exc
+    return [value for value, _ in outcomes]
+
+
+def _pair_counts(kernel, x: np.ndarray, y: np.ndarray, t2: float, workers: int) -> np.ndarray:
+    """W by ``kernel`` over at most ``workers`` outer-index ranges, one buffer
+    each, run side by side by ``_run_tasks``."""
     n = x.shape[0]
     mass = np.cumsum([(n - 1 - i) * (n - 2 - i) // 2 for i in range(n)])
     cuts = [0, *np.searchsorted(mass, mass[-1] * np.arange(1, workers) / workers).tolist(), n]
@@ -183,14 +215,10 @@ def _pair_counts(kernel, x: np.ndarray, y: np.ndarray, t2: float, workers: int) 
         kernel(x, y, t2, lo, hi, w_part.reshape(-1))
         return w_part
 
-    first, *rest = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
-    parts = [_workers().submit(run, lo, hi) for lo, hi in rest]
-    try:
-        w = run(*first)
-    finally:
-        wait(parts)
+    ranges = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
+    w, *parts = _run_tasks([functools.partial(run, lo, hi) for lo, hi in ranges], len(ranges))
     while parts:
-        w += parts.pop(0).result()  # freed before the mirror below copies a block
+        w += parts.pop(0)  # freed before the mirror below copies a block
     # Rows [lo, hi) add columns [lo, hi) of rows [0, hi), which no earlier
     # block touched; numpy copies that overlapping operand, so keep it small.
     step = max(1, (1 << 16) // n)

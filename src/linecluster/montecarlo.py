@@ -11,19 +11,35 @@ draw: t > 0 and sigma >= 0, both finite, for the triple validators (the
 Rayleigh t only finite), scale >= 0 and finite, theta and delta finite.
 All sampling is deterministic in (seed, domain); see ``linecluster._rng``.
 
-The two triple validators draw, score and count in blocks, so no
-whole-sample array of noise or points is held. ``mc_within_miss`` draws
-all its uniforms first, then each block's (16 384, 3, 2) normals
-(``_BLOCK``) in turn, which continues the generator's stream as one
-(n, 3, 2) draw would; a block's six coordinate columns and the score's
-temporaries, 128 KiB each, stay in a 2 MB L2 cache, where whole-sample
-temporaries of 200 000 triples would each take 1.6 MB.
-``mc_hyperedge_rates`` scores the sampler's chunks of 3 * 8 192 points
-(``model._sample_chunk``) as 8 192 consecutive triples each; the sampler
-is chunk-stable, so these are the points of one ``sample_glmm`` draw of
-3 n points. Each element goes through the same operations as in one
-whole-sample pass, so every count is the same bit for bit; blocks only
-change where the arrays live.
+The validators draw, score and count in blocks: 4 096 samples at a time
+(``_BLOCK``), or one sampler chunk of 8 192 points for the two that sample
+the mixture. So what they hold does not grow with the sample count, but
+for ``mc_rayleigh_cdf``'s first n normals (below); a block's arrays, 32 to
+192 KiB each, stay in a 2 MB L2 cache, and two validators running side by
+side (``cli._bounds_rows`` runs them on the scan's worker pool) hold about
+as much as one. Each validator makes the same draws in the same order as
+one whole-sample call, because numpy's ``Generator`` continues one stream
+across calls:
+
+* ``mc_within_miss``'s stream is the n triples' (n, 3) uniforms followed
+  by their (n, 3, 2) normals. It reads each block's uniforms from one
+  generator and its normals from a second, positioned past the uniforms:
+  each uniform takes one 64-bit Philox word and Philox makes 4 words per
+  counter step, so the second generator is advanced 3 n // 4 steps and
+  discards 3 n % 4 more words.
+* ``mc_chi2_tail`` and ``mc_binomial_tail`` draw their samples in blocks
+  of the one stream.
+* ``mc_rayleigh_cdf`` draws and squares its first n normals whole (a
+  normal takes a variable number of words, so no generator can be
+  positioned at the second n), then the second n in blocks.
+* ``mc_hyperedge_rates`` scores the sampler's chunks of 3 * 8 192 points
+  (``model._sample_chunk``) as 8 192 consecutive triples each, and
+  ``mc_mle_error`` classifies them as drawn; the sampler is chunk-stable,
+  so these are the points of one ``sample_glmm`` draw.
+
+Each element goes through the same operations as in one whole-sample
+pass, so every estimate is the same bit for bit; blocks only change where
+the arrays live.
 """
 
 from __future__ import annotations
@@ -34,14 +50,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import DOMAIN_MC, generator
-from ._validate import as_int
+from ._validate import as_float, as_int
 from .bounds import _check_geometry
 from .errors import LineClusterError
 from .mle import mle_recover
-from .model import _CHUNK_POINTS, ModelParams, _sample_chunk, sample_glmm, standard_cross
+from .model import _CHUNK_POINTS, LabeledDataset, ModelParams, _sample_chunk, standard_cross
 from .tls import _triple_scores
 
-_BLOCK = 1 << 14
+_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -62,7 +78,8 @@ def _count(value, name: str, what: str = "Monte-Carlo sample count") -> int:
 
 
 def _finite(value: float, name: str, at_least: float = -math.inf) -> None:
-    """``LineClusterError`` unless ``value`` is finite and at least ``at_least``."""
+    """``LineClusterError`` unless ``value`` is a finite number of at least ``at_least``."""
+    value = as_float(value, name)
     if not (math.isfinite(value) and value >= at_least):
         bound = "" if at_least == -math.inf else f" and >= {at_least:g}"
         raise LineClusterError(f"{name} must be finite{bound}, got {value}")
@@ -77,13 +94,15 @@ def mc_within_miss(t: float, sigma: float, ell: float, n_triples: int, seed: int
     """P(score >= t^2) for triples drawn from a single noisy segment."""
     n_triples = _count(n_triples, "n_triples")
     _check_geometry(t, sigma, ell)
-    rng = generator(seed, DOMAIN_MC)
+    uniforms, normals = generator(seed, DOMAIN_MC), generator(seed, DOMAIN_MC)
+    normals.bit_generator.advance(3 * n_triples // 4)  # past the 3 n uniforms
+    normals.bit_generator.random_raw(3 * n_triples % 4)
     h = 0.5 * ell
-    u = rng.uniform(-h, h, size=(n_triples, 3))
     misses = 0
     for lo in range(0, n_triples, _BLOCK):
-        ub = u[lo:lo + _BLOCK]
-        nb = rng.standard_normal((ub.shape[0], 3, 2))  # goes on where the last block stopped
+        m = min(_BLOCK, n_triples - lo)
+        ub = uniforms.uniform(-h, h, size=(m, 3))
+        nb = normals.standard_normal((m, 3, 2))
         cols = []
         for k in range(3):  # point k of each triple: (u_k, 0.0) plus sigma times its noise pair
             cols += [ub[:, k] + sigma * nb[:, k, 0], 0.0 + sigma * nb[:, k, 1]]
@@ -125,8 +144,11 @@ def mc_chi2_tail(k: int, theta: float, n_samples: int, seed: int) -> MCResult:
     n_samples = _count(n_samples, "n_samples")
     _finite(theta, "theta")
     rng = generator(seed, DOMAIN_MC)
-    x = rng.chisquare(df=k, size=n_samples)
-    return _binomial(int(np.count_nonzero(x >= k * theta)), n_samples)
+    hits = 0
+    for lo in range(0, n_samples, _BLOCK):
+        x = rng.chisquare(df=k, size=min(_BLOCK, n_samples - lo))
+        hits += int(np.count_nonzero(x >= k * theta))
+    return _binomial(hits, n_samples)
 
 
 def mc_rayleigh_cdf(t: float, scale: float, n_samples: int, seed: int) -> MCResult:
@@ -135,20 +157,28 @@ def mc_rayleigh_cdf(t: float, scale: float, n_samples: int, seed: int) -> MCResu
     _finite(t, "t")
     _finite(scale, "scale", 0.0)
     rng = generator(seed, DOMAIN_MC)
-    x = scale * np.sqrt((rng.standard_normal(n_samples) ** 2) + (rng.standard_normal(n_samples) ** 2))
-    return _binomial(int(np.count_nonzero(x <= t)), n_samples)
+    first = rng.standard_normal(n_samples) ** 2
+    hits = 0
+    for lo in range(0, n_samples, _BLOCK):
+        second = rng.standard_normal(min(_BLOCK, n_samples - lo)) ** 2
+        x = scale * np.sqrt(first[lo:lo + _BLOCK] + second)
+        hits += int(np.count_nonzero(x <= t))
+    return _binomial(hits, n_samples)
 
 
 def mc_binomial_tail(mu: float, delta: float, n_trials: int, n_samples: int, seed: int) -> MCResult:
     """P(|X - mu| >= delta mu) for X ~ Binomial(n_trials, mu / n_trials)."""
     n_trials = _count(n_trials, "n_trials", "n_trials")
     n_samples = _count(n_samples, "n_samples")
-    if not (0.0 < mu < n_trials):
+    if not (0.0 < as_float(mu, "mu") < n_trials):
         raise LineClusterError(f"need 0 < mu < n_trials, got mu = {mu}, n_trials = {n_trials}")
     _finite(delta, "delta")
     rng = generator(seed, DOMAIN_MC)
-    x = rng.binomial(n_trials, mu / n_trials, size=n_samples)
-    return _binomial(int(np.count_nonzero(np.abs(x - mu) >= delta * mu)), n_samples)
+    hits = 0
+    for lo in range(0, n_samples, _BLOCK):
+        x = rng.binomial(n_trials, mu / n_trials, size=min(_BLOCK, n_samples - lo))
+        hits += int(np.count_nonzero(np.abs(x - mu) >= delta * mu))
+    return _binomial(hits, n_samples)
 
 
 def mc_mle_error(alpha: float, ell: float, sigma: float, n_samples: int, seed: int) -> MCResult:
@@ -156,6 +186,9 @@ def mc_mle_error(alpha: float, ell: float, sigma: float, n_samples: int, seed: i
     n_samples = _count(n_samples, "n_samples")
     seg1, seg2 = standard_cross(alpha, 0.5 * ell)
     params = ModelParams(seg1=seg1, seg2=seg2, sigma=sigma, n_points=n_samples, seed=seed)
-    ds = sample_glmm(params)
-    z_hat = mle_recover(ds).labels
-    return _binomial(int(np.count_nonzero(z_hat != ds.labels)), n_samples)
+    wrong = 0
+    for start in range(0, n_samples, _CHUNK_POINTS):
+        pts, labs = _sample_chunk(params, start, min(_CHUNK_POINTS, n_samples - start))
+        z_hat = mle_recover(LabeledDataset(points=pts, labels=labs, params=params)).labels
+        wrong += int(np.count_nonzero(z_hat != labs))
+    return _binomial(wrong, n_samples)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import DOMAIN_ASSIGN, DOMAIN_TRIPLES, generator
-from ._validate import as_int, as_labels, as_points
+from ._validate import as_float, as_int, as_labels, as_points
 from .errors import EmptySampleError, LineClusterError, SampleExhaustsNodesError
 from .spectral import ClusterResult, cluster
 from .tls import _triple_scores, _unit_scale
@@ -78,13 +78,14 @@ def choose_order_stat(scores, theta: float) -> ThresholdChoice:
         raise EmptySampleError("cannot choose a threshold from zero scores")
     if np.isnan(arr).any():
         raise LineClusterError("scores contain NaN")
+    theta = as_float(theta, "theta")
     if not (0.0 <= theta <= 1.0):
         raise LineClusterError(f"theta must lie in [0, 1], got {theta}")
     m = arr.size
     k_raw = math.floor(theta * m + 0.5)  # round half away from zero
     k = min(max(k_raw, 1), m)
     ordered = np.sort(arr)
-    return ThresholdChoice(t_star=float(ordered[k - 1]), k=k, theta=float(theta), clamped=k != k_raw)
+    return ThresholdChoice(t_star=float(ordered[k - 1]), k=k, theta=theta, clamped=k != k_raw)
 
 
 def sample_triples(n: int, m: int, seed: int) -> np.ndarray:

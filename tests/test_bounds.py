@@ -103,10 +103,14 @@ def test_bound_domain_violations_raise():
         with pytest.raises(lc.LineClusterError) as info:
             lc.cdf_rayleigh(1.0, scale)
         assert not isinstance(info.value, lc.OutOfValidityError)
-    for bad in ((0.0, 0.1, 2.0), (0.1, -1.0, 2.0), (0.1, 0.1, 0.0)):
-        with pytest.raises(lc.LineClusterError) as info:
-            lc.disc_intersect_upper(*bad)
-        assert not isinstance(info.value, lc.OutOfValidityError)
+    # t, sigma and ell are numbers: True is not 1.0, nor "0.1" a bare TypeError.
+    for bad in ((0.0, 0.1, 2.0), (0.1, -1.0, 2.0), (0.1, 0.1, 0.0), (True, 0.1, 2.0),
+                (0.1, True, 2.0), (0.1, 0.1, True), ("0.1", 0.1, 2.0), (0.1, "0.1", 2.0),
+                (0.1, 0.1, "2")):
+        for bound in (lc.disc_intersect_upper, lc.between_accept_lower, lc.between_accept_upper):
+            with pytest.raises(lc.LineClusterError) as info:
+                bound(*bad)
+            assert not isinstance(info.value, lc.OutOfValidityError)
 
 
 @given(

@@ -621,6 +621,28 @@ def test_a_failed_range_raises_after_the_other_ranges_return(failing):
     assert len(done) == 2
 
 
+@pytest.mark.parametrize("threads", [1, 2, 3, 8])
+def test_run_tasks_runs_task_i_in_group_min_i_threads_minus_1(threads, monkeypatch):
+    ran = []
+
+    def task(i):
+        ran.append((i, threading.get_ident()))
+        return i * i
+
+    if threads == 1:  # one thread touches no pool
+        monkeypatch.setattr(hypergraph, "_workers", lambda: pytest.fail("pool used"))
+    tasks = [lambda i=i: task(i) for i in range(5)]
+    assert hypergraph._run_tasks(tasks, threads) == [0, 1, 4, 9, 16]
+    assert sorted(i for i, _ in ran) == list(range(5))
+    where = dict(ran)
+    assert where[0] == threading.get_ident()
+    assert len(set(where.values())) <= threads
+    # A group's tasks run on one thread, in task order.
+    last = list(range(min(threads, 5) - 1, 5))
+    assert len({where[i] for i in last}) == 1
+    assert [i for i, _ in ran if i in last] == last
+
+
 @needs_cc
 def test_a_fresh_interpreter_exits_after_a_pooled_scan(compiled):
     code = ("import os, sys, threading\n"

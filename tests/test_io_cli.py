@@ -7,6 +7,8 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -824,6 +826,67 @@ def test_cli_bounds_draws_the_mixed_triples_once(capsys, monkeypatch):
     assert code == 0 and len(calls) == 1
     mixed = [row for row in payload["rows"] if row["bound_name"].startswith("between_accept")]
     assert len(mixed) == 2 and mixed[0]["mc_estimate"] == mixed[1]["mc_estimate"]
+
+
+_VALIDATORS = ("mc_hyperedge_rates", "mc_within_miss", "mc_chi2_tail", "mc_rayleigh_cdf",
+               "mc_binomial_tail")
+
+
+def _record_validator_threads(monkeypatch, delay: float = 0.0) -> list:
+    """Wrap the five validators ``bounds`` runs; each appends (name, thread
+    ident) to the returned list when it returns or raises, ``delay`` s after
+    it was called."""
+    calls = []
+    for name in _VALIDATORS:
+        def recorded(*args, _name=name, _run=getattr(lc.montecarlo, name)):
+            try:
+                time.sleep(delay)
+                return _run(*args)
+            finally:
+                calls.append((_name, threading.get_ident()))
+
+        monkeypatch.setattr(lc.montecarlo, name, recorded)
+    return calls
+
+
+def test_cli_bounds_is_the_same_at_one_and_two_threads(capsys, tmp_path, monkeypatch):
+    # The README example; at two threads the validators run side by side.
+    calls = _record_validator_threads(monkeypatch)
+    monkeypatch.setattr(lc.hypergraph, "_cpus", lambda: 2)
+    outputs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("LINECLUSTER_THREADS", threads)
+        calls.clear()
+        out = tmp_path / threads
+        code = cli_dispatch(["bounds", "--t", "0.05", "--sigma", "0.01", "--out", str(out)])
+        std = capsys.readouterr()
+        assert code == 0 and std.err == ""
+        assert sorted(name for name, _ in calls) == sorted(_VALIDATORS)
+        idents = {ident for _, ident in calls}
+        if threads == "1":
+            assert idents == {threading.get_ident()}
+        else:
+            assert len(idents) == 2 and threading.get_ident() in idents
+        outputs.append((std.out.replace(str(out), "OUT"), (out / "bounds.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_cli_bounds_raises_a_validator_error_after_every_validator_returns(capsys, monkeypatch):
+    # One sample has one triple, of one composition: mc_hyperedge_rates fails
+    # at once, while each of the others takes at least 0.1 s.
+    results = []
+    for threads in ("1", "2"):
+        monkeypatch.setattr(lc.hypergraph, "_cpus", lambda: 2)
+        monkeypatch.setenv("LINECLUSTER_THREADS", threads)
+        calls = _record_validator_threads(monkeypatch, delay=0.1)
+        code, payload, err = _run(capsys, ["bounds", "--t", "0.05", "--sigma", "0.01",
+                                           "--mc-samples", "1"])
+        assert sorted(name for name, _ in calls) == sorted(_VALIDATORS)
+        results.append((code, payload, err))
+        monkeypatch.undo()
+    assert results[0] == results[1]
+    assert results[0] == (1, None, "error: sample contains no triples of one composition; "
+                                   "increase n_triples\n")
 
 
 def test_cli_sweep_runs_a_config_file(capsys, tmp_path):

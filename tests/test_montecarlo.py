@@ -1,6 +1,7 @@
 """Monte-Carlo validators: vectorized scoring parity, determinism, estimates."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,10 +41,13 @@ def test_validators_are_deterministic_in_the_seed():
     assert x == y
 
 
-@pytest.mark.parametrize("n", [mc._BLOCK - 1, mc._BLOCK, mc._BLOCK + 1, 2 * mc._BLOCK + 1])
+@pytest.mark.parametrize(
+    "n", [4 * mc._BLOCK + d for d in (-1, 0, 1, 2)] + [8 * mc._BLOCK + 1])
 def test_blocked_triple_validators_match_one_full_stack_at_block_edges(n):
     """The triple validators score in blocks; scoring the whole (n, 3, 2)
-    stack at once, as one array, must give the same counts."""
+    stack at once, as one array, must give the same counts. Around 4
+    blocks, 3 n % 4 takes each of its four values, so ``mc_within_miss``'s
+    first normal starts at each word of a Philox step."""
     t, sigma, ell, seed = 0.02, 0.01, 2.0, 3
     rng = generator(seed, DOMAIN_MC)
     u = rng.uniform(-0.5 * ell, 0.5 * ell, size=(n, 3))
@@ -61,6 +65,59 @@ def test_blocked_triple_validators_match_one_full_stack_at_block_edges(n):
     wanted = (mc._binomial(int(np.count_nonzero(accepted & within)), int(within.sum())),
               mc._binomial(int(np.count_nonzero(accepted & ~within)), int((~within).sum())))
     assert mc.mc_hyperedge_rates(t, sigma, math.pi / 2.0, ell, n, seed) == wanted
+
+
+@pytest.mark.parametrize("n", [mc._BLOCK - 1, mc._BLOCK, mc._BLOCK + 1, 2 * mc._BLOCK + 1])
+def test_blocked_tail_validators_match_one_whole_draw_at_block_edges(n):
+    """The tail validators draw in blocks of one stream; one whole-sample
+    draw from the same generator must give the same counts."""
+    k, theta, t, scale, mu, delta, seed = 3, 1.5, 0.03, 0.01, 300.0, 0.05, 5
+    x = generator(seed, DOMAIN_MC).chisquare(df=k, size=n)
+    hits = int(np.count_nonzero(x >= k * theta))
+    assert mc.mc_chi2_tail(k, theta, n, seed) == mc._binomial(hits, n)
+    rng = generator(seed, DOMAIN_MC)
+    r = scale * np.sqrt(rng.standard_normal(n) ** 2 + rng.standard_normal(n) ** 2)
+    assert mc.mc_rayleigh_cdf(t, scale, n, seed) == mc._binomial(int(np.count_nonzero(r <= t)), n)
+    b = generator(seed, DOMAIN_MC).binomial(1000, mu / 1000, size=n)
+    hits = int(np.count_nonzero(np.abs(b - mu) >= delta * mu))
+    assert 0 < hits < n
+    assert mc.mc_binomial_tail(mu, delta, 1000, n, seed) == mc._binomial(hits, n)
+
+
+def test_oracle_error_validator_matches_one_whole_sample():
+    # More than one sampler chunk, and not a multiple of the chunk size.
+    alpha, ell, sigma, n, seed = math.pi / 6.0, 2.0, 0.05, 70_001, 9
+    seg1, seg2 = lc.standard_cross(alpha, 0.5 * ell)
+    ds = lc.sample_glmm(lc.ModelParams(seg1, seg2, sigma, n_points=n, seed=seed))
+    wrong = int(np.count_nonzero(lc.mle_recover(ds).labels != ds.labels))
+    assert mc.mc_mle_error(alpha, ell, sigma, n, seed) == mc._binomial(wrong, n)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: mc.mc_within_miss(0.05, 0.01, 2.0, n, 0),
+        lambda n: mc.mc_chi2_tail(3, 2.0, n, 0),
+        lambda n: mc.mc_binomial_tail(300.0, 0.1, 1000, n, 0),
+        lambda n: mc.mc_hyperedge_rates(0.05, 0.01, math.pi / 2.0, 2.0, n, 0),
+        lambda n: mc.mc_mle_error(math.pi / 2.0, 2.0, 0.05, n, 0),
+    ],
+    ids=["within-miss", "chi2", "binomial", "hyperedge", "oracle-error"],
+)
+def test_validator_memory_does_not_grow_with_the_sample(call):
+    """Blocks bound what a validator holds: four times the samples, no larger peak."""
+    call(1000)  # loads scipy for the oracle, outside the traced calls
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            call(n)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(200_000), peak(800_000)
+    assert large <= 1.1 * small, (small, large)
 
 
 @pytest.mark.parametrize(
@@ -83,11 +140,29 @@ def test_blocked_triple_validators_match_one_full_stack_at_block_edges(n):
         lambda: mc.mc_chi2_tail(3, math.inf, 1000, 0),
         lambda: mc.mc_binomial_tail(300.0, math.nan, 1000, 1000, 0),
         lambda: mc.mc_binomial_tail(300.0, -math.inf, 1000, 1000, 0),
+        # Booleans are not numbers here, and a string is refused, not a TypeError.
+        lambda: mc.mc_within_miss(True, 0.01, 2.0, 1000, 0),
+        lambda: mc.mc_within_miss(0.05, True, 2.0, 1000, 0),
+        lambda: mc.mc_within_miss(0.05, 0.01, True, 1000, 0),
+        lambda: mc.mc_hyperedge_rates(0.05, "0.01", math.pi / 2.0, 2.0, 1000, 0),
+        lambda: mc.mc_chi2_tail(3, True, 1000, 0),
+        lambda: mc.mc_chi2_tail(3, "2", 1000, 0),
+        lambda: mc.mc_rayleigh_cdf(True, 0.01, 1000, 0),
+        lambda: mc.mc_rayleigh_cdf(0.05, True, 1000, 0),
+        lambda: mc.mc_rayleigh_cdf(0.05, "0.01", 1000, 0),
+        lambda: mc.mc_binomial_tail(300.0, True, 1000, 1000, 0),
+        lambda: mc.mc_binomial_tail(300.0, "0.1", 1000, 1000, 0),
+        lambda: mc.mc_binomial_tail(True, 0.1, 1000, 1000, 0),
+        lambda: mc.mc_binomial_tail("300", 0.1, 1000, 1000, 0),
     ],
     ids=["within sigma nan", "within sigma < 0", "within t nan", "within t = 0", "within t inf",
          "within ell nan", "hyperedge t nan", "hyperedge t < 0", "hyperedge sigma inf",
          "rayleigh scale < 0", "rayleigh scale nan", "rayleigh scale inf", "rayleigh t nan",
-         "chi2 theta nan", "chi2 theta inf", "binomial delta nan", "binomial delta -inf"],
+         "chi2 theta nan", "chi2 theta inf", "binomial delta nan", "binomial delta -inf",
+         "within t True", "within sigma True", "within ell True", "hyperedge sigma string",
+         "chi2 theta True", "chi2 theta string", "rayleigh t True", "rayleigh scale True",
+         "rayleigh scale string", "binomial delta True", "binomial delta string",
+         "binomial mu True", "binomial mu string"],
 )
 def test_validators_refuse_invalid_parameters_before_drawing(call):
     with pytest.raises(lc.LineClusterError):

@@ -53,6 +53,11 @@ def test_order_stat_validation():
     for theta in (-0.1, 1.1):
         with pytest.raises(lc.LineClusterError):
             lc.choose_order_stat([1.0], theta)
+    # theta is a number: True is not 1.0, nor "0.5" a bare TypeError.
+    for theta in (True, "0.5", None):
+        with pytest.raises(lc.LineClusterError, match="theta must be a number"):
+            lc.choose_order_stat([0.1, 0.2], theta)
+    assert lc.choose_order_stat([0.1, 0.2], np.float64(0.5)).theta == 0.5
     with pytest.raises(lc.LineClusterError, match="one-dimensional"):
         lc.choose_order_stat([[0.1, 0.2], [0.3, 0.4]], 0.5)
     with pytest.raises(lc.LineClusterError, match="NaN"):
