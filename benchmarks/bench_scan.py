@@ -6,7 +6,7 @@ min(LINECLUSTER_THREADS, CPUs) threads), and the numpy fallback through the
 very call ``scan`` makes for it, ``_scan_numpy.scan_triples`` over one range
 of all outer indices on one thread, folded into W by the same helper. It
 checks that both give the same similarity matrix. The C kernel is built
-(0.3–0.5 s) before the first timing if it is not cached; without a compiler
+(0.5–0.8 s) before the first timing if it is not cached; without a compiler
 both columns run numpy and the table says "not compared". ``exact`` is the
 share of the triples that the C kernel's exact path decided (the rest its
 float32 filter decided), from one direct ``_compiled.scan_triples`` call on
@@ -24,7 +24,10 @@ largest eigenvalues agree to 1e-9 relative, and times k-means,
 ``linecluster.kmeans2_rows`` with seed 0 on the rows of that embedding
 (``kmeans``). So each pipeline layer but sampling and line fitting is timed.
 The script exits 1 if the kernels, the two files or the eigenvalues
-disagree.
+disagree. Its first line names the compiled kernel's body that the loader
+picks on this CPU: the first of ``avx512f`` and ``avx2`` in the CPU's flags
+(``/proc/cpuinfo``), else ``default``, so each figure names the code that
+made it.
 
 Usage::
 
@@ -79,6 +82,18 @@ def _peak(run) -> int:
         tracemalloc.stop()
 
 
+def _kernel_body() -> str:
+    """The body of ``_scan.c``'s cloned kernel that the loader picks on this
+    CPU: the first of its clones whose ISA the CPU's flags list."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            flags = next((set(line.split(":", 1)[1].split()) for line in fh
+                          if line.startswith("flags")), set())
+    except OSError:
+        flags = set()
+    return next((isa for isa in ("avx512f", "avx2") if isa in flags), "default")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", default="200,400,800", help="comma-separated point counts")
@@ -95,6 +110,9 @@ def main(argv: list[str] | None = None) -> int:
               file=sys.stderr)
 
     seg1, seg2 = lc.standard_cross(math.pi / 2.0, 1.0)
+    if compared:
+        threads = min(hypergraph.thread_count(), hypergraph._cpus())
+        print(f"compiled kernel body: {_kernel_body()}, on {threads} thread(s)")
     header = (f"{'n':>6} {'triples':>14} {'compiled':>14} {'numpy':>12} {'speedup':>9}  identical"
               f" {'exact':>7} {'peak':>5} {'write C':>12} {'write np':>12}  bytes  {'eigen':>12}"
               f" {'eigh':>12}  eigenvalues {'kmeans':>12}")

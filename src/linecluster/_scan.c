@@ -101,28 +101,41 @@
  *  zero, tiny, huge or NaN needs no case of its own.
  *
  * The exact path. A row (i, j) whose filter left some triples undecided runs
- * a second loop over its k, which re-runs the filter (same operations, same
- * results) and scores each undecided triple with the expression of
- * linecluster.tls._triple_scores, operation for operation: the centroid's
- * / 3.0, the sums in their order, sqrt, the clamp at 0 and strict <. So W is
- * bit-identical to the numpy fallback's, whichever path decided a triple. On
- * noisy data the exact path sees almost no triple; a lattice with exact ties
- * (lmin == t2), or many exactly collinear points at a tiny t, sends it many.
+ * a second loop over its k (exact_row), which re-runs the filter (same
+ * operations, same results) and scores each undecided triple with the
+ * expression of linecluster.tls._triple_scores, operation for operation: the
+ * centroid's / 3.0, the sums in their order, sqrt, the clamp at 0 and strict
+ * <. So W is bit-identical to the numpy fallback's, whichever path decided a
+ * triple. On noisy data the exact path sees almost no triple; a lattice with
+ * exact ties (lmin == t2), or many exactly collinear points at a tiny t,
+ * sends it many.
+ * Since it runs on so few rows, exact_row is one out-of-line function,
+ * compiled once for the baseline ISA rather than inlined into each of the
+ * kernel's bodies below: that keeps the build short and the library small.
+ *
+ * Two rows per pass. For each outer point i, the rows j and j + 1 are
+ * scanned together (scan_rows): the triple (i, j, j + 1) first, then one loop
+ * over k > j + 1 that loads b_k and w[i*n+k] once and classifies both
+ * (i, j, k) and (i, j + 1, k). Each triple is still decided by the same
+ * classify call (or the same exact path), and only the order in which the
+ * integer counts are added changes, which is exact: W is the same bits. When
+ * the rows are odd in number, the last one, j = n - 1, has no triple.
  *
  * Vectorization. The filter loop has no control flow, so gcc vectorizes it:
  * a decision is a 32-bit float compare mask, as wide as the int32 count it is
- * added to, so an AVX2 vector holds 8 triples and an SSE2 vector 4.
- * Each SIMD lane runs the same correctly rounded IEEE operations on its own
- * triple, FP contraction stays off and there is no fast-math; only the
- * integer row sums are reassociated, which is exact. -fno-math-errno drops
- * sqrt's errno branch in the exact path, whose argument, a sum of squares,
- * is never negative.
+ * added to, so an AVX-512 vector holds 16 triples, an AVX2 vector 8 and an
+ * SSE2 vector 4. The proof above does not depend on that width: each SIMD
+ * lane runs the same correctly rounded IEEE operations on its own triple, FP
+ * contraction stays off (so no FMA, although AVX-512 has it) and there is no
+ * fast-math; only the integer row sums are reassociated, which is exact.
+ * -fno-math-errno drops sqrt's errno branch in the exact path, whose
+ * argument, a sum of squares, is never negative.
  *
- * On x86-64 glibc the function is cloned for AVX2 and the dynamic loader
- * picks the body from cpuid; both bodies vectorize the filter loop.
- * -march=native would not do, because the cached library's name does not
- * depend on the CPU, and a cache shared between hosts could then hold code
- * this CPU cannot run.
+ * On x86-64 glibc the function is cloned for AVX-512 (avx512f) and AVX2,
+ * and the dynamic loader picks the body from cpuid; all three bodies
+ * vectorize the filter loop. -march=native would not do, because the cached
+ * library's name does not depend on the CPU, and a cache shared between hosts
+ * could then hold code this CPU cannot run.
  *
  * The library also exports encode_upper_csv, the text encoder of
  * similarity.csv's rows (see its comment at the end of this file).
@@ -136,13 +149,15 @@
 
 #if defined(__GNUC__)
 #define ALWAYS_INLINE inline __attribute__((always_inline))
+#define NOINLINE __attribute__((noinline))
 #else
 #define ALWAYS_INLINE inline
+#define NOINLINE
 #endif
 
 #if defined(__x86_64__) && defined(__ELF__) && defined(__GLIBC__) && defined(__has_attribute)
 #if __has_attribute(target_clones)
-#define SIMD_CLONES __attribute__((target_clones("avx2", "default")))
+#define SIMD_CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
 #endif
 #endif
 #ifndef SIMD_CLONES
@@ -185,49 +200,80 @@ static ALWAYS_INLINE void classify(float ax, float ay, float aa, float bx, float
     *und = (yes | (p < -band)) ^ 1;
 }
 
-/* Accepted triples (i, j, k) over k in (j, n); adds each hit to wi[k] and
- * wj[k], and the number of triples the exact path decided to *exact. Rows
- * i < j of w never overlap, hence restrict. */
-static ALWAYS_INLINE int32_t scan_row(const double *restrict x, const double *restrict y,
-                                      int64_t n, int64_t j, double xi, double yi, double t2,
-                                      const float *restrict bx, const float *restrict by,
-                                      const float *restrict bb, const struct band *bd,
-                                      int32_t *restrict wi, int32_t *restrict wj, int64_t *exact)
+/* The exact path of row (i, j): re-runs the filter over k in (j, n) and
+ * scores each triple it leaves undecided as linecluster.tls._triple_scores
+ * does; adds each hit to wi[k] and wj[k] and returns their number. Not
+ * inlined, so compiled once (see "The exact path" above). */
+static NOINLINE int32_t exact_row(const double *restrict x, const double *restrict y, int64_t n,
+                                  int64_t j, double xi, double yi, double t2,
+                                  const float *restrict bx, const float *restrict by,
+                                  const float *restrict bb, const struct band *bd,
+                                  int32_t *restrict wi, int32_t *restrict wj)
 {
     const float ax = bx[j], ay = by[j], aa = bb[j];
-    int32_t row = 0, undecided = 0;
+    const double xj = x[j], yj = y[j];
+    int32_t row = 0;
     for (int64_t k = j + 1; k < n; k++) {
-        int32_t hit, und;
-        classify(ax, ay, aa, bx[k], by[k], bb[k], bd, &hit, &und);
+        int32_t filtered, und;
+        classify(ax, ay, aa, bx[k], by[k], bb[k], bd, &filtered, &und);
+        if (!und)
+            continue;
+        const double cx = (xi + xj + x[k]) / 3.0, cy = (yi + yj + y[k]) / 3.0;
+        const double dx0 = xi - cx, dx1 = xj - cx, dx2 = x[k] - cx;
+        const double dy0 = yi - cy, dy1 = yj - cy, dy2 = y[k] - cy;
+        const double sxx = dx0 * dx0 + dx1 * dx1 + dx2 * dx2;
+        const double sxy = dx0 * dy0 + dx1 * dy1 + dx2 * dy2;
+        const double syy = dy0 * dy0 + dy1 * dy1 + dy2 * dy2;
+        const double mean = 0.5 * (sxx + syy), diff = 0.5 * (sxx - syy);
+        double lam = mean - sqrt(diff * diff + sxy * sxy);
+        lam = lam < 0.0 ? 0.0 : lam;
+        const int32_t hit = lam < t2;
         row += hit;
-        undecided += und;
         wi[k] += hit;
         wj[k] += hit;
     }
-    if (undecided) {
-        const double xj = x[j], yj = y[j];
-        for (int64_t k = j + 1; k < n; k++) {
-            int32_t filtered, und;
-            classify(ax, ay, aa, bx[k], by[k], bb[k], bd, &filtered, &und);
-            if (!und)
-                continue;
-            const double cx = (xi + xj + x[k]) / 3.0, cy = (yi + yj + y[k]) / 3.0;
-            const double dx0 = xi - cx, dx1 = xj - cx, dx2 = x[k] - cx;
-            const double dy0 = yi - cy, dy1 = yj - cy, dy2 = y[k] - cy;
-            const double sxx = dx0 * dx0 + dx1 * dx1 + dx2 * dx2;
-            const double sxy = dx0 * dy0 + dx1 * dy1 + dx2 * dy2;
-            const double syy = dy0 * dy0 + dy1 * dy1 + dy2 * dy2;
-            const double mean = 0.5 * (sxx + syy), diff = 0.5 * (sxx - syy);
-            double lam = mean - sqrt(diff * diff + sxy * sxy);
-            lam = lam < 0.0 ? 0.0 : lam;
-            const int32_t hit = lam < t2;
-            row += hit;
-            wi[k] += hit;
-            wj[k] += hit;
-        }
-        *exact += undecided;
-    }
     return row;
+}
+
+/* Accepted triples (i, j, k) over k in (j, n) and (i, j + 1, k) over
+ * k in (j + 1, n), for j + 1 < n: one pass over k loads b_k and wi[k] once
+ * for both rows. Adds each hit to wi[k], to wi[j] or wi[j + 1], and to row j's
+ * or row j + 1's w[k]; adds the number of triples the exact path decided to
+ * *exact. Rows i < j < j + 1 of w never overlap, hence restrict. */
+static ALWAYS_INLINE void scan_rows(const double *restrict x, const double *restrict y, int64_t n,
+                                    int64_t j, double xi, double yi, double t2,
+                                    const float *restrict bx, const float *restrict by,
+                                    const float *restrict bb, const struct band *bd,
+                                    int32_t *restrict wi, int32_t *restrict w0,
+                                    int32_t *restrict w1, int64_t *exact)
+{
+    const float ax0 = bx[j], ay0 = by[j], aa0 = bb[j];
+    const float ax1 = bx[j + 1], ay1 = by[j + 1], aa1 = bb[j + 1];
+    int32_t r0, u0, r1 = 0, u1 = 0;
+    /* The triple (i, j, j + 1), the one of row j that row j + 1 lacks. */
+    classify(ax0, ay0, aa0, ax1, ay1, aa1, bd, &r0, &u0);
+    wi[j + 1] += r0;
+    w0[j + 1] += r0;
+    for (int64_t k = j + 2; k < n; k++) {
+        const float kx = bx[k], ky = by[k], kb = bb[k];
+        int32_t h0, d0, h1, d1;
+        classify(ax0, ay0, aa0, kx, ky, kb, bd, &h0, &d0);
+        classify(ax1, ay1, aa1, kx, ky, kb, bd, &h1, &d1);
+        r0 += h0;
+        u0 += d0;
+        r1 += h1;
+        u1 += d1;
+        wi[k] += h0 + h1;
+        w0[k] += h0;
+        w1[k] += h1;
+    }
+    if (u0)
+        r0 += exact_row(x, y, n, j, xi, yi, t2, bx, by, bb, bd, wi, w0);
+    if (u1)
+        r1 += exact_row(x, y, n, j + 1, xi, yi, t2, bx, by, bb, bd, wi, w1);
+    wi[j] += r0;
+    wi[j + 1] += r1;
+    *exact += u0 + u1;
 }
 
 SIMD_CLONES
@@ -272,8 +318,11 @@ int64_t scan_triples(const double *restrict x, const double *restrict y, int64_t
         }
         bd.r = r_call + BAND_Q * (Q_BOUND * bb_max);
         int32_t *wi = w + i * n;
-        for (int64_t j = i + 1; j < n; j++)
-            wi[j] += scan_row(x, y, n, j, xi, yi, t2, bx, by, bb, &bd, wi, w + j * n, &exact);
+        /* Rows j and j + 1 together; row n - 1, left alone when the rows
+         * are odd in number, has no triple. */
+        for (int64_t j = i + 1; j + 1 < n; j += 2)
+            scan_rows(x, y, n, j, xi, yi, t2, bx, by, bb, &bd, wi, w + j * n, w + (j + 1) * n,
+                      &exact);
     }
     free(diffs);
     return exact;

@@ -21,16 +21,18 @@ differences and accepted only where it clears an error band proven in
 domain stated there, go to an exact path that repeats
 ``tls._triple_scores`` in double, operation for operation, so the accepted
 triples, and W, stay bit-identical to the numpy fallback's. The kernel takes
-no labels and keeps no tallies: it only adds accepted triples into W. The
-filter loop has no branches, so gcc vectorizes it, eight triples to an AVX2
-vector; every SIMD lane does the same correctly rounded IEEE operations on
-its own triple, FP contraction stays off and no ``-ffast-math`` is used;
-only the integer row sums are added in another order, which is exact.
-``-fno-math-errno`` only drops ``sqrt``'s errno branch, whose argument, a
-sum of squares, is never negative.
-On x86-64 glibc the source marks the kernel ``target_clones("avx2",
-"default")``: one library holds an AVX2 body and a baseline one, both
-vectorized, and the dynamic loader picks one by cpuid. ``-march=native``
+no labels and keeps no tallies: it only adds accepted triples into W. Each
+pass over k serves two rows, j and j + 1, and loads each b_k once. The
+filter loop has no branches, so gcc vectorizes it; every SIMD lane does the
+same correctly rounded IEEE operations on its own triple, FP contraction
+stays off and no ``-ffast-math`` is used; only the integer counts are added
+in another order, which is exact. ``-fno-math-errno`` only drops ``sqrt``'s
+errno branch, whose argument, a sum of squares, is never negative.
+On x86-64 glibc the source marks the kernel ``target_clones("avx512f",
+"avx2", "default")``: one library holds three bodies, all vectorized, with
+16 triples to an AVX-512 vector, 8 to an AVX2 one and 4 to a baseline SSE2
+one, and the dynamic loader picks one by cpuid. The exact path is one
+function outside the clones, compiled once. ``-march=native``
 is not used because the library's name does not depend on the CPU, so a
 cache shared between hosts could hand a CPU instructions it lacks. The kernel
 runs without the GIL (ctypes releases it), so ``hypergraph.scan`` runs

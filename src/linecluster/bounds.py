@@ -7,6 +7,8 @@ all bound probabilities) and every function validates its domain, raising
 ``OutOfValidityError`` outside it. The three bounds in (t, sigma, ell) and
 the two triple validators first refuse, with ``LineClusterError``, a t or
 ell that is not positive and finite and a sigma that is not finite and >= 0.
+Every function refuses a bool, a string or any other non-number argument
+with ``LineClusterError``, so True is not read as 1 nor "0.1" as 0.1.
 
   * ``within_miss_upper``: P(single-component triple rejected at t),
     exp(-(3/2)(r - 1 - log r)) with r = t^2 / (3 sigma^2), valid r > 1.
@@ -80,6 +82,7 @@ def within_miss_upper(t: float, sigma: float) -> float:
     Valid for t > sqrt(3) sigma (the bound's ratio r = t^2 / (3 sigma^2)
     must exceed 1).
     """
+    t, sigma = as_float(t, "t"), as_float(sigma, "sigma")
     if not (t > 0.0 and sigma > 0.0):
         raise OutOfValidityError(f"need t > 0 and sigma > 0, got t = {t}, sigma = {sigma}")
     r = (t * t) / (3.0 * sigma * sigma)
@@ -130,7 +133,7 @@ def disc_intersect_upper(t: float, sigma: float, ell: float) -> float:
 
 def tail_chi2(k: int, theta: float) -> float:
     """Chernoff tail of chi-square: P(X >= k theta) <= exp(-(k/2)(theta-1-log theta))."""
-    k = as_int(k, "k")
+    k, theta = as_int(k, "k"), as_float(theta, "theta")
     if k < 1:
         raise LineClusterError(f"degrees of freedom k must be >= 1, got {k}")
     if not (theta > 1.0) or not math.isfinite(theta):
@@ -143,6 +146,7 @@ def cdf_rayleigh(t: float, scale: float) -> float:
 
     Scale 0 is outside the formula's domain (``OutOfValidityError``); a
     negative or non-finite scale is an error."""
+    t, scale = as_float(t, "t"), as_float(scale, "scale")
     if not (scale > 0.0) or not math.isfinite(scale):
         error = OutOfValidityError if scale == 0.0 else LineClusterError
         raise error(f"scale must be positive and finite, got {scale}")
@@ -153,6 +157,7 @@ def cdf_rayleigh(t: float, scale: float) -> float:
 
 def tail_binomial(mu: float, delta: float) -> float:
     """Two-sided multiplicative Chernoff: P(|X - mu| >= delta mu) <= 2 exp(-delta^2 mu / 3)."""
+    mu, delta = as_float(mu, "mu"), as_float(delta, "delta")
     if not (mu > 0.0) or not math.isfinite(mu):
         raise LineClusterError(f"mean mu must be positive and finite, got {mu}")
     if not (0.0 < delta < 1.0):
@@ -187,7 +192,7 @@ def expected_similarity(n: int, p: float, q: float, z) -> ExpectedSimilarity:
     latter evaluated as n1 n2 (w_in^2 - w_out^2) / (half + root) to avoid
     cancellation; for balanced labels the gap is n (n - 2)(p - q)/4.
     """
-    n = as_int(n, "n")
+    n, p, q = as_int(n, "n"), as_float(p, "p"), as_float(q, "q")
     if n < 2:
         raise LineClusterError(f"need n >= 2, got {n}")
     for name, v in (("p", p), ("q", q)):

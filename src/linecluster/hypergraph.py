@@ -69,13 +69,13 @@ MAX_POINTS = 5000
 # Smallest scan that compiles the C kernel when it is not cached yet, so a
 # fresh process doing a tiny scan never starts a compiler. On a 2-vCPU Xeon
 # VM the numpy scan took 0.04 s at n=150 and 0.08 s at n=200, and the build
-# 0.27-0.53 s (one inlined copy of the vectorized filter loop and of the
-# exact path, cloned for AVX2). A scan just above the cut pays that once per
-# machine; every later one loads the cached library. The cut is decided per
-# scan, so it stays low: at n=300-400, where one numpy scan costs about one
-# build, a process doing many mid-size scans (an autocluster sweep's rest
-# sets of about 220 points) would run numpy for good while the cache is
-# cold.
+# 0.47-0.56 s (the vectorized filter loop cloned for AVX-512, AVX2 and the
+# baseline, and one copy of the exact path). A scan just above the cut pays
+# that once per machine; every later one loads the cached library. The cut is
+# decided per scan, so it stays low: at n=400-450, where one numpy scan costs
+# about one build, a process doing many mid-size scans (an autocluster
+# sweep's rest sets of about 220 points) would run numpy for good while the
+# cache is cold.
 BUILD_MIN_N = 150
 
 

@@ -111,6 +111,17 @@ def test_bound_domain_violations_raise():
             with pytest.raises(lc.LineClusterError) as info:
                 bound(*bad)
             assert not isinstance(info.value, lc.OutOfValidityError)
+    # The same holds for every closed form's number arguments.
+    calls = ((lc.within_miss_upper, (0.1, 0.01), (0, 1)), (lc.tail_chi2, (3, 2.0), (1,)),
+             (lc.cdf_rayleigh, (0.1, 0.5), (0, 1)), (lc.tail_binomial, (300.0, 0.5), (0, 1)))
+    for bound, good, positions in calls:
+        for at in positions:
+            for bad in (True, "0.1", None):
+                args = list(good)
+                args[at] = bad
+                with pytest.raises(lc.LineClusterError) as info:
+                    bound(*args)
+                assert not isinstance(info.value, lc.OutOfValidityError)
 
 
 @given(
@@ -244,6 +255,10 @@ def test_expected_similarity_validation():
     for n in (4.5, True):
         with pytest.raises(lc.LineClusterError):
             lc.expected_similarity(n, 0.5, 0.1, [1, 1, 2, 2])
+    # p and q are numbers: True is not 1.0, nor "0.1" a bare TypeError.
+    for p, q in ((True, 0.1), (0.5, True), ("0.5", 0.1), (0.5, "0.1"), (None, 0.1), (0.5, None)):
+        with pytest.raises(lc.LineClusterError):
+            lc.expected_similarity(4, p, q, [1, 1, 2, 2])
     assert lc.expected_similarity(np.int64(4), 0.5, 0.1, [1, 1, 2, 2]).w_in == 0.6
 
 

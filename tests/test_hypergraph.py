@@ -1,3 +1,4 @@
+import ctypes
 import importlib.util
 import itertools
 import math
@@ -164,19 +165,21 @@ def test_acceptance_threshold_is_strict():
     assert sim.counts.sum() == 0
 
 
-@needs_cc
-@pytest.mark.parametrize("case", [
-    "61", "200", "dyadic-grid", "quarter-lattice", "200-shifted", "near-1e80",
-    pytest.param("near-1e160", marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+BITWISE_CASES = [
+    "61", "200", "dyadic-grid", "quarter-lattice", "200-shifted", "near-1e80", "near-1e160",
     "dups-below-2^-126", "dups-below-2^-149", "t2-below-FLT_MIN", "t2-above-FLT_MAX",
     "offset-1e6",
-])
-def test_compiled_and_fallback_kernels_agree_bitwise(make_dataset, monkeypatch, compiled, case):
-    # The float32 hazards of the C kernel's filter, at the unit scale scan
-    # works at: differences that are subnormal floats (2^-130 steps) or
-    # round to 0 as floats (2^-152 steps); t * t below FLT_MIN, with
-    # near-duplicates whose scores lie around it; t * t above FLT_MAX; and
-    # points 1e6 from the origin, scanned both as they are and at unit scale.
+]
+
+
+def _bitwise_case(make_dataset, case):
+    """The points and t of one case of the kernels' bitwise agreement.
+
+    The float32 hazards of the C kernel's filter, at the unit scale scan
+    works at: differences that are subnormal floats (2^-130 steps) or round
+    to 0 as floats (2^-152 steps); t * t below FLT_MIN, with near-duplicates
+    whose scores lie around it; t * t above FLT_MAX; and points 1e6 from the
+    origin, scanned both as they are and at unit scale."""
     if case == "dyadic-grid":
         ds, t = _dyadic_grid(), 0.125  # t * t == 1/64, the score of many triples
     elif case == "quarter-lattice":
@@ -205,6 +208,16 @@ def test_compiled_and_fallback_kernels_agree_bitwise(make_dataset, monkeypatch, 
         t = 0.05 * spread
     else:
         ds, t = make_dataset(int(case), 0.03, 17), 0.05
+    return ds, t
+
+
+@needs_cc
+@pytest.mark.parametrize("case", [
+    pytest.param(case, marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"))
+    if case == "near-1e160" else case for case in BITWISE_CASES
+])
+def test_compiled_and_fallback_kernels_agree_bitwise(make_dataset, monkeypatch, compiled, case):
+    ds, t = _bitwise_case(make_dataset, case)
     n = ds.n
     w_np = _kernel_result(_scan_numpy.scan_triples, ds, t)
     w_c = _kernel_result(compiled.scan_triples, ds, t)
@@ -275,38 +288,69 @@ def test_both_kernels_reject_ties_and_clamp_negative_scores(compiled):
         assert not _kernel_result(kernel, ds, 0.0).any()
 
 
-@needs_cc
-def test_gcc_vectorizes_the_kernel_k_loop(tmp_path):
-    # A branch brought back into the k loop stops vectorization and costs
-    # about 2x; gcc reports each loop it vectorizes with -fopt-info. The AVX2
-    # clone vectorizes with 32-byte vectors (and its epilogue with 16-byte
-    # ones), so the baseline body is checked on a copy without the clones.
+CLONES = '__attribute__((target_clones("avx512f", "avx2", "default")))'
+# The kernel's three bodies: the attribute each is compiled with in place of
+# the clones, and the bytes of its vectors.
+BODIES = {"avx512f": ('__attribute__((target("avx512f")))', 64),
+          "avx2": ('__attribute__((target("avx2")))', 32),
+          "default": ("", 16)}
+
+
+@pytest.fixture(scope="module")
+def kernel_bodies(tmp_path_factory):
+    """Each body of the kernel compiled alone into a library: its path and
+    gcc's vectorization report, by body name."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
     macros = subprocess.run(["cc", "-dM", "-E", "-x", "c", os.devnull],
                             capture_output=True, text=True, check=True).stdout
     defined = {line.split()[1] for line in macros.splitlines() if line.startswith("#define ")}
     if "__clang__" in defined or not {"__GNUC__", "__x86_64__"} <= defined:
-        pytest.skip("the vectorization report is checked for gcc on x86-64")
+        pytest.skip("the kernel's bodies are compiled one by one with gcc on x86-64")
     shipped = _scan_c._SOURCE.read_text()
-    k_line = next(number for number, line in enumerate(shipped.splitlines(), 1)
-                  if "for (int64_t k" in line)
-    clones = '__attribute__((target_clones("avx2", "default")))'
-    assert shipped.count(clones) == 1
-    for text, width in ((shipped, 32), (shipped.replace(clones, ""), 16)):
-        source = tmp_path / "_scan.c"
-        source.write_text(text)
-        report = subprocess.run(["cc", *_scan_c._FLAGS, "-c", "-fopt-info-vec-optimized",
-                                 "-o", str(tmp_path / "scan.o"), str(source)],
+    assert shipped.count(CLONES) == 1
+    directory = tmp_path_factory.mktemp("bodies")
+    bodies = {}
+    for name, (attribute, _) in BODIES.items():
+        source = directory / f"{name}.c"
+        source.write_text(shipped.replace(CLONES, attribute))
+        library = directory / f"{name}.so"
+        report = subprocess.run(["cc", *_scan_c._FLAGS, "-fopt-info-vec-optimized",
+                                 "-o", str(library), str(source)],
                                 capture_output=True, text=True, check=True).stderr
-        vectorized = rf"_scan\.c:{k_line}:\d+: (optimized|note): loop vectorized using {width} byte"
-        assert re.search(vectorized, report), report
+        bodies[name] = library, report
+    return bodies
 
 
-@needs_cc
-def test_near_ties_are_decided_like_the_score(compiled):
-    # Triples of every spread and offset, many of them nearly collinear, each
-    # scanned at its own score as t * t and at the two neighbouring doubles:
-    # only the exact path can decide such a tie, so a filter band too narrow
-    # for its rounding errors accepts or rejects some of them wrongly.
+def test_gcc_vectorizes_the_kernel_k_loop(kernel_bodies):
+    # A branch brought back into the paired k loop stops vectorization and
+    # costs about 2x; gcc reports each loop it vectorizes with -fopt-info.
+    # Each body's main loop uses its ISA's full width (its epilogue a
+    # narrower one).
+    lines = _scan_c._SOURCE.read_text().splitlines()
+    k_line = next(number for number, line in enumerate(lines, 1)
+                  if "for (int64_t k = j + 2;" in line)
+    for name, (_, width) in BODIES.items():
+        report = kernel_bodies[name][1]
+        found = re.findall(rf"{name}\.c:{k_line}:\d+: (?:optimized|note): "
+                           rf"loop vectorized using (\d+) byte", report)
+        assert found and max(map(int, found)) == width, (name, report)
+
+
+def _cpu_flags():
+    """The CPU's feature flags, from /proc/cpuinfo (empty where there is none)."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            return next((set(line.split(":", 1)[1].split()) for line in fh
+                         if line.startswith("flags")), set())
+    except OSError:
+        return set()
+
+
+def _wrong_near_ties(scan_triples):
+    """Triples of every spread and offset, many of them nearly collinear, that
+    ``scan_triples`` decides unlike their score, each scanned at its own score
+    as t * t and at the two neighbouring doubles."""
     w = np.zeros(9, dtype=np.int32)
     wrong = []
     for seed in (7, 8):
@@ -323,11 +367,43 @@ def test_near_ties_are_decided_like_the_score(compiled):
             x, y = np.ascontiguousarray(triple[:, 0]), np.ascontiguousarray(triple[:, 1])
             for t2 in (np.nextafter(score, -np.inf), score, np.nextafter(score, np.inf)):
                 w[:] = 0
-                compiled.scan_triples(x, y, float(t2), 0, 3, w)
+                scan_triples(x, y, float(t2), 0, 3, w)
                 # w[1], the pair (0, 1), counts the one triple's acceptance.
                 if w[1] != (score < t2):
                     wrong.append((seed, triple.tolist(), float(t2)))
-    assert wrong == []
+    return wrong
+
+
+@pytest.mark.parametrize("body", list(BODIES))
+def test_every_kernel_body_agrees_with_numpy_bitwise(make_dataset, kernel_bodies, body):
+    # The loader runs one body per CPU, so the others would go untested here:
+    # each is loaded from its own library. Every scan pairs rows j and j + 1,
+    # and its outer points have rows of both parities, so the paired loop,
+    # the triple (i, j, j + 1) and a pair whose second row is empty all run;
+    # n = 61 and n = 200 (and the 40-point grid) end on both parities.
+    if body != "default" and body not in _cpu_flags():
+        pytest.skip(f"this CPU lacks {body}")
+    lib = ctypes.CDLL(str(kernel_bodies[body][0]))
+    lib.scan_triples.argtypes = _scan_c._ARGTYPES
+    lib.scan_triples.restype = ctypes.c_int64
+
+    def scan_triples(x, y, t2, i_lo, i_hi, w):
+        return lib.scan_triples(x.ctypes.data, y.ctypes.data, x.shape[0], t2, i_lo, i_hi,
+                                w.ctypes.data)
+
+    for case in BITWISE_CASES:
+        ds, t = _bitwise_case(make_dataset, case)
+        with np.errstate(all="ignore"):  # near 1e160 the scores overflow
+            expected = _kernel_result(_scan_numpy.scan_triples, ds, t)
+        assert np.array_equal(_kernel_result(scan_triples, ds, t), expected), case
+    assert _wrong_near_ties(scan_triples) == []
+
+
+@needs_cc
+def test_near_ties_are_decided_like_the_score(compiled):
+    # Only the exact path can decide a near tie, so a filter band too narrow
+    # for its rounding errors accepts or rejects some of them wrongly.
+    assert _wrong_near_ties(compiled.scan_triples) == []
 
 
 @needs_cc
@@ -723,8 +799,14 @@ def test_bench_scan_compares_both_kernels_in_process(capsys):
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     assert bench.main(["--sizes", "40,60", "--repeats", "1"]) == 0
-    header, _, *rows = capsys.readouterr().out.splitlines()
+    lines = capsys.readouterr().out.splitlines()
     verdict = "yes" if shutil.which("cc") is not None else "not compared"
+    # With a compiled kernel, a first line names the body the loader picks.
+    if verdict == "yes":
+        body = lines.pop(0)
+        assert re.fullmatch(r"compiled kernel body: (avx512f|avx2|default), on \d+ thread\(s\)",
+                            body), body
+    header, _, *rows = lines
     assert [row.split()[0] for row in rows] == ["40", "60"]
     # The scan verdict, the two writers' verdict, the eigen and eigh timings
     # and their verdict, then the k-means timing.
