@@ -1,7 +1,12 @@
-"""Shared argument checks for array-accepting entry points and number fields."""
+"""Shared argument checks for array-accepting entry points and number fields.
+
+The one rule for numbers: a count goes through ``as_int`` and a real scalar
+through ``as_float``, alone or in ``finite`` or ``positive``, so a bool, a
+string or None is a ``LineClusterError``; other range tests stay with callers."""
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -23,6 +28,23 @@ def as_float(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise LineClusterError(f"{name} must be a number, got {value!r}")
     return float(value)
+
+
+def finite(value, name: str, at_least: float = -math.inf) -> float:
+    """``value`` as a float; ``LineClusterError`` unless finite and >= ``at_least``."""
+    value = as_float(value, name)
+    if not (math.isfinite(value) and value >= at_least):
+        bound = "" if at_least == -math.inf else f" and >= {at_least:g}"
+        raise LineClusterError(f"{name} must be finite{bound}, got {value}")
+    return value
+
+
+def positive(value, name: str, error: type[LineClusterError] = LineClusterError) -> float:
+    """``value`` as a float (see ``as_float``); ``error`` unless positive and finite."""
+    value = as_float(value, name)
+    if not (value > 0.0 and math.isfinite(value)):
+        raise error(f"{name} must be positive and finite, got {value}")
+    return value
 
 
 def as_points(points, min_n: int = 1) -> np.ndarray:

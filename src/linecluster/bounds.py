@@ -7,8 +7,9 @@ all bound probabilities) and every function validates its domain, raising
 ``OutOfValidityError`` outside it. The three bounds in (t, sigma, ell) and
 the two triple validators first refuse, with ``LineClusterError``, a t or
 ell that is not positive and finite and a sigma that is not finite and >= 0.
-Every function refuses a bool, a string or any other non-number argument
-with ``LineClusterError``, so True is not read as 1 nor "0.1" as 0.1.
+Every argument follows ``linecluster._validate``'s one rule: a bool, a string
+or any other non-number is refused with ``LineClusterError``, so True is
+not read as 1 nor "0.1" as 0.1; ``cdf_rayleigh``'s t must be finite.
 
   * ``within_miss_upper``: P(single-component triple rejected at t),
     exp(-(3/2)(r - 1 - log r)) with r = t^2 / (3 sigma^2), valid r > 1.
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validate import as_float, as_int, as_labels
+from ._validate import as_float, as_int, as_labels, finite, positive
 from .errors import LineClusterError, OutOfValidityError
 from .hypergraph import SimilarityMatrix, _label_sums
 from .spectral import SpectralEmbedding
@@ -63,13 +64,9 @@ __all__ = [
 
 def _check_geometry(t: float, sigma: float, ell: float) -> None:
     """``LineClusterError`` unless t > 0, sigma >= 0 and ell > 0, all finite numbers."""
-    t, sigma, ell = as_float(t, "t"), as_float(sigma, "sigma"), as_float(ell, "ell")
-    if not (t > 0.0) or not math.isfinite(t):
-        raise LineClusterError(f"t must be positive and finite, got {t}")
-    if not (sigma >= 0.0) or not math.isfinite(sigma):
-        raise LineClusterError(f"sigma must be finite and >= 0, got {sigma}")
-    if not (ell > 0.0) or not math.isfinite(ell):
-        raise LineClusterError(f"ell must be positive and finite, got {ell}")
+    positive(t, "t")
+    finite(sigma, "sigma", 0.0)
+    positive(ell, "ell")
 
 
 def _clamp01(v: float) -> float:
@@ -145,8 +142,8 @@ def cdf_rayleigh(t: float, scale: float) -> float:
     """Exact Rayleigh CDF 1 - exp(-t^2 / (2 scale^2)) (t < 0 gives 0).
 
     Scale 0 is outside the formula's domain (``OutOfValidityError``); a
-    negative or non-finite scale is an error."""
-    t, scale = as_float(t, "t"), as_float(scale, "scale")
+    negative or non-finite scale, or a non-finite t, is an error."""
+    t, scale = finite(t, "t"), as_float(scale, "scale")
     if not (scale > 0.0) or not math.isfinite(scale):
         error = OutOfValidityError if scale == 0.0 else LineClusterError
         raise error(f"scale must be positive and finite, got {scale}")
@@ -157,9 +154,7 @@ def cdf_rayleigh(t: float, scale: float) -> float:
 
 def tail_binomial(mu: float, delta: float) -> float:
     """Two-sided multiplicative Chernoff: P(|X - mu| >= delta mu) <= 2 exp(-delta^2 mu / 3)."""
-    mu, delta = as_float(mu, "mu"), as_float(delta, "delta")
-    if not (mu > 0.0) or not math.isfinite(mu):
-        raise LineClusterError(f"mean mu must be positive and finite, got {mu}")
+    mu, delta = positive(as_float(mu, "mu"), "mean mu"), as_float(delta, "delta")
     if not (0.0 < delta < 1.0):
         raise OutOfValidityError(f"delta must lie in (0, 1), got {delta}")
     return min(1.0, 2.0 * math.exp(-delta * delta * mu / 3.0))

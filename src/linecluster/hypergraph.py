@@ -58,7 +58,7 @@ import numpy as np
 
 from . import _scan_numpy
 from ._scan_c import CompiledKernel
-from ._validate import as_labels, as_points
+from ._validate import as_labels, as_points, finite
 from .errors import LineClusterError
 from .tls import _unit_scale
 
@@ -253,8 +253,7 @@ def scan(points, t: float, labels=None) -> tuple[SimilarityMatrix, HyperedgeStat
         raise LineClusterError(
             f"n = {n} exceeds the supported maximum {MAX_POINTS} (the scan is O(n^3))"
         )
-    if not (t >= 0.0) or not math.isfinite(t):
-        raise LineClusterError(f"threshold t must be finite and >= 0, got {t}")
+    t = finite(t, "threshold t", 0.0)
     z = as_labels(labels, n) if labels is not None else None
     # Scan at unit scale, so that no score overflows or underflows because of
     # the units of the input alone.

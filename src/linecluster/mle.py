@@ -5,7 +5,7 @@ Each mixture component has density
     f_k(x) = (1/2h) * Integral_{-h}^{h} N(x; c_k + u v_k, sigma^2 I) du,
 
 a Gaussian tube around segment k. ``density`` evaluates it by fixed-order
-Gauss-Legendre quadrature (the contract form, order >= 16). Classification
+Gauss-Legendre quadrature (the contract form, order 128). Classification
 uses the mathematically identical separated form: writing s0 = (x-c).v for
 the along-line coordinate and d_perp for the orthogonal distance,
 
@@ -28,6 +28,9 @@ for the symmetric cross,
            PhiBar(-u cos t / sigma) * PhiBar(u sin t / sigma) du,  t = alpha/2,
 
 whose small-sigma asymptote is sigma * (tan t + cot t) / (ell sqrt(2 pi)).
+It is one of the two disjoint misclassification events; the other has the
+same mass (u -> -u), so the oracle's per-point error rate is 2 * perr
+(within ~1 SE at six measured cells: sigma 0.00075-0.05, alpha pi/2, pi/6).
 The integrand has a width-sigma boundary layer at u = 0, so the quadrature
 grid is graded: half the nodes on a central panel of width ~ 40 sigma.
 """
@@ -45,12 +48,13 @@ import numpy as np
 # to every process, and only the oracle, ``perr_exact`` and the bounds
 # check use it.
 
-from ._validate import as_points
-from .errors import InvalidAngleError, LineClusterError, ZeroSigmaError
+from ._validate import as_float, as_points, positive
+from .errors import InvalidAngleError, ZeroSigmaError
 from .model import LabeledDataset, Segment
 from .spectral import ClusterResult
 
-_MIN_NODES = 16
+_DENSITY_NODES = 128
+_PERR_NODES = 2048
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _TAYLOR_WIDTH = 1e-7
 _BLOCK = 1 << 14
@@ -62,15 +66,9 @@ class MixtureDensity:
 
     segment: Segment
     sigma: float
-    quadrature_nodes: int = 128
 
     def __post_init__(self) -> None:
-        if not (self.sigma > 0.0) or not math.isfinite(self.sigma):
-            raise ZeroSigmaError(f"sigma must be positive and finite, got {self.sigma}")
-        if int(self.quadrature_nodes) < _MIN_NODES:
-            raise LineClusterError(
-                f"quadrature_nodes must be >= {_MIN_NODES}, got {self.quadrature_nodes}"
-            )
+        positive(self.sigma, "sigma", ZeroSigmaError)
 
 
 @dataclass(frozen=True)
@@ -96,7 +94,7 @@ def density(d: MixtureDensity, x) -> float:
     """Quadrature evaluation of the component density at point ``x``."""
     px, py = float(x[0]), float(x[1])
     seg = d.segment
-    nodes, weights = _gl_nodes(int(d.quadrature_nodes))
+    nodes, weights = _gl_nodes(_DENSITY_NODES)
     h = seg.half_length
     u = h * nodes
     cx = seg.center[0] + u * seg.direction[0]
@@ -182,24 +180,21 @@ def _panels(half: float, sigma: float, theta: float, n: int) -> list[tuple[float
     return [(-half, -w, n_side), (-w, w, n_mid), (w, half, n_side)]
 
 
-def perr_exact(alpha: float, ell: float, sigma: float, quadrature_nodes: int = 2048) -> ErrorReport:
-    """Closed-form single-point misclassification integral for the cross."""
+def perr_exact(alpha: float, ell: float, sigma: float) -> ErrorReport:
+    """Closed-form integral of one of the cross's two disjoint, equal-mass
+    misclassification events: the oracle's per-point error rate is 2 * perr."""
     from scipy.special import ndtr
 
-    if not (0.0 < alpha < math.pi):
+    if not (0.0 < as_float(alpha, "alpha") < math.pi):
         raise InvalidAngleError(f"alpha must lie strictly between 0 and pi, got {alpha}")
-    if not (ell > 0.0) or not math.isfinite(ell):
-        raise LineClusterError(f"ell must be positive and finite, got {ell}")
-    if not (sigma > 0.0) or not math.isfinite(sigma):
-        raise ZeroSigmaError(f"sigma must be positive and finite, got {sigma}")
-    if int(quadrature_nodes) < _MIN_NODES:
-        raise LineClusterError(f"quadrature_nodes must be >= {_MIN_NODES}, got {quadrature_nodes}")
+    positive(ell, "ell")
+    positive(sigma, "sigma", ZeroSigmaError)
 
     theta = 0.5 * alpha
     c, s = math.cos(theta), math.sin(theta)
     half = 0.5 * ell
     total = 0.0
-    for lo, hi, n in _panels(half, sigma, theta, int(quadrature_nodes)):
+    for lo, hi, n in _panels(half, sigma, theta, _PERR_NODES):
         nodes, weights = _gl_nodes(n)
         mid = 0.5 * (lo + hi)
         rad = 0.5 * (hi - lo)

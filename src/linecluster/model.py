@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import DOMAIN_MODEL, block_words, uniform_from_word, uniform_open_closed
-from ._validate import as_int
+from ._validate import as_float, as_int, finite, positive
 from .errors import InvalidAngleError, LineClusterError
 
 _CHUNK_POINTS = 1 << 13
@@ -46,8 +46,7 @@ class Segment:
     half_length: float
 
     def __post_init__(self) -> None:
-        if not (self.half_length > 0.0) or not math.isfinite(self.half_length):
-            raise LineClusterError(f"half_length must be positive and finite, got {self.half_length}")
+        positive(self.half_length, "half_length")
         norm = math.hypot(*self.direction)
         if not math.isfinite(norm) or abs(norm - 1.0) > 1e-12:
             raise LineClusterError(f"direction must be a unit vector, got norm {norm!r}")
@@ -64,8 +63,7 @@ class ModelParams:
     seed: int
 
     def __post_init__(self) -> None:
-        if not (self.sigma >= 0.0) or not math.isfinite(self.sigma):
-            raise LineClusterError(f"sigma must be finite and >= 0, got {self.sigma}")
+        finite(self.sigma, "sigma", 0.0)
         if as_int(self.n_points, "n_points") < 1:
             raise LineClusterError(f"n_points must be >= 1, got {self.n_points}")
         as_int(self.seed, "seed")
@@ -90,10 +88,9 @@ def standard_cross(alpha: float, half_length: float = 1.0) -> tuple[Segment, Seg
     Requires 0 < alpha < pi (the segments must be genuinely distinct lines)
     and half_length > 0.
     """
-    if not (0.0 < alpha < math.pi):
+    if not (0.0 < as_float(alpha, "alpha") < math.pi):
         raise InvalidAngleError(f"alpha must lie strictly between 0 and pi, got {alpha}")
-    if not (half_length > 0.0) or not math.isfinite(half_length):
-        raise InvalidAngleError(f"half_length must be positive and finite, got {half_length}")
+    positive(half_length, "half_length", InvalidAngleError)
     t = 0.5 * alpha
     c, s = math.cos(t), math.sin(t)
     seg1 = Segment(center=(0.0, 0.0), direction=(c, -s), half_length=half_length)

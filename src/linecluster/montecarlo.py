@@ -6,9 +6,9 @@ callers can make 3-standard-error comparisons against the theory value.
 Every sample, triple or trial count and the chi-square's ``k`` must be an
 integer of at least 1 (numpy integers included); anything else raises
 ``LineClusterError``.
-Every other parameter follows ``bounds``' rules and is checked before any
-draw: t > 0 and sigma >= 0, both finite, for the triple validators (the
-Rayleigh t only finite), scale >= 0 and finite, theta and delta finite.
+Every other parameter follows ``bounds``' rules (those of ``_validate``) and
+is checked before any draw: finite t, ell > 0 and sigma >= 0, 0 < alpha < pi
+(the Rayleigh t only finite), finite scale >= 0, finite theta and delta.
 All sampling is deterministic in (seed, domain); see ``linecluster._rng``.
 
 The validators draw, score and count in blocks: 4 096 samples at a time
@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import DOMAIN_MC, generator
-from ._validate import as_float, as_int
+from ._validate import as_float, as_int, finite, positive
 from .bounds import _check_geometry
 from .errors import LineClusterError
 from .mle import mle_recover
@@ -75,14 +75,6 @@ def _count(value, name: str, what: str = "Monte-Carlo sample count") -> int:
     if n < 1:
         raise LineClusterError(f"{what} must be at least 1, got {n}")
     return n
-
-
-def _finite(value: float, name: str, at_least: float = -math.inf) -> None:
-    """``LineClusterError`` unless ``value`` is a finite number of at least ``at_least``."""
-    value = as_float(value, name)
-    if not (math.isfinite(value) and value >= at_least):
-        bound = "" if at_least == -math.inf else f" and >= {at_least:g}"
-        raise LineClusterError(f"{name} must be finite{bound}, got {value}")
 
 
 def _binomial(hits: int, n: int) -> MCResult:
@@ -142,7 +134,7 @@ def mc_chi2_tail(k: int, theta: float, n_samples: int, seed: int) -> MCResult:
     """P(chi2_k >= k * theta) by direct simulation."""
     k = _count(k, "k", "degrees of freedom k")
     n_samples = _count(n_samples, "n_samples")
-    _finite(theta, "theta")
+    finite(theta, "theta")
     rng = generator(seed, DOMAIN_MC)
     hits = 0
     for lo in range(0, n_samples, _BLOCK):
@@ -154,8 +146,8 @@ def mc_chi2_tail(k: int, theta: float, n_samples: int, seed: int) -> MCResult:
 def mc_rayleigh_cdf(t: float, scale: float, n_samples: int, seed: int) -> MCResult:
     """P(Rayleigh(scale) <= t) by direct simulation."""
     n_samples = _count(n_samples, "n_samples")
-    _finite(t, "t")
-    _finite(scale, "scale", 0.0)
+    finite(t, "t")
+    finite(scale, "scale", 0.0)
     rng = generator(seed, DOMAIN_MC)
     first = rng.standard_normal(n_samples) ** 2
     hits = 0
@@ -172,7 +164,7 @@ def mc_binomial_tail(mu: float, delta: float, n_trials: int, n_samples: int, see
     n_samples = _count(n_samples, "n_samples")
     if not (0.0 < as_float(mu, "mu") < n_trials):
         raise LineClusterError(f"need 0 < mu < n_trials, got mu = {mu}, n_trials = {n_trials}")
-    _finite(delta, "delta")
+    finite(delta, "delta")
     rng = generator(seed, DOMAIN_MC)
     hits = 0
     for lo in range(0, n_samples, _BLOCK):
@@ -184,7 +176,7 @@ def mc_binomial_tail(mu: float, delta: float, n_trials: int, n_samples: int, see
 def mc_mle_error(alpha: float, ell: float, sigma: float, n_samples: int, seed: int) -> MCResult:
     """Empirical misclassification rate of the oracle classifier."""
     n_samples = _count(n_samples, "n_samples")
-    seg1, seg2 = standard_cross(alpha, 0.5 * ell)
+    seg1, seg2 = standard_cross(alpha, 0.5 * positive(ell, "ell"))
     params = ModelParams(seg1=seg1, seg2=seg2, sigma=sigma, n_points=n_samples, seed=seed)
     wrong = 0
     for start in range(0, n_samples, _CHUNK_POINTS):

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from ._rng import _check_seed
-from ._validate import as_float, as_int
+from ._validate import as_float, as_int, positive
 from .errors import ClusterTooSmallError, LineClusterError
 from .metrics import align_swap, report
 from .mle import mle_recover
@@ -84,8 +84,7 @@ class SweepConfig:
             raise LineClusterError(f"theta must lie in [0, 1], got {self.theta}")
         if not (0.0 < self.alpha < math.pi):
             raise LineClusterError(f"alpha must lie strictly between 0 and pi, got {self.alpha}")
-        if not (0.0 < self.ell < math.inf):
-            raise LineClusterError(f"ell must be positive and finite, got {self.ell}")
+        positive(self.ell, "ell")
         if isinstance(self.t, str):
             if self.t != "auto":
                 raise LineClusterError(f"t must be a list of thresholds or 'auto', got {self.t!r}")

@@ -103,6 +103,11 @@ def test_bound_domain_violations_raise():
         with pytest.raises(lc.LineClusterError) as info:
             lc.cdf_rayleigh(1.0, scale)
         assert not isinstance(info.value, lc.OutOfValidityError)
+    # A non-finite t is an error too, as in its validator mc_rayleigh_cdf.
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(lc.LineClusterError, match="t must be finite") as info:
+            lc.cdf_rayleigh(t, 0.5)
+        assert not isinstance(info.value, lc.OutOfValidityError)
     # t, sigma and ell are numbers: True is not 1.0, nor "0.1" a bare TypeError.
     for bad in ((0.0, 0.1, 2.0), (0.1, -1.0, 2.0), (0.1, 0.1, 0.0), (True, 0.1, 2.0),
                 (0.1, True, 2.0), (0.1, 0.1, True), ("0.1", 0.1, 2.0), (0.1, "0.1", 2.0),

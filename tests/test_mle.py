@@ -266,16 +266,6 @@ def test_sigma_must_be_positive_and_finite(cross):
             lc.perr_exact(math.pi / 2.0, 2.0, bad)
 
 
-def test_quadrature_order_has_a_floor(cross):
-    with pytest.raises(lc.LineClusterError):
-        lc.MixtureDensity(segment=cross[0], sigma=0.1, quadrature_nodes=8)
-    with pytest.raises(lc.LineClusterError):
-        lc.perr_exact(math.pi / 2.0, 2.0, 0.1, quadrature_nodes=8)
-    # 16 is the smallest accepted order
-    assert lc.MixtureDensity(segment=cross[0], sigma=0.1, quadrature_nodes=16)
-    assert lc.perr_exact(math.pi / 2.0, 2.0, 0.1, quadrature_nodes=16).perr > 0
-
-
 def test_perr_angle_and_length_validation():
     for alpha in (0.0, math.pi, -1.0):
         with pytest.raises(lc.InvalidAngleError):
