@@ -99,7 +99,7 @@ def main(argv: list[str] | None = None) -> int:
         ("mc_mle_error (100k points)",
          lambda: mc.mc_mle_error(math.pi / 2.0, ELL, SIGMA, 100_000, SEED)),
         ("bounds (1 thread)", lambda: _bounds_rows("1")),
-        (f"bounds ({min(hypergraph.thread_count(), hypergraph._cpus())} threads)",
+        (f"bounds ({hypergraph.thread_count()} threads)",
          lambda: _bounds_rows(None)),
     )
     lc.mle_recover(oracle_data)  # loads scipy.special before any timing

@@ -114,7 +114,7 @@ def main(argv: list[str] | None = None) -> int:
 
     seg1, seg2 = lc.standard_cross(math.pi / 2.0, 1.0)
     if compared:
-        threads = min(hypergraph.thread_count(), hypergraph._cpus())
+        threads = hypergraph.thread_count()
         print(f"compiled kernel body: {_kernel_body()}, on {threads} thread(s)")
     header = (f"{'n':>6} {'triples':>14} {'compiled':>14} {'numpy':>12} {'speedup':>9}  identical"
               f" {'exact':>7} {'peak':>5} {'write C':>12} {'write np':>12}  bytes  {'eigen':>12}"

@@ -1,6 +1,6 @@
 """Byte-identity digests of the CLI, for comparing two source trees.
 
-The script runs a fixed set of 25 ``linecluster`` commands, each as a fresh
+The script runs a fixed set of 29 ``linecluster`` commands, each as a fresh
 ``python -m linecluster`` process with ``PYTHONPATH`` set to the given
 ``src/`` directory, one after another in the given output directory, and
 prints one sha256 per command for its stdout, its stderr, its exit code and
@@ -16,7 +16,8 @@ The set covers every subcommand: ``gen``; ``cluster`` on labeled and
 unlabeled data, with and without ``--out``; ``autocluster`` labeled and
 unlabeled; ``recover-lines`` with ``--params``, with ``--labels`` and with
 neither (exit 1); ``oracle`` labeled and unlabeled; ``bounds`` with Monte
-Carlo, with a failing check (exit 1) and without Monte Carlo; a
+Carlo, with a failing check (exit 1), without Monte Carlo, and at the four
+edges of its domain (t = inf, t = 0, sigma = inf, sigma = -1; exit 1); a
 ``spectral``, an ``autocluster`` and an ``oracle`` sweep, in which every
 trial runs; ``tls-score`` from ``--points`` and from stdin; a missing input
 file (exit 1), a missing ``--in`` (exit 2) and ``gen --n 0`` (exit 1). The
@@ -83,6 +84,10 @@ COMMANDS = (
     ("bounds-fail", ["bounds", "--t", "0.1", "--sigma", "0.01", "--mc-samples", "3",
                      "--seed", "2"], None, None),
     ("bounds-no-mc", ["bounds", "--t", "0.05", "--sigma", "0", "--no-mc"], None, None),
+    ("bounds-t-inf", ["bounds", "--t", "inf", "--sigma", "0.01", "--no-mc"], None, None),
+    ("bounds-t-zero", ["bounds", "--t", "0", "--sigma", "0.01", "--no-mc"], None, None),
+    ("bounds-sigma-inf", ["bounds", "--t", "0.05", "--sigma", "inf", "--no-mc"], None, None),
+    ("bounds-sigma-neg", ["bounds", "--t", "0.05", "--sigma", "-1", "--no-mc"], None, None),
     ("sweep-spectral", ["sweep", "--config", "sweep_spectral.json", "--out", "s_spec"],
      "s_spec", None),
     ("sweep-autocluster", ["sweep", "--config", "sweep_auto.json", "--out", "s_auto"],

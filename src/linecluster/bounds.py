@@ -4,9 +4,10 @@ These are the finite-sample inequalities the clustering guarantee rests on;
 each is exposed as an executable function so Monte-Carlo experiments can
 check them (`linecluster.montecarlo`). Values are clamped to [0, 1] (they
 all bound probabilities) and every function validates its domain, raising
-``OutOfValidityError`` outside it. The three bounds in (t, sigma, ell) and
-the two triple validators first refuse, with ``LineClusterError``, a t or
-ell that is not positive and finite and a sigma that is not finite and >= 0.
+``OutOfValidityError`` outside it. The three bounds in (t, sigma, ell),
+``within_miss_upper`` and the two triple validators first refuse, with
+``LineClusterError``, a t or ell that is not positive and finite and a sigma
+that is not finite and >= 0.
 Every argument follows ``linecluster._validate``'s one rule: a bool, a string
 or any other non-number is refused with ``LineClusterError``, so True is
 not read as 1 nor "0.1" as 0.1; ``cdf_rayleigh``'s t must be finite.
@@ -29,10 +30,7 @@ not read as 1 nor "0.1" as 0.1; ``cdf_rayleigh``'s t must be finite.
     - w_in and spectral gap lam2 - lam_rest = n (n - 2) (p - q) / 4.
   * ``davis_kahan``: the sin-Theta misalignment of an observed embedding
     against the idealized one (the normalized label indicators, W*'s exact
-    top-two eigenspace), with its 2 ||W - W*||_F / gap bound. No n x n
-    array is built: with S_same and S_x W's ordered off-diagonal sums over
-    equal-label and unequal-label pairs, ||W - W*||_F^2 = sum W^2
-    - 2 (w_in S_same + w_out S_x) + w_in^2 (n1^2 + n2^2 - n) + 2 w_out^2 n1 n2.
+    top-two eigenspace), with its 2 ||W - W*||_F / gap bound.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ import numpy as np
 
 from ._validate import as_float, as_int, as_labels, finite, positive
 from .errors import LineClusterError, OutOfValidityError
-from .hypergraph import SimilarityMatrix, _label_sums
+from .hypergraph import SimilarityMatrix
 from .spectral import SpectralEmbedding
 
 __all__ = [
@@ -76,11 +74,11 @@ def _clamp01(v: float) -> float:
 def within_miss_upper(t: float, sigma: float) -> float:
     """Upper bound on P(score >= t^2) for a single-component triple.
 
-    Valid for t > sqrt(3) sigma (the bound's ratio r = t^2 / (3 sigma^2)
-    must exceed 1).
+    Valid for sigma > 0 and t > sqrt(3) sigma (the bound's ratio
+    r = t^2 / (3 sigma^2) must exceed 1).
     """
-    t, sigma = as_float(t, "t"), as_float(sigma, "sigma")
-    if not (t > 0.0 and sigma > 0.0):
+    t, sigma = positive(t, "t"), finite(sigma, "sigma", 0.0)
+    if sigma == 0.0:
         raise OutOfValidityError(f"need t > 0 and sigma > 0, got t = {t}, sigma = {sigma}")
     r = (t * t) / (3.0 * sigma * sigma)
     if r <= 1.0:
@@ -234,10 +232,9 @@ def davis_kahan(w, z, p_hat: float, q_hat: float, embedding: SpectralEmbedding) 
     (p_hat > q_hat with both labels present) its top-two eigenspace U* is
     spanned by the normalized label indicators 1_A / sqrt(n1) and
     1_B / sqrt(n2), and the inequality is a theorem. Runs with a
-    nonpositive gap are reported as skipped. ||W - W*||_F follows the module
-    docstring's identity, from sums over row blocks of W, combined exactly:
-    exact for the scan's int32 counts (n^2 (n - 2)^2 < 2^53 for n <= 5000),
-    within about sqrt(eps) ||W*||_F for a float W."""
+    nonpositive gap are reported as skipped. ||W - W*||_F is summed directly
+    over blocks of rows of W, each with W*'s block subtracted, so no n x n
+    array is built and W = W* gives exactly 0."""
     mat = w.counts if isinstance(w, SimilarityMatrix) else np.asarray(w, float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise LineClusterError(f"W must be a square matrix, got shape {mat.shape}")
@@ -250,22 +247,19 @@ def davis_kahan(w, z, p_hat: float, q_hat: float, embedding: SpectralEmbedding) 
         raise LineClusterError(f"the embedding must have shape ({n}, 2), got {u.shape}")
     ideal = expected_similarity(n, p_hat, q_hat, labels)
     gap = ideal.gap
-    in_a = labels == 1
-    n1 = int(np.count_nonzero(in_a))
     step = max(1, (1 << 16) // n)
-    squares = sum(float(np.square(mat[lo:lo + step], dtype=float).sum())
-                  for lo in range(0, n, step))
-    if not math.isfinite(squares):
-        raise LineClusterError(f"W must be finite with a finite sum of squares, got {squares}")
-    same, cross = _label_sums(mat, labels)
-    from fractions import Fraction  # imported here: it loads decimal, 3 ms at startup
-    f_in, f_out = Fraction(ideal.w_in), Fraction(ideal.w_out)
-    dev_sq = (Fraction(squares) - 2 * (f_in * Fraction(same) + f_out * Fraction(cross))
-              + f_in**2 * (n1 * n1 + (n - n1) ** 2 - n) + 2 * f_out**2 * n1 * (n - n1))
-    deviation = math.sqrt(max(0, dev_sq))
+    dev_sq = 0.0
+    for lo in range(0, n, step):
+        block = np.where(labels[lo:lo + step, None] == labels, ideal.w_in, ideal.w_out)
+        np.fill_diagonal(block[:, lo:], 0.0)
+        dev_sq += float(np.square(mat[lo:lo + step] - block).sum())
+    if not math.isfinite(dev_sq):
+        raise LineClusterError(f"W must be finite with a finite ||W - W*||_F, got {dev_sq}")
+    deviation = math.sqrt(dev_sq)
     if gap <= 1e-12 * max(1.0, abs(ideal.lam1)):
         return DKReport(sin_theta=math.nan, bound=math.inf, gap=gap, deviation_fro=deviation,
                         ok=True, skipped=True)
+    in_a = labels == 1
     # ||U^T U*||_F^2, with U*'s columns the normalized label indicators.
     overlap = sum(float((u[rows].sum(axis=0) ** 2).sum()) / np.count_nonzero(rows)
                   for rows in (in_a, ~in_a))

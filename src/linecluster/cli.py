@@ -235,18 +235,25 @@ def _rayleigh_agrees(est, theory: float) -> bool:
     return bool(min(below, above) > _RAYLEIGH_LEVEL / 2.0)
 
 
+# The tail rows' fixed points: (k, theta) for tail_chi2, (mu, delta) for tail_binomial.
+_CHI2_K, _CHI2_THETA = 3, 2.0
+_BINOM_MU, _BINOM_DELTA = 300.0, 0.1
+
+
 def _bounds_rows(args) -> tuple[list[dict], list[str]]:
     """One row per bound, in a fixed order. A bound outside its domain goes to
     ``skipped``, and a validator that no row needs does not run; each
     validator seeds its own generator, so that changes no other estimate.
+    The two tail rows check textbook helpers that no guarantee evaluates at
+    the command's t, sigma or ell, so they sit at one fixed point each.
     The theory values come first; then each validator runs once, side by
-    side with the others on min(``thread_count()``, CPUs) threads of the
-    scan's worker pool (``hypergraph._run_tasks``), the longest on the
-    calling thread, so the rows are the same at every thread count.
-    ``bounds`` and ``montecarlo`` functions are looked up when called, so
-    rebinding one works."""
+    side with the others on ``thread_count()`` threads of the scan's worker
+    pool (``hypergraph._run_tasks``), the longest on the calling thread, so
+    the rows are the same at every thread count. ``bounds`` and
+    ``montecarlo`` functions are looked up when called, so rebinding one
+    works."""
     t, sig, ell, n_mc, seed = args.t, args.sigma, args.ell, args.mc_samples, args.seed
-    k, theta, mu, delta = args.chi2_k, args.chi2_theta, args.binom_mu, args.binom_delta
+    k, theta, mu, delta = _CHI2_K, _CHI2_THETA, _BINOM_MU, _BINOM_DELTA
     geo = f"t={t:g};sigma={sig:g};ell={ell:g}"
     # In the order they run: the mixed-triple rate, which both
     # between-acceptance rows check, takes longest.
@@ -286,9 +293,7 @@ def _bounds_rows(args) -> tuple[list[dict], list[str]]:
             checks.append((rows[-1], validator, passes))
     used = {validator for _, validator, _ in checks}
     needed = [key for key in validators if key in used]
-    threads = min(hypergraph.thread_count(), hypergraph._cpus()) if needed else 1
-    results = hypergraph._run_tasks([validators[key] for key in needed], threads)
-    estimates = dict(zip(needed, results))
+    estimates = dict(zip(needed, hypergraph._run_tasks([validators[key] for key in needed])))
     for row, validator, passes in checks:
         est = estimates[validator]
         row.update(mc_estimate=est.estimate, mc_se=est.se, **{"pass": passes(est, row["theory"])})
@@ -380,10 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mc", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--mc-samples", dest="mc_samples", type=int, default=200_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--chi2-k", dest="chi2_k", type=int, default=3)
-    p.add_argument("--chi2-theta", dest="chi2_theta", type=float, default=2.0)
-    p.add_argument("--binom-mu", dest="binom_mu", type=float, default=300.0)
-    p.add_argument("--binom-delta", dest="binom_delta", type=float, default=0.1)
     p.add_argument("--out", help="output directory (bounds.csv)")
     p.set_defaults(func=_cmd_bounds)
 

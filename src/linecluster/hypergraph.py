@@ -21,13 +21,13 @@ it when it is already cached and numpy otherwise. Without a compiler or a writab
 the scan warns once and uses numpy. No option picks the kernel, and
 ``SimilarityMatrix.backend`` names the kernel that ran.
 
-The C kernel runs on min(``thread_count()``, CPUs) threads, numpy on one.
-A scan cuts the outer indices into that many contiguous ranges of about
-equal triple mass, each scanned into its own n x n int32 buffer: the calling
-thread scans the first, and one process-wide pool of worker threads, started
-on the first scan that needs it and reused by every later one, scans the
-rest. The ``bounds`` command runs its Monte-Carlo validators side by side
-on the same pool, on as many threads (``_run_tasks``). Integer counts
+The C kernel runs on ``thread_count()`` threads, numpy on one. A scan cuts
+the outer indices into that many contiguous ranges of about equal triple
+mass, each scanned into its own n x n int32 buffer: the calling thread scans
+the first, and one process-wide pool of worker threads, started on the first
+scan that needs it and reused by every later one, scans the rest. The
+``bounds`` command runs its Monte-Carlo validators side by side on the same
+pool, on as many threads (``_run_tasks``). Integer counts
 summed over disjoint ranges, in range order, make W independent of kernel
 and thread count. Both kernels write only the strict upper triangle, so W
 is symmetrized in place by row blocks, and the peak is one n^2 * 4 B buffer
@@ -100,12 +100,12 @@ def _cpus() -> int:
 
 
 def thread_count() -> int:
-    """Scan threads: LINECLUSTER_THREADS if set, else the CPUs this process
-    may run on (compiled only; a scan never runs more threads than CPUs)."""
+    """The threads a compiled scan or ``bounds`` runs on: min(LINECLUSTER_THREADS,
+    CPUs) if the variable is set, else the CPUs this process may run on."""
     env = os.environ.get("LINECLUSTER_THREADS", "").strip()
     if env:
         try:
-            return max(1, int(env))
+            return min(max(1, int(env)), _cpus())
         except ValueError as exc:
             raise LineClusterError(f"LINECLUSTER_THREADS must be an integer, got {env!r}") from exc
     return _cpus()
@@ -167,12 +167,13 @@ def _workers() -> ThreadPoolExecutor:
         return _pool
 
 
-def _run_tasks(tasks: list, threads: int) -> list:
-    """Every task's result, in task order, from at most ``threads`` threads.
+def _run_tasks(tasks: list) -> list:
+    """Every task's result, in task order, from at most ``thread_count()`` threads.
 
-    Task i runs in group min(i, threads - 1), each group's tasks one after
-    another: the calling thread runs group 0 and ``_workers`` the others, so
-    at one thread nothing touches the pool. The pool is made by the first
+    Task i runs in group min(i, K - 1), K = ``thread_count()``, each group's
+    tasks one after another: the calling thread runs group 0 and ``_workers``
+    the others, so at one thread nothing touches the pool, and a single task
+    runs on the calling thread without reading K. The pool is made by the first
     call that needs it and serves every later one, from any thread; a child
     made by ``os.fork`` forgets its parent's and makes its own. The call
     returns, or raises the first error in task order, only once every task
@@ -188,7 +189,7 @@ def _run_tasks(tasks: list, threads: int) -> list:
                 outcomes.append((None, exc))
         return outcomes
 
-    cut = max(1, threads) - 1
+    cut = thread_count() - 1 if len(tasks) > 1 else 0
     first, *rest = [[task] for task in tasks[:cut]] + [tasks[cut:]]
     futures = [_workers().submit(run, group) for group in rest if group]
     try:
@@ -216,7 +217,7 @@ def _pair_counts(kernel, x: np.ndarray, y: np.ndarray, t2: float, workers: int) 
         return w_part
 
     ranges = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
-    w, *parts = _run_tasks([functools.partial(run, lo, hi) for lo, hi in ranges], len(ranges))
+    w, *parts = _run_tasks([functools.partial(run, lo, hi) for lo, hi in ranges])
     while parts:
         w += parts.pop(0)  # freed before the mirror below copies a block
     # Rows [lo, hi) add columns [lo, hi) of rows [0, hi), which no earlier
@@ -228,17 +229,14 @@ def _pair_counts(kernel, x: np.ndarray, y: np.ndarray, t2: float, workers: int) 
 
 
 def _label_sums(w: np.ndarray, z: np.ndarray) -> tuple:
-    """W's ordered off-diagonal sums over equal-label and over unequal-label
-    pairs (2 S_in and 2 S_x for the scan's tallies; ``bounds.davis_kahan``
-    takes W's inner product with W* from them). Row i of W @ one_hot is row
-    i's W-mass on label 1 and on label 2; a row of the scan's W sums to at
-    most (n-1)(n-2) < 2**31, so int32 holds it."""
+    """The scan's int32 W summed over ordered pairs with equal labels and with
+    unequal labels, 2 S_in and 2 S_x for ``scan``'s tallies (its one caller;
+    W's diagonal is 0). Row i of W @ one_hot is row i's W-mass on label 1 and
+    on label 2; a row sums to at most (n-1)(n-2) < 2**31, so int32 holds it."""
     one_hot = (z[:, None] == np.array([1, 2])).astype(w.dtype)
     mass = w @ one_hot
-    acc = np.int64 if np.issubdtype(w.dtype, np.integer) else np.float64
-    on_label = (mass * one_hot).sum(dtype=acc)
-    same = on_label - np.trace(w, dtype=acc)
-    return same.item(), (mass.sum(dtype=acc) - on_label).item()
+    same = int((mass * one_hot).sum(dtype=np.int64))
+    return same, int(mass.sum(dtype=np.int64)) - same
 
 
 def scan(points, t: float, labels=None) -> tuple[SimilarityMatrix, HyperedgeStats | None]:
@@ -265,7 +263,7 @@ def scan(points, t: float, labels=None) -> tuple[SimilarityMatrix, HyperedgeStat
     t2 = t_unit * t_unit
 
     if _use_compiled(n):
-        kernel, backend, workers = _compiled.scan_triples, "compiled", min(thread_count(), _cpus())
+        kernel, backend, workers = _compiled.scan_triples, "compiled", thread_count()
     else:
         kernel, backend, workers = _scan_numpy.scan_triples, "numpy", 1
     # Scores are >= 0 and acceptance is strict, so t2 = 0 accepts nothing.

@@ -7,8 +7,9 @@ Every sample, triple or trial count and the chi-square's ``k`` must be an
 integer of at least 1 (numpy integers included); anything else raises
 ``LineClusterError``.
 Every other parameter follows ``bounds``' rules (those of ``_validate``) and
-is checked before any draw: finite t, ell > 0 and sigma >= 0, 0 < alpha < pi
-(the Rayleigh t only finite), finite scale >= 0, finite theta and delta.
+is checked before any draw: finite t, ell > 0 and sigma >= 0 (> 0 for the
+oracle's ``mc_mle_error``, else ``ZeroSigmaError``), 0 < alpha < pi (the
+Rayleigh t only finite), finite scale >= 0, finite theta and delta.
 All sampling is deterministic in (seed, domain); see ``linecluster._rng``.
 
 The validators draw, score and count in blocks: 4 096 samples at a time
@@ -52,7 +53,7 @@ import numpy as np
 from ._rng import DOMAIN_MC, generator
 from ._validate import as_float, as_int, finite, positive
 from .bounds import _check_geometry
-from .errors import LineClusterError
+from .errors import LineClusterError, ZeroSigmaError
 from .mle import mle_recover
 from .model import _CHUNK_POINTS, LabeledDataset, ModelParams, _sample_chunk, standard_cross
 from .tls import _triple_scores
@@ -178,6 +179,7 @@ def mc_mle_error(alpha: float, ell: float, sigma: float, n_samples: int, seed: i
     n_samples = _count(n_samples, "n_samples")
     seg1, seg2 = standard_cross(alpha, 0.5 * positive(ell, "ell"))
     params = ModelParams(seg1=seg1, seg2=seg2, sigma=sigma, n_points=n_samples, seed=seed)
+    positive(sigma, "sigma", ZeroSigmaError)  # the oracle's own check, before any draw
     wrong = 0
     for start in range(0, n_samples, _CHUNK_POINTS):
         pts, labs = _sample_chunk(params, start, min(_CHUNK_POINTS, n_samples - start))

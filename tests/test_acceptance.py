@@ -123,15 +123,17 @@ def test_criterion_03_empirical_oracle_error_within_3se_of_the_integral():
     start = time.perf_counter()
     est = mc.mc_mle_error(math.pi / 2.0, 2.0, 0.05, 100_000, seed=0)
     elapsed = time.perf_counter() - start
-    theory = lc.perr_exact(math.pi / 2.0, 2.0, 0.05).perr
+    # perr integrates one of the two disjoint, equal-mass ways a point is
+    # misclassified (see perr_exact), so the per-point rate is 2 perr.
+    theory = 2.0 * lc.perr_exact(math.pi / 2.0, 2.0, 0.05).perr
     se = math.sqrt(theory * (1.0 - theory) / est.n)
     gap = abs(est.estimate - theory)
     ok = gap <= 3.0 * se and elapsed < 30.0
     _line(
         "03",
         ok,
-        f"empirical {est.estimate:.5f} vs integral {theory:.5f} "
-        f"(gap {gap / se:.1f} SE; the rate includes both components' errors) in {elapsed:.1f}s",
+        f"empirical {est.estimate:.5f} vs 2 x integral {theory:.5f} "
+        f"(gap {gap / se:.1f} SE) in {elapsed:.1f}s",
     )
     assert elapsed < 30.0
     assert gap <= 3.0 * se

@@ -75,8 +75,18 @@ def test_cdf_rayleigh_exact_form():
 def test_bound_domain_violations_raise():
     with pytest.raises(lc.OutOfValidityError):
         lc.within_miss_upper(0.01, 0.01)  # r <= 1
-    with pytest.raises(lc.OutOfValidityError):
+    with pytest.raises(lc.OutOfValidityError, match="need t > 0 and sigma > 0"):
         lc.within_miss_upper(0.1, 0.0)
+    # A t or sigma outside (0, inf) and [0, inf) is an error, as in the other
+    # bounds, not a skipped row nor a bound of 0.
+    for t, sigma in ((math.inf, 0.1), (0.0, 0.1), (-0.1, 0.1), (math.nan, 0.1),
+                     (0.5, math.inf), (0.5, -1.0), (0.5, math.nan)):
+        with pytest.raises(lc.LineClusterError) as info:
+            lc.within_miss_upper(t, sigma)
+        assert not isinstance(info.value, lc.OutOfValidityError), (t, sigma)
+        with pytest.raises(lc.LineClusterError) as geometry:
+            lc.between_accept_lower(t, sigma, 2.0)
+        assert str(info.value) == str(geometry.value), (t, sigma)
     with pytest.raises(lc.OutOfValidityError):
         lc.between_accept_lower(6.0, 0.01, 2.0)  # t > 2 sqrt(2) ell
     with pytest.raises(lc.OutOfValidityError):
@@ -326,12 +336,10 @@ def test_sin_theta_matches_a_dense_eigendecomposition_of_the_ideal(make_dataset)
         if not skipped:
             assert rep.sin_theta == pytest.approx(sin_theta, rel=0.0, abs=1e-12), name
             assert rep.gap == pytest.approx(gap, rel=1e-12), name
-    # W = W*: the deviation vanishes up to the identity's cancellation, whose
-    # absolute error is about sqrt(eps) ||W*||_F (at most 4.4e-8 ||W*||_F on
-    # 600 random float W* up to n = 700, above 1e-9 on half of them).
+    # W = W*: a direct sum of (W - W*)^2 has no cancellation, so it is exactly 0.
     ideal = ideal_matrix(labels.size, p_hat, q_hat, labels)
     rep = lc.davis_kahan(ideal, labels, p_hat, q_hat, embedding)
-    assert rep.deviation_fro <= 1e-6 * np.linalg.norm(ideal)
+    assert rep.deviation_fro == 0.0
 
 
 def test_sin_theta_needs_at_least_three_points():

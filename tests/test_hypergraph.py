@@ -555,7 +555,7 @@ def test_scan_is_independent_of_the_thread_count(make_dataset, monkeypatch):
     assert thread_count() == 1
     sim1, stats1 = lc.scan(ds.points, 0.07, ds.labels)
     monkeypatch.setenv("LINECLUSTER_THREADS", "7")
-    assert thread_count() == 7
+    assert thread_count() == min(7, hypergraph._cpus())
     sim7, stats7 = lc.scan(ds.points, 0.07, ds.labels)
     assert np.array_equal(sim1.counts, sim7.counts)
     assert stats1 == stats7
@@ -583,7 +583,7 @@ def test_scan_runs_no_more_threads_than_cpus(make_dataset, monkeypatch, compiled
     ds = make_dataset(120, 0.02, 5)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setenv("LINECLUSTER_THREADS", "64")
-    assert thread_count() == 64
+    assert thread_count() == 2  # min(K, CPUs): the threads that actually run
     ranges, starts = [], []
     thread_start = threading.Thread.start
 
@@ -705,10 +705,12 @@ def test_run_tasks_runs_task_i_in_group_min_i_threads_minus_1(threads, monkeypat
         ran.append((i, threading.get_ident()))
         return i * i
 
+    monkeypatch.setattr(hypergraph, "_cpus", lambda: threads)
+    monkeypatch.setenv("LINECLUSTER_THREADS", str(threads))
     if threads == 1:  # one thread touches no pool
         monkeypatch.setattr(hypergraph, "_workers", lambda: pytest.fail("pool used"))
     tasks = [lambda i=i: task(i) for i in range(5)]
-    assert hypergraph._run_tasks(tasks, threads) == [0, 1, 4, 9, 16]
+    assert hypergraph._run_tasks(tasks) == [0, 1, 4, 9, 16]
     assert sorted(i for i, _ in ran) == list(range(5))
     where = dict(ran)
     assert where[0] == threading.get_ident()

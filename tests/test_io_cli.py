@@ -800,18 +800,6 @@ def test_cli_bounds_skips_the_rayleigh_rows_at_sigma_zero(capsys, mc):
     assert len(payload["rows"]) == 5
 
 
-@pytest.mark.parametrize("flag, value, name", [("--chi2-theta", "0.5", "tail_chi2"),
-                                               ("--binom-delta", "1.5", "tail_binomial")])
-def test_cli_bounds_skips_out_of_domain_tail_bounds(capsys, flag, value, name):
-    code, payload, err = _run(
-        capsys, ["bounds", "--t", "0.05", "--sigma", "0.01", "--no-mc", flag, value]
-    )
-    assert code == 0 and err == ""
-    assert [s.split(":")[0] for s in payload["skipped"]] == [name]
-    assert len(payload["rows"]) == 6
-    assert all(row["bound_name"] != name for row in payload["rows"])
-
-
 def test_cli_bounds_draws_the_mixed_triples_once(capsys, monkeypatch):
     calls = []
     draw = lc.montecarlo.mc_hyperedge_rates

@@ -93,6 +93,12 @@ def test_oracle_error_validator_matches_one_whole_sample():
     assert mc.mc_mle_error(alpha, ell, sigma, n, seed) == mc._binomial(wrong, n)
 
 
+def test_oracle_error_validator_refuses_sigma_zero_before_any_draw(monkeypatch):
+    monkeypatch.setattr(mc, "_sample_chunk", lambda *args: pytest.fail("drew a chunk"))
+    with pytest.raises(lc.ZeroSigmaError, match="sigma must be positive and finite, got 0.0"):
+        mc.mc_mle_error(math.pi / 2.0, 2.0, 0.0, 100, 0)
+
+
 @pytest.mark.parametrize(
     "call",
     [
